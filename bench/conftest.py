@@ -1,0 +1,6 @@
+"""Lets the benchmark's tests import the package from ``src``."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
