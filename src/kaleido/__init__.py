@@ -15,6 +15,7 @@ from .algebra import (
     Group,
     PrimeField,
     Product,
+    cubic_character,
     cyclotomic_table,
     descriptor_from_json,
     descriptor_to_json,

@@ -49,6 +49,7 @@ __all__ = [
     "CyclotomicTable",
     "cyclotomic_table",
     "cyclotomic_index",
+    "cubic_character",
     "transversal",
 ]
 
@@ -194,9 +195,21 @@ def _poly_divmod(a: list[int], b: tuple[int, ...], p: int):
 
 
 def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
-    """Trial division by every monic polynomial of degree up to deg/2."""
+    """No root in Z_p and no monic factor of degree 2 up to deg/2.
+
+    A reducible polynomial has a monic factor of degree at most deg/2, and
+    it has the linear factor t - r exactly when r is a root, so a Horner
+    evaluation at each residue stands in for division by the p linear
+    divisors.
+    """
     d = len(modulus) - 1
-    for m in range(1, d // 2 + 1):
+    for r in range(p):
+        value = 0
+        for c in reversed(modulus):
+            value = (value * r + c) % p
+        if value == 0:
+            return False
+    for m in range(2, d // 2 + 1):
         for low in itertools.product(range(p), repeat=m):
             divisor = tuple(low) + (1,)
             _, rem = _poly_divmod(list(modulus), divisor, p)
@@ -306,6 +319,10 @@ class PrimeFieldGroup(Group):
     def pow_(self, a, n: int):
         return pow(a, n, self.order)
 
+    def __contains__(self, x):
+        """True when x is a residue in canonical form, 0 <= x < p."""
+        return isinstance(x, int) and 0 <= x < self.order
+
     def _build_elements(self):
         return list(range(self.order))
 
@@ -379,6 +396,15 @@ class ExtensionFieldGroup(Group):
             base = self.mul(base, base)
             n >>= 1
         return result
+
+    def __contains__(self, x):
+        """True when x is a tuple of degree-many residues mod p."""
+        p = self.p
+        return (
+            isinstance(x, tuple)
+            and len(x) == self.degree
+            and all(isinstance(c, int) and 0 <= c < p for c in x)
+        )
 
     def _build_elements(self):
         return list(itertools.product(range(self.p), repeat=self.degree))
@@ -486,6 +512,19 @@ def primitive_element(field: Group) -> Element:
 _DENSE_LIMIT = 50_000
 
 
+def _check_class_count(field: Group, e: int) -> None:
+    """Raise unless the nonzero elements of field split into e classes."""
+    if not field.is_field:
+        raise MalformedInput("cyclotomic classes need a field")
+    if e not in (3, 6):
+        raise MalformedInput(f"class count must be 3 or 6, got {e}")
+    q = field.order
+    if q - 1 < e:
+        raise OrderTooSmall(f"field of order {q} has fewer than {e} units")
+    if (q - 1) % e:
+        raise BadCongruence(f"{e} does not divide {q} - 1")
+
+
 class CyclotomicTable:
     """Classifies nonzero field elements into e classes.
 
@@ -494,18 +533,18 @@ class CyclotomicTable:
     by walking the powers of g; larger fields resolve each element lazily
     through the e-th power character, caching as they go. Class indices are
     multiplicative either way.
+
+    A table pays for a primitive element and, below the dense limit, a
+    walk over all q - 1 powers. That is worth it when the labels matter
+    (constraints name classes such as "the class of 2") or when a search
+    looks up most of the field. A check that only asks whether elements
+    share a cube class needs no labels: ``cubic_character`` answers it
+    with one power per element.
     """
 
     def __init__(self, field: Group, e: int):
-        if not field.is_field:
-            raise MalformedInput("cyclotomic classes need a field")
-        if e not in (3, 6):
-            raise MalformedInput(f"class count must be 3 or 6, got {e}")
+        _check_class_count(field, e)
         q = field.order
-        if q - 1 < e:
-            raise OrderTooSmall(f"field of order {q} has fewer than {e} units")
-        if (q - 1) % e:
-            raise BadCongruence(f"{e} does not divide {q} - 1")
         self.field = field
         self.e = e
         self.q = q
@@ -558,6 +597,33 @@ def cyclotomic_table(field: Group, e: int = 3) -> CyclotomicTable:
 
 def cyclotomic_index(table: CyclotomicTable, x: Element) -> int:
     return table.index(x)
+
+
+def cubic_character(field: Group):
+    """The cubic character x -> x^((q-1)/3) of a field, as a class key.
+
+    Its values are the three cube roots of unity, and two nonzero
+    elements lie in the same cube class exactly when their characters are
+    equal. So any question of the form "do these elements share a class?"
+    is answered with one power per element, with no primitive element and
+    no table. The values are not class indices; use a ``CyclotomicTable``
+    where the labels themselves matter. The returned function raises
+    ``ZeroElement`` on zero and ``MalformedInput`` on a value that is not
+    an element of the field, as ``CyclotomicTable.index`` does.
+    """
+    _check_class_count(field, 3)
+    exp = (field.order - 1) // 3
+    zero = field.zero
+    power = field.pow_
+
+    def chi(x: Element) -> Element:
+        if x == zero:
+            raise ZeroElement("zero belongs to no cyclotomic class")
+        if x not in field:
+            raise MalformedInput(f"{x!r} is not an element of this field")
+        return power(x, exp)
+
+    return chi
 
 
 def transversal(field: Group, mode: str = "canonical") -> list[Element]:

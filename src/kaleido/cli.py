@@ -57,6 +57,7 @@ from .errors import (
 from .schema import (
     KaleidoscopeSchema,
     builtin_schema,
+    layout_from_json,
     schema_from_json,
     validate_schema,
 )
@@ -242,12 +243,9 @@ def _cmd_verify_schema(args) -> int:
         schema = builtin_schema(args.schema)
     elif args.schema:
         obj = _load_json(args.schema)
-        schema = KaleidoscopeSchema(
-            name=str(obj.get("name", "custom")),
-            k=int(obj["k"]),
-            h=int(obj["h"]),
-            lines=tuple(tuple(sorted(line)) for line in obj["lines"]),
-        )
+        if isinstance(obj, dict):
+            obj = {"name": "custom", **obj}
+        schema = layout_from_json(obj)
     else:
         raise MalformedInput("pass --schema with a name or a file")
     rep = validate_schema(schema)
@@ -344,6 +342,21 @@ def _cmd_search_asymptotic(args) -> int:
     return EXIT_OK
 
 
+def _constraints_from_json(field: Group, raw) -> list:
+    """Constraint objects {"shift": element, "class": label} from JSON."""
+    if not isinstance(raw, list) or not all(isinstance(c, dict) for c in raw):
+        raise MalformedInput("constraints must be a JSON list of objects")
+    try:
+        return [
+            CyclotomicConstraint(
+                element_from_json(field, c["shift"]), c["class"]
+            )
+            for c in raw
+        ]
+    except KeyError as missing:
+        raise MalformedInput(f"constraint lacks key {missing}") from None
+
+
 def _cmd_search_constrained(args) -> int:
     field = _field_from_args(args)
     if args.prefix is not None:
@@ -380,13 +393,9 @@ def _cmd_search_constrained(args) -> int:
         raw = _load_json(args.file)
     else:
         raise MalformedInput("pass --constraints, --file or --prefix")
-    cons = [
-        CyclotomicConstraint(
-            element_from_json(field, c["shift"]), c["class"]
-        )
-        for c in raw
-    ]
-    res = find_constrained_element(field, cons, _budget_from_args(args))
+    res = find_constrained_element(
+        field, _constraints_from_json(field, raw), _budget_from_args(args)
+    )
     out = {
         "found": res.element is not None,
         "q": field.order,

@@ -27,6 +27,7 @@ __all__ = [
     "lines_of",
     "schema_to_json",
     "schema_from_json",
+    "layout_from_json",
 ]
 
 
@@ -166,8 +167,8 @@ def schema_to_json(schema: KaleidoscopeSchema):
     }
 
 
-def schema_from_json(obj) -> KaleidoscopeSchema:
-    """Load a layout and insist it tiles the position pairs."""
+def layout_from_json(obj) -> KaleidoscopeSchema:
+    """Load a layout without checking that it tiles the position pairs."""
     if isinstance(obj, str):
         return builtin_schema(obj)
     if not isinstance(obj, dict):
@@ -183,9 +184,17 @@ def schema_from_json(obj) -> KaleidoscopeSchema:
         raise MalformedInput("layout lines must be a list")
     try:
         lines = tuple(_sorted_line(line) for line in raw_lines)
-    except TypeError:
-        raise MalformedInput("layout lines must hold integers") from None
-    schema = KaleidoscopeSchema(str(name), int(k), int(h), lines)
+        k, h = int(k), int(h)
+    except (TypeError, ValueError):
+        raise MalformedInput(
+            "layout k, h and lines must hold integers"
+        ) from None
+    return KaleidoscopeSchema(str(name), k, h, lines)
+
+
+def schema_from_json(obj) -> KaleidoscopeSchema:
+    """Load a layout and insist it tiles the position pairs."""
+    schema = layout_from_json(obj)
     report = validate_schema(schema)
     if not report.valid:
         pair, count = report.first_violation

@@ -5,6 +5,15 @@ each of whose lines spreads its differences over all three cube classes.
 Scaling such a block by a transversal of the plus-minus cosets inside the
 cube class yields a colored difference family, so searching for families
 reduces to searching for one good block.
+
+The line predicate compares class keys, and two key sources serve it.
+Three nonzero differences lie in three distinct cube classes exactly when
+the cubic character d -> d^((q-1)/3) takes three distinct values on them,
+whatever the classes are called. So one-shot checks (a listed block, the
+block a family is scaled from, the consecutive-block primes) key on the
+character and build no table. Searches that scan the whole field key on
+``CyclotomicTable.index`` instead: they amortise the table over many
+lookups, and the constraint chains need the class labels themselves.
 """
 
 from __future__ import annotations
@@ -19,11 +28,13 @@ from .algebra import (
     Element,
     Group,
     PrimeField,
+    cubic_character,
     descriptor_from_json,
     descriptor_to_json,
     element_to_json,
     is_prime,
     make_group,
+    primitive_element,
     transversal,
 )
 from .designs import KaleidoscopicDifferenceFamily, scale_block
@@ -84,15 +95,18 @@ class SearchBudget:
 # the core predicate
 
 
-def _line_spreads(points3, table: CyclotomicTable) -> bool:
+def _line_spreads(points3, field: Group, key) -> bool:
+    """True when the three differences get three distinct class keys.
+
+    ``key`` is ``CyclotomicTable.index`` or a ``cubic_character``.
+    """
     a, b, c = points3
-    f = table.field
-    i1 = table.index(f.sub(a, b))
-    i2 = table.index(f.sub(a, c))
-    if i1 == i2:
+    k1 = key(field.sub(a, b))
+    k2 = key(field.sub(a, c))
+    if k1 == k2:
         return False
-    i3 = table.index(f.sub(b, c))
-    return i3 != i1 and i3 != i2
+    k3 = key(field.sub(b, c))
+    return k3 != k1 and k3 != k2
 
 
 def evenly_distributed(line: Iterable, table: CyclotomicTable) -> bool:
@@ -106,7 +120,7 @@ def evenly_distributed(line: Iterable, table: CyclotomicTable) -> bool:
     pts = tuple(line)
     if len(pts) != 3 or len(set(pts)) != 3:
         raise DuplicateElements(f"need 3 distinct elements, got {pts!r}")
-    return _line_spreads(pts, table)
+    return _line_spreads(pts, table.field, table.index)
 
 
 def _schema_for_block(points, schema: Optional[KaleidoscopeSchema]):
@@ -121,8 +135,19 @@ def _schema_for_block(points, schema: Optional[KaleidoscopeSchema]):
     )
 
 
-def _block_is_initial(block: OrderedBlock, table: CyclotomicTable) -> bool:
-    return all(_line_spreads(tuple(line), table) for line in block.lines())
+def _listed_block(field: Group, schema, points) -> OrderedBlock:
+    """The block a caller lists, each point checked to be a field element."""
+    block = OrderedBlock(schema, tuple(points))
+    for x in block.points:
+        if x not in field:
+            raise MalformedInput(f"{x!r} is not an element of this field")
+    return block
+
+
+def _block_is_initial(block: OrderedBlock, field: Group, key) -> bool:
+    return all(
+        _line_spreads(tuple(line), field, key) for line in block.lines()
+    )
 
 
 def verify_listed_block(
@@ -131,11 +156,15 @@ def verify_listed_block(
     schema: Optional[KaleidoscopeSchema] = None,
     table: Optional[CyclotomicTable] = None,
 ) -> bool:
-    """Full check of a single claimed initial block, every line tested."""
+    """Full check of a single claimed initial block, every line tested.
+
+    Without a table the classes are compared through the cubic character,
+    so no table is built.
+    """
     schema = _schema_for_block(points, schema)
-    table = table or CyclotomicTable(field, 3)
-    block = OrderedBlock(schema, tuple(points))
-    return _block_is_initial(block, table)
+    key = table.index if table is not None else cubic_character(field)
+    block = _listed_block(field, schema, points)
+    return _block_is_initial(block, field, key)
 
 
 def generate_kdf_from_initial_block(
@@ -151,10 +180,10 @@ def generate_kdf_from_initial_block(
     copies of any line tile all nonzero differences once.
     """
     schema = _schema_for_block(points, schema)
-    table = CyclotomicTable(field, 3)
-    block = OrderedBlock(schema, tuple(points))
+    key = cubic_character(field)
+    block = _listed_block(field, schema, points)
     for idx, line in enumerate(block.lines()):
-        if not _line_spreads(tuple(line), table):
+        if not _line_spreads(tuple(line), field, key):
             raise NotAnInitialBlock(
                 f"line {idx} of {tuple(points)!r} does not spread over the"
                 " three classes"
@@ -165,7 +194,7 @@ def generate_kdf_from_initial_block(
         "initial_block": [element_to_json(field, x) for x in block.points],
         "transversal_mode": mode,
         "transversal": [element_to_json(field, s) for s in scalars],
-        "primitive": element_to_json(field, table.primitive),
+        "primitive": element_to_json(field, primitive_element(field)),
     }
     return KaleidoscopicDifferenceFamily(field, schema, blocks, provenance)
 
@@ -337,7 +366,7 @@ def _asymptotic_fano(field, table, backtrack):
                 schema,
                 (zero, one, neg_one, xb, field.neg(xb), yb, field.neg(yb)),
             )
-            if _block_is_initial(block, table):
+            if _block_is_initial(block, field, table.index):
                 return block
         if not backtrack:
             return None
@@ -394,7 +423,9 @@ def _asymptotic_hesse(field, table, backtrack):
     def descend(bs: tuple) -> Optional[OrderedBlock]:
         if len(bs) == 5:
             block = OrderedBlock(schema, (zero, one, two, three) + bs)
-            return block if _block_is_initial(block, table) else None
+            if _block_is_initial(block, field, table.index):
+                return block
+            return None
         chain = chains[len(bs)](bs)
         for cand in _iter_constrained(field, table, chain):
             found = descend(bs + (cand,))
@@ -420,7 +451,7 @@ def prefix_block_search(
     generality but finds blocks quickly wherever they are plentiful.
     """
     schema = builtin_schema(schema_name) if isinstance(schema_name, str) else schema_name
-    table = CyclotomicTable(field, 3)
+    key = CyclotomicTable(field, 3).index
     if prefix is None:
         n = 4 if schema.k == 9 else 2
         prefix = tuple(_small_ints(field, n - 1))
@@ -435,7 +466,7 @@ def prefix_block_search(
     ]
     for m in range(len(pts)):
         for line in checks_at[m]:
-            if not _line_spreads(tuple(pts[q] for q in line), table):
+            if not _line_spreads(tuple(pts[q] for q in line), field, key):
                 return None
     used = set(pts)
     elems = field.elements()
@@ -448,7 +479,7 @@ def prefix_block_search(
                 continue
             pts.append(cand)
             ok = all(
-                _line_spreads(tuple(pts[q] for q in line), table)
+                _line_spreads(tuple(pts[q] for q in line), field, key)
                 for line in checks_at[m]
             )
             if ok:
@@ -532,19 +563,19 @@ class ParametricResult:
     checked: int
 
 
-def _try_form_candidate(field, table, form, x):
+def _try_form_candidate(field, key, form, x):
     builder, schema_name, shortcut = _FORMS[form]
     pts = builder(field, x)
     if len(set(pts)) != len(pts):
         return None
     for positions in shortcut:
-        if not _line_spreads(tuple(pts[q] for q in positions), table):
+        if not _line_spreads(tuple(pts[q] for q in positions), field, key):
             return None
     # The shortcut lines suffice by the scaling identities, but confirm
     # against the full predicate anyway; a disagreement means a bug.
     schema = builtin_schema(schema_name)
     block = OrderedBlock(schema, pts)
-    if not _block_is_initial(block, table):
+    if not _block_is_initial(block, field, key):
         return None
     return pts
 
@@ -552,10 +583,10 @@ def _try_form_candidate(field, table, form, x):
 def _parametric_chunk(payload):
     desc_json, form, start, stop = payload
     field = make_group(descriptor_from_json(desc_json))
-    table = CyclotomicTable(field, 3)
+    key = CyclotomicTable(field, 3).index
     elems = field.elements()
     for idx in range(start, stop):
-        if _try_form_candidate(field, table, form, elems[idx]) is not None:
+        if _try_form_candidate(field, key, form, elems[idx]) is not None:
             return idx
     return None
 
@@ -573,7 +604,7 @@ def parametric_search(
     if form not in _FORMS:
         raise MalformedInput(f"unknown form {form!r}")
     budget = budget or SearchBudget()
-    table = CyclotomicTable(field, 3)
+    key = CyclotomicTable(field, 3).index
     elems = field.elements()
     total = len(elems)
     if budget.max_candidates is not None:
@@ -583,13 +614,13 @@ def parametric_search(
     else:
         hit = None
         for idx in range(total):
-            if _try_form_candidate(field, table, form, elems[idx]) is not None:
+            if _try_form_candidate(field, key, form, elems[idx]) is not None:
                 hit = idx
                 break
     if hit is None:
         return None
     x = elems[hit]
-    pts = _try_form_candidate(field, table, form, x)
+    pts = _try_form_candidate(field, key, form, x)
     return ParametricResult(x, pts, hit + 1)
 
 
@@ -628,10 +659,10 @@ def consecutive_block_primes(limit: int) -> list[int]:
     for p in range(7, limit + 1):
         if p % 6 != 1 or not is_prime(p):
             continue
-        table = CyclotomicTable(make_group(PrimeField(p)), 3)
-        if table.index(2 % p) == 0:
+        chi = cubic_character(make_group(PrimeField(p)))
+        if chi(2 % p) == 1:
             continue
-        if table.index(6 % p) != 0 or table.index(20 % p) != 0:
+        if chi(6 % p) != 1 or chi(20 % p) != 1:
             continue
         out.append(p)
     return out

@@ -283,7 +283,7 @@ def test_criterion_12_small_field_property_suites(capsys):
                     continue
                 quick = all(
                     search._line_spreads(
-                        tuple(pts[i] for i in positions), table
+                        tuple(pts[i] for i in positions), field, table.index
                     )
                     for positions in shortcut
                 )

@@ -1,5 +1,7 @@
 """Field and group arithmetic, cyclotomic classes, transversals."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +23,7 @@ from kaleido.algebra import (
     prime_factors,
     primitive_element,
     transversal,
+    _is_irreducible,
 )
 from kaleido.errors import (
     BadCongruence,
@@ -97,6 +100,58 @@ def test_find_irreducible_is_canonical():
     mod = find_irreducible(2, 3)
     f = make_group(ExtensionField(2, mod))
     assert f.order == 8
+
+
+def _divides(divisor, poly, p):
+    """Long division over Z_p by a monic divisor; True on zero remainder."""
+    rem = list(poly)
+    while len(rem) >= len(divisor):
+        lead = rem[-1]
+        shift = len(rem) - len(divisor)
+        for i, c in enumerate(divisor):
+            rem[shift + i] = (rem[shift + i] - lead * c) % p
+        rem.pop()
+    return not any(rem)
+
+
+def _irreducible_by_trial_division(poly, p):
+    """Reference: no monic divisor of any degree 1 up to deg/2."""
+    d = len(poly) - 1
+    return not any(
+        _divides(low + (1,), poly, p)
+        for m in range(1, d // 2 + 1)
+        for low in product(range(p), repeat=m)
+    )
+
+
+@pytest.mark.parametrize(
+    "p,degree", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3), (5, 3),
+                 (7, 3), (2, 4), (3, 4)],
+)
+def test_irreducibility_matches_trial_division(p, degree):
+    for low in product(range(p), repeat=degree):
+        poly = low + (1,)
+        assert _is_irreducible(poly, p) == _irreducible_by_trial_division(
+            poly, p
+        ), poly
+
+
+def test_find_irreducible_results_unchanged():
+    # The first monic irreducible in canonical coefficient order.
+    assert {
+        (p, d): find_irreducible(p, d)
+        for p in (2, 3, 5, 7, 11, 13)
+        for d in (2, 3, 4)
+    } == {
+        (2, 2): (1, 1, 1), (2, 3): (1, 0, 1, 1), (2, 4): (1, 0, 0, 1, 1),
+        (3, 2): (1, 0, 1), (3, 3): (1, 0, 2, 1), (3, 4): (1, 0, 1, 1, 1),
+        (5, 2): (1, 1, 1), (5, 3): (1, 0, 1, 1), (5, 4): (1, 0, 1, 1, 1),
+        (7, 2): (1, 0, 1), (7, 3): (1, 0, 1, 1), (7, 4): (1, 0, 0, 1, 1),
+        (11, 2): (1, 0, 1), (11, 3): (1, 0, 4, 1),
+        (11, 4): (1, 0, 0, 4, 1),
+        (13, 2): (1, 3, 1), (13, 3): (1, 0, 4, 1),
+        (13, 4): (1, 0, 0, 1, 1),
+    }
 
 
 def test_product_group():

@@ -1,0 +1,221 @@
+"""The cubic character as a class key, checked against class tables.
+
+The table-keyed line predicate below is the reference: it compares class
+indices read from a ``CyclotomicTable``. The package's one-shot checks
+key the same predicate on the cubic character instead, and must accept
+exactly the same lines and blocks.
+"""
+
+import functools
+from itertools import combinations
+from math import comb
+
+import pytest
+
+from kaleido import tables
+from kaleido.algebra import (
+    Cyclic,
+    CyclotomicTable,
+    ExtensionField,
+    PrimeField,
+    cubic_character,
+    find_irreducible,
+    make_group,
+)
+from kaleido.errors import (
+    BadCongruence,
+    DuplicateElements,
+    MalformedInput,
+    OrderTooSmall,
+    ZeroElement,
+)
+from kaleido.search import (
+    FANO_AFFINE,
+    FANO_POWERS,
+    _line_spreads,
+    consecutive_block_primes,
+    form_block,
+    verify_listed_block,
+)
+
+
+def table_line_spreads(points3, table):
+    """Reference predicate: three distinct class indices from a table."""
+    a, b, c = points3
+    f = table.field
+    i1 = table.index(f.sub(a, b))
+    i2 = table.index(f.sub(a, c))
+    if i1 == i2:
+        return False
+    i3 = table.index(f.sub(b, c))
+    return i3 != i1 and i3 != i2
+
+
+def _field(p, degree=1):
+    if degree == 1:
+        return make_group(PrimeField(p))
+    return make_group(ExtensionField(p, find_irreducible(p, degree)))
+
+
+# Every field of order 7 through 49 whose units split into three classes,
+# and one larger extension field.
+TRIPLE_FIELDS = [
+    (7, 1), (13, 1), (2, 4), (19, 1), (5, 2), (31, 1), (37, 1), (43, 1),
+    (7, 2), (13, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "p,degree", TRIPLE_FIELDS, ids=[f"{p}^{d}" for p, d in TRIPLE_FIELDS]
+)
+def test_character_predicate_matches_table_on_every_triple(p, degree):
+    field = _field(p, degree)
+    # Both predicates read the same memoised subtraction, so the
+    # comparison isolates the two class keys.
+    field.sub = functools.lru_cache(maxsize=None)(field.sub)
+    table = CyclotomicTable(field, 3)
+    chi = functools.lru_cache(maxsize=None)(cubic_character(field))
+    spreading = 0
+    for trip in combinations(field.elements(), 3):
+        want = table_line_spreads(trip, table)
+        assert _line_spreads(trip, field, chi) == want, trip
+        spreading += want
+    assert 0 < spreading < comb(field.order, 3)
+
+
+def test_character_values_are_the_cube_roots_of_unity():
+    for p, degree in TRIPLE_FIELDS:
+        field = _field(p, degree)
+        chi = cubic_character(field)
+        table = CyclotomicTable(field, 3)
+        by_class = {}
+        for x in field.elements():
+            if x != field.zero:
+                by_class.setdefault(table.index(x), set()).add(chi(x))
+        values = [v for vs in by_class.values() for v in vs]
+        assert len(by_class) == 3 and len(values) == 3, (p, degree)
+        assert by_class[0] == {field.one}
+
+
+def _ext(p, modulus):
+    return make_group(ExtensionField(p, tuple(c % p for c in modulus)))
+
+
+def _stored_witnesses():
+    """The 80 stored listed blocks and form witnesses, as (field, block)."""
+    out = []
+    for data, base in (
+        (tables.FANO_SQUARE_T2M3, (-3, 0, 1)),
+        (tables.FANO_SQUARE_T2P1, (1, 0, 1)),
+    ):
+        for p, (c0, c1) in sorted(data.items()):
+            field = _ext(p, base)
+            out.append((field, form_block(field, FANO_POWERS, (c0, c1))))
+    for entry, form in (
+        (tables.FANO_13_SQUARE, FANO_AFFINE),
+        (tables.FANO_13_CUBE, FANO_POWERS),
+    ):
+        field = _ext(13, entry["modulus"])
+        out.append((field, form_block(field, form, entry["x"])))
+    for blocks in (tables.FANO_ALT_BLOCKS, tables.HESSE_ALT_BLOCKS):
+        for p, block in sorted(blocks.items()):
+            out.append((make_group(PrimeField(p)), block))
+    for p, entry in sorted(tables.HESSE_SQUARE_BLOCKS.items()):
+        block = tuple((c0 % p, c1 % p) for c0, c1 in entry["block"])
+        out.append((_ext(p, entry["modulus"]), block))
+    for p in tables.CONSECUTIVE_BLOCK_PRIMES_1000:
+        out.append((make_group(PrimeField(p)), tuple(range(7))))
+    return out
+
+
+def _moved(field, block, pos):
+    """The block with the point at ``pos`` moved to the next free element,
+    or None when the block fills the field."""
+    x = block[pos]
+    for _ in range(field.order - 1):
+        x = field.add(x, field.one)
+        if x not in block:
+            return block[:pos] + (x,) + block[pos + 1:]
+    return None
+
+
+def test_character_check_matches_table_on_stored_witnesses():
+    witnesses = _stored_witnesses()
+    assert len(witnesses) == 80
+    rejected = 0
+    for field, block in witnesses:
+        table = CyclotomicTable(field, 3)
+        assert verify_listed_block(field, block), (field, block)
+        assert verify_listed_block(field, block, table=table)
+        for pos in range(len(block)):
+            moved = _moved(field, block, pos)
+            if moved is None:
+                continue
+            want = verify_listed_block(field, moved, table=table)
+            assert verify_listed_block(field, moved) == want, (field, moved)
+            rejected += not want
+    assert rejected > 0
+
+
+def test_consecutive_block_primes_unchanged():
+    assert consecutive_block_primes(1000) == list(
+        tables.CONSECUTIVE_BLOCK_PRIMES_1000
+    )
+
+
+# -- the error contract of the table-free path --------------------------------
+
+
+F37 = make_group(PrimeField(37))
+F25 = make_group(ExtensionField(5, (2, 0, 1)))
+
+
+def test_listed_block_rejects_a_non_element():
+    with pytest.raises(MalformedInput):
+        verify_listed_block(F37, (0, 1, 2, 13, 14, 34, 37))
+
+
+def test_listed_block_rejects_a_wrong_length_tuple():
+    block = ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (0, 1), (1, 2, 3))
+    with pytest.raises(MalformedInput):
+        verify_listed_block(F25, block)
+
+
+def test_listed_block_rejects_a_repeated_point():
+    with pytest.raises(DuplicateElements):
+        verify_listed_block(F37, (0, 1, 2, 13, 14, 34, 34))
+
+
+@pytest.mark.parametrize(
+    "x,error",
+    [
+        (0, ZeroElement),
+        (37, MalformedInput),
+        (-1, MalformedInput),
+        (2.5, MalformedInput),
+    ],
+)
+def test_character_errors_match_table_errors(x, error):
+    table = CyclotomicTable(F37, 3)
+    with pytest.raises(error):
+        table.index(x)
+    with pytest.raises(error):
+        cubic_character(F37)(x)
+
+
+@pytest.mark.parametrize(
+    "group,error",
+    [
+        (make_group(Cyclic(13)), MalformedInput),
+        (make_group(PrimeField(11)), BadCongruence),
+        (make_group(PrimeField(3)), OrderTooSmall),
+    ],
+)
+def test_character_needs_three_classes(group, error):
+    with pytest.raises(error):
+        CyclotomicTable(group, 3)
+    with pytest.raises(error):
+        cubic_character(group)
+    if group.is_field:
+        with pytest.raises(error):
+            verify_listed_block(group, tuple(range(7)))

@@ -245,6 +245,26 @@ def test_search_constrained_no_inputs():
     assert main(["search", "constrained", "--q", "19"]) == 2
 
 
+@pytest.mark.parametrize(
+    "constraints",
+    ['[{"class": "i"}]', '{"a": 1}'],
+    ids=["missing-shift", "not-a-list"],
+)
+def test_search_constrained_malformed_constraints(constraints, capsys):
+    rc = main(
+        ["search", "constrained", "--q", "19", "--constraints", constraints]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_verify_schema_file_without_k(tmp_path, capsys):
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps({"name": "x", "h": 3, "lines": [[0, 1, 2]]}))
+    assert main(["verify", "schema", "--schema", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # -- compose, develop, replicate ----------------------------------------------
 
 

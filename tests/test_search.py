@@ -313,7 +313,7 @@ def test_shortcut_lines_match_full_predicate(q, form):
             continue
         quick = all(
             search_module._line_spreads(
-                tuple(pts[i] for i in positions), table
+                tuple(pts[i] for i in positions), field, table.index
             )
             for positions in shortcut
         )
