@@ -72,6 +72,7 @@ from .search import (
     parametric_search,
     prefix_block_search,
     consecutive_block_primes,
+    serial_sweep_reason,
     verify_listed_block,
 )
 
@@ -498,6 +499,12 @@ def _cmd_nonexistence(args) -> int:
         max_nodes=args.max_nodes,
         allow_long=args.allow_long,
     )
+    if cert.jobs < args.jobs:
+        reason = serial_sweep_reason(args.mode, args.max_nodes)
+        print(
+            f"note: ran on 1 job instead of {args.jobs}: {reason}",
+            file=sys.stderr,
+        )
     note = (
         f"{cert.solutions} normalized families, "
         f"{cert.nodes_visited} nodes"

@@ -18,6 +18,7 @@ lookups, and the constraint chains need the class labels themselves.
 
 from __future__ import annotations
 
+import functools
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -65,6 +66,7 @@ __all__ = [
     "HESSE_POWERS",
     "consecutive_block_primes",
     "NonexistenceCertificate",
+    "serial_sweep_reason",
     "exhaustive_nonexistence",
 ]
 
@@ -84,11 +86,25 @@ Q_BOUNDS = {
 }
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise MalformedInput(f"jobs must be at least 1, got {jobs}")
+
+
+def _check_limit(name: str, limit: Optional[int]) -> None:
+    if limit is not None and limit < 0:
+        raise MalformedInput(f"{name} must not be negative, got {limit}")
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     max_candidates: Optional[int] = None
     chunk_size: int = 4096
     jobs: int = 1
+
+    def __post_init__(self):
+        _check_jobs(self.jobs)
+        _check_limit("max_candidates", self.max_candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +731,33 @@ _NORMALIZATIONS = (
 _SPLIT_FREE_SLOTS = 3
 
 
+@functools.cache
+def _line_table(v: int) -> list:
+    """Pair masks of every line over the integers mod v.
+
+    Entry ``[a*v + b][c]`` is the 6-bit mask of the residue pairs
+    {d, v - d} that the differences of the line {a, b, c} hit, or 0 when
+    a difference is zero or two of them hit the same pair. Built once per
+    order and process, and only read.
+    """
+    pair = [(1 << d) | (1 << (v - d)) for d in range(v)]
+    table = []
+    for a in range(v):
+        for b in range(v):
+            row = []
+            for c in range(v):
+                p1 = pair[(a - b) % v]
+                p2 = pair[(a - c) % v]
+                p3 = pair[(b - c) % v]
+                distinct = a != b and a != c and b != c
+                if distinct and not (p1 & p2 or p1 & p3 or p2 & p3):
+                    row.append(p1 | p2 | p3)
+                else:
+                    row.append(0)
+            table.append(row)
+    return table
+
+
 class _Sweep:
     """Backtracking fill of all block entries with per-color pruning.
 
@@ -722,6 +765,16 @@ class _Sweep:
     commits six difference bits and is rejected on any repeat. Because
     each color must cover v - 1 residues with exactly 6t differences,
     repeat-freedom at full depth is the whole condition.
+
+    Lines are checked by table lookup. ``line_bits[a*v + b][c]`` holds the
+    six bits of the line {a, b, c}, or 0 when its differences repeat among
+    themselves, so the line fits its color exactly when the entry is
+    nonzero and misses that color's mask. That is the test the differences
+    would give one at a time, so the same candidates pass in the same
+    order and the tree, its node count and its solution order are those of
+    the direct computation. Each line is checked at its last position; its
+    two earlier entries are fixed along the branch, so the row of the
+    table is looked up once per node, before the candidate loop.
     """
 
     def __init__(self, v: int, schema: KaleidoscopeSchema, mode: str,
@@ -735,16 +788,18 @@ class _Sweep:
         self.slots = [(r, pos) for r in range(self.t) for pos in range(k)]
         self.fixed = {(r, 0): 0 for r in range(self.t)}
         self.fixed[(0, 1)] = 1
+        self.line_bits = _line_table(v)
+        # per position: (color, q1, q2) for each line ending there
         self.checks_at = [
             [
-                (color, line)
+                (color, *(q for q in line if q != m))
                 for color, line in enumerate(schema.lines)
                 if max(line) == m
             ]
             for m in range(k)
         ]
         self.pts = [[None] * k for _ in range(self.t)]
-        self.used = [set() for _ in range(self.t)]
+        self.used = [0] * self.t
         self.masks = [0] * schema.b
         self.nodes = 0
         self.solutions = 0
@@ -798,44 +853,46 @@ class _Sweep:
         row = self.pts[r]
         used = self.used[r]
         masks = self.masks
+        line_bits = self.line_bits
+        checks = [
+            (color, line_bits[row[q1] * v + row[q2]], masks[color])
+            for color, q1, q2 in self.checks_at[pos]
+        ]
         for val in candidates:
-            if val in used:
+            if used >> val & 1:
                 continue
-            committed = []
-            ok = True
-            for color, line in self.checks_at[pos]:
-                bits = 0
-                vals = [val if q == pos else row[q] for q in line]
-                a, b, c = vals
-                for x, y in ((a, b), (a, c), (b, c)):
-                    d = (x - y) % v
-                    pair = (1 << d) | (1 << (v - d))
-                    if (bits | masks[color]) & pair:
-                        ok = False
-                        break
-                    bits |= pair
-                if not ok:
+            for _, bits, mask in checks:
+                x = bits[val]
+                if not x or x & mask:
                     break
-                committed.append((color, bits))
-            if not ok:
-                continue
-            if not replay:
-                if self.max_nodes is not None and self.nodes >= self.max_nodes:
-                    self.stopped = True
-                    self.budget_hit = True
+            else:
+                if not replay:
+                    limit = self.max_nodes
+                    if limit is not None and self.nodes >= limit:
+                        self.stopped = True
+                        self.budget_hit = True
+                        return
+                    self.nodes += 1
+                # entries past this position are stale and never read
+                row[pos] = val
+                self.used[r] = used | 1 << val
+                for color, bits, mask in checks:
+                    masks[color] = mask | bits[val]
+                self._descend(depth + 1)
+                for color, _, mask in checks:
+                    masks[color] = mask
+                self.used[r] = used
+                if self.stopped:
                     return
-                self.nodes += 1
-            row[pos] = val
-            used.add(val)
-            for color, bits in committed:
-                masks[color] |= bits
-            self._descend(depth + 1)
-            for color, bits in committed:
-                masks[color] &= ~bits
-            used.discard(val)
-            row[pos] = None
-            if self.stopped:
-                return
+
+
+def serial_sweep_reason(mode: str, max_nodes: Optional[int]) -> Optional[str]:
+    """Why a sweep runs in one process whatever jobs asks, or None."""
+    if mode == "exists":
+        return "exists mode stops at the first family in sweep order"
+    if max_nodes is not None:
+        return "a node budget is spent in sweep order"
+    return None
 
 
 def _sweep_worker(payload):
@@ -861,10 +918,13 @@ def exhaustive_nonexistence(
     certificate. Exists mode stops at the first family. The heavier
     combinations (the nine-point layout at v >= 13, or anything at
     v = 19, where even the first family sits billions of nodes deep)
-    must be opted into or given a node budget.
+    must be opted into or given a node budget. Exists mode and a node
+    budget run in one process (see ``serial_sweep_reason``).
     """
     if mode not in ("count", "exists"):
         raise MalformedInput(f"unknown mode {mode!r}")
+    _check_jobs(jobs)
+    _check_limit("max_nodes", max_nodes)
     schema = builtin_schema(schema_name)
     if not is_prime(v) or v % 6 != 1:
         raise UnsupportedOrder(f"{v} is not a prime congruent to 1 mod 6")
@@ -880,7 +940,7 @@ def exhaustive_nonexistence(
             "this sweep can run very long; pass allow_long=True or set"
             " max_nodes"
         )
-    if mode == "exists" or max_nodes is not None:
+    if serial_sweep_reason(mode, max_nodes) is not None:
         jobs = 1
     sweep = _Sweep(v, schema, mode, max_nodes)
     split = sweep.split_depth()

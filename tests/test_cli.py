@@ -367,6 +367,53 @@ def test_nonexistence_unsupported():
     assert main(["nonexistence", "--v", "25"]) == 2
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--jobs", "-3"],
+        ["--jobs", "0"],
+        ["--max-nodes", "-5"],
+    ],
+)
+def test_nonexistence_bad_arguments(extra, capsys):
+    assert main(["nonexistence", "--v", "7", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_search_negative_budget(capsys):
+    rc = main([
+        "search", "parametric", "--q", "37", "--form", "fano-affine",
+        "--budget", "-1",
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "extra,rc,reason",
+    [
+        (["--v", "13", "--max-nodes", "1000"], 1, "node budget"),
+        (["--v", "7", "--mode", "exists"], 0, "exists mode"),
+    ],
+)
+def test_nonexistence_says_when_jobs_are_reduced(extra, rc, reason, capsys):
+    assert main(["nonexistence", "--jobs", "4", *extra]) == rc
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["jobs"] == 1
+    note = captured.err.splitlines()[0]
+    assert note.startswith("note: ran on 1 job instead of 4")
+    assert reason in note
+
+
+def test_nonexistence_no_note_when_jobs_kept(capsys):
+    assert main(["nonexistence", "--v", "7", "--jobs", "2"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["jobs"] == 2
+    assert "note:" not in captured.err
+
+
 # -- reproduce ----------------------------------------------------------------
 
 
@@ -439,3 +486,13 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["valid"] is True
+
+
+def test_python_dash_m_kaleido():
+    proc = subprocess.run(
+        [sys.executable, "-m", "kaleido", "nonexistence", "--v", "7"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["solutions"] == 8

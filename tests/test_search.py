@@ -1,5 +1,9 @@
 """Block searches: constrained chains, parametric forms, exhaustive sweeps."""
 
+import hashlib
+import json
+from itertools import permutations
+
 import pytest
 
 from kaleido.algebra import CyclotomicTable, PrimeField, make_group
@@ -10,6 +14,7 @@ from kaleido.errors import (
     NotAnInitialBlock,
     UnsupportedOrder,
 )
+from kaleido.schema import builtin_schema
 from kaleido.search import (
     FANO_AFFINE,
     FANO_POWERS,
@@ -362,7 +367,7 @@ def test_sweep_node_budget():
     cert = exhaustive_nonexistence(13, "fano", max_nodes=10_000)
     assert not cert.exhausted
     assert cert.solutions == 0
-    assert cert.nodes_visited <= 10_000
+    assert cert.nodes_visited == 10_000
 
 
 def test_sweep_certificate_json():
@@ -392,3 +397,148 @@ def test_sweep_guards():
         exhaustive_nonexistence(19, "fano", mode="exists")
     with pytest.raises(MalformedInput):
         exhaustive_nonexistence(7, "fano", mode="banana")
+
+
+def test_sweep_rejects_bad_arguments():
+    with pytest.raises(MalformedInput):
+        exhaustive_nonexistence(7, "fano", jobs=0)
+    with pytest.raises(MalformedInput):
+        exhaustive_nonexistence(7, "fano", jobs=-3)
+    with pytest.raises(MalformedInput):
+        exhaustive_nonexistence(13, "fano", max_nodes=-5)
+    budgeted = exhaustive_nonexistence(13, "fano", max_nodes=0)
+    assert budgeted.nodes_visited == 0
+    assert not budgeted.exhausted
+
+
+def test_search_budget_rejects_bad_arguments():
+    with pytest.raises(MalformedInput):
+        SearchBudget(jobs=0)
+    with pytest.raises(MalformedInput):
+        SearchBudget(max_candidates=-1)
+    assert SearchBudget(max_candidates=0).max_candidates == 0
+
+
+def test_serial_sweep_reason():
+    assert search_module.serial_sweep_reason("count", None) is None
+    assert "exists" in search_module.serial_sweep_reason("exists", None)
+    assert "budget" in search_module.serial_sweep_reason("count", 10)
+    cert = exhaustive_nonexistence(7, "fano", jobs=4, mode="exists")
+    assert cert.jobs == 1
+
+
+# -- the sweep tree against references kept outside the sweep ---------------
+
+
+def _repeat_free(block, line, v):
+    diffs = [(block[i] - block[j]) % v for i in line for j in line if i != j]
+    return len(set(diffs)) == len(diffs)
+
+
+def test_sweep_v7_matches_brute_force():
+    """Every normalized order-7 block (0, 1, then the other five residues
+    in any order) is tried directly; the sweep must agree on the families,
+    on the first one, and on its node count, which is the number of
+    normalized partial blocks whose completed lines are repeat-free."""
+    v = 7
+    lines = builtin_schema("fano").lines
+    blocks = [(0, 1) + rest for rest in permutations(range(2, v))]
+    assert len(blocks) == 120
+    families = [
+        b for b in blocks if all(_repeat_free(b, line, v) for line in lines)
+    ]
+    assert len(families) == 8
+    partial = 1  # the block holding only its fixed 0
+    for n in range(2, 8):
+        for rest in permutations(range(2, v), n - 2):
+            head = (0, 1) + rest
+            partial += all(
+                _repeat_free(head, line, v) for line in lines if max(line) < n
+            )
+    cert = exhaustive_nonexistence(v, "fano")
+    assert cert.solutions == len(families)
+    assert cert.first_solution == (min(families),)
+    assert cert.nodes_visited == partial == 43
+
+
+def _subtree_node_counts(v, schema_name):
+    schema = builtin_schema(schema_name)
+    top = search_module._Sweep(v, schema, "count")
+    prefixes = []
+    top.run(stop_depth=top.split_depth(), collect=prefixes)
+    counts = []
+    for prefix in prefixes:
+        sweep = search_module._Sweep(v, schema, "count")
+        sweep.run(prefix=prefix)
+        counts.append(sweep.nodes)
+    return top.nodes, prefixes, counts
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def test_sweep_v13_subtree_counts_pinned():
+    """The order-13 tree, subtree by subtree. The digests were taken from
+    the direct difference-by-difference sweep this one replaced."""
+    top, prefixes, counts = _subtree_node_counts(13, "fano")
+    assert top == 621
+    assert len(prefixes) == 528
+    assert top + sum(counts) == 1_284_517
+    assert _digest(prefixes) == (
+        "11b7191219f942fbdd11179b35c4c833ed971377fa31523afb75f36b17ef2635"
+    )
+    assert _digest(counts) == (
+        "3d4298d4f75e9a22b4921ec72a37364040218fe9f1c336d67c227456f18a0f6e"
+    )
+
+
+@pytest.mark.parametrize(
+    "v,schema_name,depth,paths,nodes,digest",
+    [
+        (13, "hesse", 10, 55_152, 157_893,
+         "dd038993f080ddce8c88683382da3836ea36fd6228b7af42818162b1c658994c"),
+        (19, "fano", 8, 197_232, 424_023,
+         "5ebdfdee32d472e135f15f412f0b84ac32c98b11309e7cfb842923e874db81ff"),
+    ],
+    ids=["v13-hesse", "v19-fano"],
+)
+def test_sweep_top_levels_pinned(v, schema_name, depth, paths, nodes, digest):
+    """Every path of the tree through the first block and the second
+    block's fixed 0, at the orders too deep to sweep in full."""
+    sweep = search_module._Sweep(v, builtin_schema(schema_name), "count")
+    got = []
+    sweep.run(stop_depth=depth, collect=got)
+    assert (len(got), sweep.nodes) == (paths, nodes)
+    assert _digest(got) == digest
+
+
+_NORMS = [
+    "translation: the first entry of every block is 0",
+    "unit scaling: the second entry of the first block is 1",
+    "solutions are counted over ordered block sequences",
+]
+
+
+@pytest.mark.parametrize(
+    "kwargs,want",
+    [
+        (
+            dict(v=19, schema_name="fano", mode="exists", max_nodes=200_000),
+            {"v": 19, "schema": "fano", "blocks": 3, "normalizations": _NORMS,
+             "subtree_count": 2772, "nodes_visited": 200_000, "solutions": 0,
+             "first_solution": None, "exhausted": False, "mode": "exists",
+             "jobs": 1},
+        ),
+        (
+            dict(v=13, schema_name="hesse", max_nodes=300_000),
+            {"v": 13, "schema": "hesse", "blocks": 2, "normalizations": _NORMS,
+             "subtree_count": 720, "nodes_visited": 300_000, "solutions": 0,
+             "first_solution": None, "exhausted": False, "mode": "count",
+             "jobs": 1},
+        ),
+    ],
+    ids=["v19-fano-exists", "v13-hesse"],
+)
+def test_budgeted_sweep_certificates_pinned(kwargs, want):
+    assert exhaustive_nonexistence(**kwargs).to_json() == want
