@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Optional
 
 from .algebra import (
     ExtensionField,
@@ -71,7 +72,7 @@ from .search import (
     generate_kdf_from_initial_block,
     parametric_search,
     prefix_block_search,
-    consecutive_block_primes,
+    serial_parametric_reason,
     serial_sweep_reason,
     verify_listed_block,
 )
@@ -281,33 +282,39 @@ def _cmd_verify_pbd(args) -> int:
 # search
 
 
-def _budget_from_args(args) -> SearchBudget:
-    return SearchBudget(
-        max_candidates=args.budget,
-        jobs=args.jobs,
-    )
+def _note_jobs(asked: int, reason: Optional[str]) -> int:
+    """The jobs count a search ran on; says on stderr when it cut ``asked``."""
+    if asked == 1 or reason is None:
+        return asked
+    print(f"note: ran on 1 job instead of {asked}: {reason}", file=sys.stderr)
+    return 1
 
 
 def _cmd_search_parametric(args) -> int:
     field = _field_from_args(args)
-    res = parametric_search(field, args.form, _budget_from_args(args))
+    budget = SearchBudget(max_candidates=args.budget, jobs=args.jobs)
+    res = parametric_search(field, args.form, budget)
+    candidates = field.order
+    if args.budget is not None:
+        candidates = min(candidates, args.budget)
+    reason = serial_parametric_reason(candidates, budget.chunk_size)
+    out = {
+        "found": res is not None,
+        "form": args.form,
+        "q": field.order,
+        "exhausted": res is None and candidates == field.order,
+        "jobs": _note_jobs(args.jobs, reason),
+    }
     if res is None:
-        _emit(
-            {"found": False, "form": args.form, "q": field.order},
-            "no parameter works",
-        )
+        note = "no parameter works"
+        if not out["exhausted"]:
+            note = f"budget of {candidates} candidates reached, nothing found"
+        _emit(out, note)
         return EXIT_INVALID
-    _emit(
-        {
-            "found": True,
-            "form": args.form,
-            "q": field.order,
-            "x": element_to_json(field, res.x),
-            "block": [element_to_json(field, p) for p in res.block],
-            "checked": res.checked,
-        },
-        f"found x after {res.checked} candidates",
-    )
+    out["x"] = element_to_json(field, res.x)
+    out["block"] = [element_to_json(field, p) for p in res.block]
+    out["checked"] = res.checked
+    _emit(out, f"found x after {res.checked} candidates")
     return EXIT_OK
 
 
@@ -361,6 +368,8 @@ def _constraints_from_json(field: Group, raw) -> list:
 def _cmd_search_constrained(args) -> int:
     field = _field_from_args(args)
     if args.prefix is not None:
+        if args.budget is not None:
+            raise MalformedInput("--budget does not apply to --prefix")
         prefix = _parse_block(field, args.prefix) if args.prefix else None
         block = prefix_block_search(field, args.schema, prefix)
         if block is None:
@@ -395,7 +404,9 @@ def _cmd_search_constrained(args) -> int:
     else:
         raise MalformedInput("pass --constraints, --file or --prefix")
     res = find_constrained_element(
-        field, _constraints_from_json(field, raw), _budget_from_args(args)
+        field,
+        _constraints_from_json(field, raw),
+        SearchBudget(max_candidates=args.budget),
     )
     out = {
         "found": res.element is not None,
@@ -499,12 +510,7 @@ def _cmd_nonexistence(args) -> int:
         max_nodes=args.max_nodes,
         allow_long=args.allow_long,
     )
-    if cert.jobs < args.jobs:
-        reason = serial_sweep_reason(args.mode, args.max_nodes)
-        print(
-            f"note: ran on 1 job instead of {args.jobs}: {reason}",
-            file=sys.stderr,
-        )
+    _note_jobs(args.jobs, serial_sweep_reason(args.mode, args.max_nodes))
     note = (
         f"{cert.solutions} normalized families, "
         f"{cert.nodes_visited} nodes"
@@ -518,172 +524,8 @@ def _cmd_nonexistence(args) -> int:
 # reproduce known tables
 
 
-def _rep_fano_affine() -> dict:
-    entries = []
-    ok = True
-    for p, x in sorted(tables.FANO_AFFINE_PRIMES.items()):
-        field = make_group(PrimeField(p))
-        res = parametric_search(field, search.FANO_AFFINE)
-        match = res is not None and res.x == x
-        ok = ok and match
-        entries.append(
-            {
-                "q": p,
-                "x": x,
-                "recomputed": None if res is None else res.x,
-                "valid": match,
-            }
-        )
-    return {"table": "fano-primes", "all_valid": ok, "entries": entries}
-
-
-def _rep_fano_affine_alt() -> dict:
-    entries = []
-    ok = True
-    for p in tables.FANO_AFFINE_EXCEPTIONS:
-        field = make_group(PrimeField(p))
-        res = parametric_search(field, search.FANO_AFFINE)
-        empty = res is None
-        ok = ok and empty
-        entries.append({"q": p, "kind": "exception", "valid": empty})
-    for p, block in sorted(tables.FANO_ALT_BLOCKS.items()):
-        field = make_group(PrimeField(p))
-        good = verify_listed_block(field, block)
-        ok = ok and good
-        entries.append(
-            {"q": p, "kind": "block", "block": list(block), "valid": good}
-        )
-    return {"table": "fano-exceptions", "all_valid": ok, "entries": entries}
-
-
-def _rep_fano_squares(table_id: str, data: dict, base: tuple) -> dict:
-    entries = []
-    ok = True
-    for p, (c0, c1) in sorted(data.items()):
-        coeffs = tuple(c % p for c in base)
-        field = make_group(ExtensionField(p, coeffs))
-        x = (c0 % p, c1 % p)
-        block = search.form_block(field, search.FANO_POWERS, x)
-        good = len(set(block)) == len(block) and verify_listed_block(
-            field, block
-        )
-        ok = ok and good
-        entries.append({"q": p * p, "x": [c0, c1], "valid": good})
-    return {"table": table_id, "all_valid": ok, "entries": entries}
-
-
-def _rep_fano_13() -> dict:
-    entries = []
-    ok = True
-    sq = tables.FANO_13_SQUARE
-    field = make_group(
-        ExtensionField(13, tuple(c % 13 for c in sq["modulus"]))
-    )
-    block = search.form_block(field, search.FANO_AFFINE, tuple(sq["x"]))
-    good = verify_listed_block(field, block)
-    ok = ok and good
-    entries.append({"q": 169, "form": search.FANO_AFFINE, "valid": good})
-    cb = tables.FANO_13_CUBE
-    field = make_group(
-        ExtensionField(13, tuple(c % 13 for c in cb["modulus"]))
-    )
-    block = search.form_block(field, search.FANO_POWERS, tuple(cb["x"]))
-    good = verify_listed_block(field, block)
-    ok = ok and good
-    entries.append({"q": 2197, "form": search.FANO_POWERS, "valid": good})
-    return {"table": "fano-13-extensions", "all_valid": ok, "entries": entries}
-
-
-def _rep_hesse_primes() -> dict:
-    entries = []
-    ok = True
-    for p, x in sorted(tables.HESSE_PRIME_X.items()):
-        field = make_group(PrimeField(p))
-        res = parametric_search(field, search.HESSE_POWERS)
-        match = res is not None and res.x == x
-        ok = ok and match
-        entries.append(
-            {
-                "q": p,
-                "x": x,
-                "recomputed": None if res is None else res.x,
-                "valid": match,
-            }
-        )
-    return {"table": "hesse-primes", "all_valid": ok, "entries": entries}
-
-
-def _rep_hesse_alt() -> dict:
-    entries = []
-    ok = True
-    for p, block in sorted(tables.HESSE_ALT_BLOCKS.items()):
-        field = make_group(PrimeField(p))
-        res = parametric_search(field, search.HESSE_POWERS)
-        empty = res is None
-        good = verify_listed_block(field, block)
-        ok = ok and empty and good
-        entries.append(
-            {
-                "q": p,
-                "power_form_empty": empty,
-                "block": list(block),
-                "valid": empty and good,
-            }
-        )
-    return {"table": "hesse-alt", "all_valid": ok, "entries": entries}
-
-
-def _rep_hesse_squares() -> dict:
-    entries = []
-    ok = True
-    for p, entry in sorted(tables.HESSE_SQUARE_BLOCKS.items()):
-        coeffs = tuple(c % p for c in entry["modulus"])
-        field = make_group(ExtensionField(p, coeffs))
-        block = tuple((c0 % p, c1 % p) for c0, c1 in entry["block"])
-        good = verify_listed_block(field, block)
-        ok = ok and good
-        entries.append({"q": p * p, "valid": good})
-    return {"table": "hesse-squares", "all_valid": ok, "entries": entries}
-
-
-def _rep_consecutive_primes() -> dict:
-    found = consecutive_block_primes(1000)
-    match = tuple(found) == tables.CONSECUTIVE_BLOCK_PRIMES_1000
-    entries = []
-    ok = match
-    for p in found:
-        field = make_group(PrimeField(p))
-        good = verify_listed_block(field, tuple(range(7)))
-        ok = ok and good
-        entries.append({"q": p, "valid": good})
-    return {
-        "table": "consecutive-primes",
-        "all_valid": ok,
-        "primes": found,
-        "list_matches": match,
-        "entries": entries,
-    }
-
-
-_TABLES = {
-    "fano-primes": _rep_fano_affine,
-    "fano-exceptions": _rep_fano_affine_alt,
-    "fano-squares-5mod12": lambda: _rep_fano_squares(
-        "fano-squares-5mod12", tables.FANO_SQUARE_T2M3, (-3, 0, 1)
-    ),
-    "fano-squares-11mod12": lambda: _rep_fano_squares(
-        "fano-squares-11mod12", tables.FANO_SQUARE_T2P1, (1, 0, 1)
-    ),
-    "fano-13-extensions": _rep_fano_13,
-    "hesse-primes": _rep_hesse_primes,
-    "hesse-alt": _rep_hesse_alt,
-    "hesse-squares": _rep_hesse_squares,
-    "consecutive-primes": _rep_consecutive_primes,
-}
-
-
 def _cmd_reproduce(args) -> int:
-    result = _TABLES[args.table]()
+    result = tables.recheck(args.table)
     note = "all entries check out" if result["all_valid"] else "MISMATCH"
     _emit(result, note)
     return EXIT_OK if result["all_valid"] else EXIT_INVALID
@@ -792,7 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--schema", default="hesse", choices=("fano", "hesse"))
     sp.add_argument("--budget", type=int)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--emit-kdf", action="store_true")
     sp.set_defaults(func=_cmd_search_constrained)
 
@@ -836,7 +677,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_nonexistence)
 
     sp = top.add_parser("reproduce", help="recheck a published table")
-    sp.add_argument("table", choices=sorted(_TABLES))
+    sp.add_argument("table", choices=tables.WITNESSES)
     sp.set_defaults(func=_cmd_reproduce)
 
     cat = top.add_parser("catalog", help="store of verified ingredients")

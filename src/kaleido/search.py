@@ -67,6 +67,7 @@ __all__ = [
     "consecutive_block_primes",
     "NonexistenceCertificate",
     "serial_sweep_reason",
+    "serial_parametric_reason",
     "exhaustive_nonexistence",
 ]
 
@@ -261,18 +262,23 @@ class ConstrainedSearchResult:
     bound: Optional[int]
 
 
+def _meets(
+    field: Group, table: CyclotomicTable, resolved: Sequence[tuple], x
+) -> bool:
+    """True when x - shift is nonzero and in class cls for every pair."""
+    zero = field.zero
+    for shift, cls in resolved:
+        d = field.sub(x, shift)
+        if d == zero or table.index(d) != cls:
+            return False
+    return True
+
+
 def _iter_constrained(
     field: Group, table: CyclotomicTable, resolved: Sequence[tuple]
 ) -> Iterator[Element]:
-    zero = field.zero
     for x in field.elements():
-        ok = True
-        for shift, cls in resolved:
-            d = field.sub(x, shift)
-            if d == zero or table.index(d) != cls:
-                ok = False
-                break
-        if ok:
+        if _meets(field, table, resolved, x):
             yield x
 
 
@@ -293,19 +299,12 @@ def find_constrained_element(
     table = table or CyclotomicTable(field, 3)
     resolved = [(c.shift, _resolve_class(c.klass, table)) for c in constraints]
     limit = budget.max_candidates if budget else None
-    zero = field.zero
     checked = 0
     for x in field.elements():
         if limit is not None and checked >= limit:
             return ConstrainedSearchResult(None, checked, False, False, None)
         checked += 1
-        ok = True
-        for shift, cls in resolved:
-            d = field.sub(x, shift)
-            if d == zero or table.index(d) != cls:
-                ok = False
-                break
-        if ok:
+        if _meets(field, table, resolved, x):
             return ConstrainedSearchResult(x, checked, False, False, None)
     t = len(constraints)
     bound = Q_BOUNDS.get(t)
@@ -615,7 +614,9 @@ def parametric_search(
     """Smallest parameter x whose block form is a valid initial block.
 
     Candidates run in canonical order, screened by the form's reduced
-    line list and then confirmed in full. Returns none when no x works.
+    line list and then confirmed in full. Returns none when no x works,
+    or when ``max_candidates`` runs out before one does. ``jobs`` above 1
+    is used unless ``serial_parametric_reason`` gives a reason not to.
     """
     if form not in _FORMS:
         raise MalformedInput(f"unknown form {form!r}")
@@ -625,7 +626,8 @@ def parametric_search(
     total = len(elems)
     if budget.max_candidates is not None:
         total = min(total, budget.max_candidates)
-    if budget.jobs > 1 and total > 2 * budget.chunk_size:
+    serial = serial_parametric_reason(total, budget.chunk_size) is not None
+    if budget.jobs > 1 and not serial:
         hit = _parallel_first_index(field, form, total, budget)
     else:
         hit = None
@@ -892,6 +894,16 @@ def serial_sweep_reason(mode: str, max_nodes: Optional[int]) -> Optional[str]:
         return "exists mode stops at the first family in sweep order"
     if max_nodes is not None:
         return "a node budget is spent in sweep order"
+    return None
+
+
+def serial_parametric_reason(
+    candidates: int, chunk_size: int
+) -> Optional[str]:
+    """Why a parametric search runs in one process whatever jobs asks, or
+    None. A pool is started only for more than two chunks of candidates."""
+    if candidates <= 2 * chunk_size:
+        return f"{candidates} candidates fit in two chunks of {chunk_size}"
     return None
 
 

@@ -1,13 +1,17 @@
 """Known witnesses and exception lists for small orders.
 
 Every entry here is checkable: each x or block below must survive the
-full initial-block predicate, and the test suite re-verifies all of them
+full initial-block predicate. ``WITNESSES`` restates the constants as one
+list of records per published table, and ``recheck`` re-verifies a table
 from scratch. Exception lists enumerate orders where the named
 one-parameter form has no witness at all; those are re-established by
 exhaustive sweeps over the parameter.
 """
 
 from __future__ import annotations
+
+from . import search
+from .algebra import ExtensionField, PrimeField, make_group
 
 # Smallest x for which (0, 1, 2, x, x+1, x^2+x, 2x) is an initial block
 # over the prime field of that order. Covers every prime = 1 (mod 6)
@@ -216,3 +220,117 @@ HESSE_SQUARE_BLOCKS = {
 # Primes up to 1000 where 2 is a non-cube while 6 and 20 are both
 # cubes, making (0, 1, 2, 3, 4, 5, 6) an initial block.
 CONSECUTIVE_BLOCK_PRIMES_1000 = (7, 541, 571, 877, 937)
+
+
+
+# ---------------------------------------------------------------------------
+# witness records and their checker
+#
+# One record list per published table; each record is JSON-ready data of
+# one of four kinds:
+#   parametric   field, form, and the smallest x (None: no x works)
+#   form         field, form and an x that makes an initial block
+#   block        field and the points of an initial block
+#   consecutive  limit and the consecutive-block primes up to it
+# A field is {"p": p}, plus "modulus" (low to high, reduced mod p) for an
+# extension field.
+
+
+def _field(p: int, modulus=None) -> dict:
+    if modulus is None:
+        return {"p": p}
+    return {"p": p, "modulus": tuple(c % p for c in modulus)}
+
+
+def _records(kind: str, values: dict, modulus=None, **common) -> list:
+    """One record per prime p of a stored table {p: x or block}."""
+    key = "block" if kind == "block" else "x"
+    return [
+        {"kind": kind, "field": _field(p, modulus), **common, key: value}
+        for p, value in sorted(values.items())
+    ]
+
+
+# Table ids in the order the README lists them.
+WITNESSES = {
+    "fano-primes": _records(
+        "parametric", FANO_AFFINE_PRIMES, form=search.FANO_AFFINE
+    ),
+    "fano-exceptions": (
+        _records("parametric", dict.fromkeys(FANO_AFFINE_EXCEPTIONS),
+                 form=search.FANO_AFFINE)
+        + _records("block", FANO_ALT_BLOCKS)
+    ),
+    "fano-squares-5mod12": _records(
+        "form", FANO_SQUARE_T2M3, modulus=(-3, 0, 1), form=search.FANO_POWERS
+    ),
+    "fano-squares-11mod12": _records(
+        "form", FANO_SQUARE_T2P1, modulus=(1, 0, 1), form=search.FANO_POWERS
+    ),
+    "fano-13-extensions": (
+        _records("form", {13: FANO_13_SQUARE["x"]},
+                 modulus=FANO_13_SQUARE["modulus"], form=search.FANO_AFFINE)
+        + _records("form", {13: FANO_13_CUBE["x"]},
+                   modulus=FANO_13_CUBE["modulus"], form=search.FANO_POWERS)
+    ),
+    "hesse-primes": _records(
+        "parametric", HESSE_PRIME_X, form=search.HESSE_POWERS
+    ),
+    "hesse-alt": (
+        _records("parametric", dict.fromkeys(HESSE_ALT_BLOCKS),
+                 form=search.HESSE_POWERS)
+        + _records("block", HESSE_ALT_BLOCKS)
+    ),
+    "hesse-squares": [
+        {"kind": "block", "field": _field(p, e["modulus"]),
+         "block": e["block"]}
+        for p, e in sorted(HESSE_SQUARE_BLOCKS.items())
+    ],
+    "consecutive-primes": (
+        [{"kind": "consecutive", "limit": 1000,
+          "primes": CONSECUTIVE_BLOCK_PRIMES_1000}]
+        + _records("block", dict.fromkeys(CONSECUTIVE_BLOCK_PRIMES_1000,
+                                          tuple(range(7))))
+    ),
+}
+
+
+def _check(record: dict) -> dict:
+    """The record with ``valid``, and ``recomputed`` where it reruns a scan."""
+    kind = record["kind"]
+    if kind == "consecutive":
+        found = tuple(search.consecutive_block_primes(record["limit"]))
+        return {**record, "recomputed": found,
+                "valid": found == tuple(record["primes"])}
+    spec = record["field"]
+    if "modulus" in spec:
+        field = make_group(ExtensionField(spec["p"], spec["modulus"]))
+    else:
+        field = make_group(PrimeField(spec["p"]))
+    if kind == "parametric":
+        res = search.parametric_search(field, record["form"])
+        got = None if res is None else res.x
+        return {**record, "recomputed": got, "valid": got == record["x"]}
+    if kind == "form":
+        points = search.form_block(field, record["form"], record["x"])
+    else:
+        points = record["block"]
+    valid = len(set(points)) == len(points) and search.verify_listed_block(
+        field, points
+    )
+    return {**record, "valid": valid}
+
+
+def recheck(table_id: str) -> dict:
+    """Recompute every record of one table in ``WITNESSES`` from scratch.
+
+    Parametric records rerun the smallest-x search, form and block
+    records check their block in full, and a consecutive record reruns
+    the prime scan. ``all_valid`` holds when every entry does.
+    """
+    entries = [_check(r) for r in WITNESSES[table_id]]
+    return {
+        "table": table_id,
+        "all_valid": all(e["valid"] for e in entries),
+        "entries": entries,
+    }

@@ -148,6 +148,64 @@ def test_search_parametric_miss(capsys):
     assert _out(capsys)["found"] is False
 
 
+def test_search_parametric_budget_cut_is_not_a_miss(capsys):
+    # x = 13 works at q = 37, but a budget of 5 stops the search first
+    rc = main(
+        ["search", "parametric", "--q", "37", "--form", "fano-affine",
+         "--budget", "5"]
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert out["found"] is False
+    assert out["exhausted"] is False
+    assert "budget of 5 candidates reached" in captured.err
+    assert "no parameter works" not in captured.err
+
+
+@pytest.mark.parametrize("budget", [[], ["--budget", "13"]])
+def test_search_parametric_full_run_is_exhausted(budget, capsys):
+    rc = main(
+        ["search", "parametric", "--q", "13", "--form", "fano-affine",
+         *budget]
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert out["found"] is False
+    assert out["exhausted"] is True
+    assert "no parameter works" in captured.err
+
+
+def test_search_parametric_says_when_jobs_are_reduced(capsys):
+    rc = main(
+        ["search", "parametric", "--q", "37", "--form", "fano-affine",
+         "--jobs", "4"]
+    )
+    assert rc == 0
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert out["jobs"] == 1
+    assert out["x"] == 13
+    note = captured.err.splitlines()[0]
+    assert note.startswith("note: ran on 1 job instead of 4")
+    assert "37 candidates" in note
+
+
+def test_search_parametric_no_note_when_jobs_kept(capsys):
+    # 8209 candidates are more than two chunks, so the pool is used
+    rc = main(
+        ["search", "parametric", "--q", "8209", "--form", "fano-affine",
+         "--jobs", "2"]
+    )
+    assert rc == 0
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert out["jobs"] == 2
+    assert out["x"] == 47
+    assert "note:" not in captured.err
+
+
 def test_search_asymptotic(capsys):
     rc = main(["search", "asymptotic", "--q", "541", "--schema", "fano"])
     assert rc == 0
@@ -243,6 +301,38 @@ def test_search_constrained_dead_prefix(capsys):
 
 def test_search_constrained_no_inputs():
     assert main(["search", "constrained", "--q", "19"]) == 2
+
+
+def test_search_constrained_has_no_jobs_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(
+            ["search", "constrained", "--q", "19", "--prefix", "",
+             "--schema", "fano", "--jobs", "9"]
+        )
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_search_constrained_budget_with_prefix(capsys):
+    rc = main(
+        ["search", "constrained", "--q", "19", "--prefix", "",
+         "--schema", "fano", "--budget", "1"]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_search_constrained_budget(capsys):
+    rc = main(
+        ["search", "constrained", "--q", "19",
+         "--constraints", '[{"shift": 0, "class": 2}]', "--budget", "1"]
+    )
+    assert rc == 1
+    out = _out(capsys)
+    assert out["checked"] == 1
+    assert out["exhausted"] is False
 
 
 @pytest.mark.parametrize(
@@ -421,7 +511,10 @@ def test_reproduce_fast_table(capsys):
     assert main(["reproduce", "fano-13-extensions"]) == 0
     out = _out(capsys)
     assert out["all_valid"] is True
-    assert [e["q"] for e in out["entries"]] == [169, 2197]
+    fields = [e["field"] for e in out["entries"]]
+    assert [(f["p"], len(f["modulus"]) - 1) for f in fields] == [
+        (13, 2), (13, 3)
+    ]
 
 
 def test_reproduce_unknown_table():
