@@ -42,6 +42,7 @@ __all__ = [
     "descriptor_from_json",
     "element_to_json",
     "element_from_json",
+    "element_decoder",
     "is_prime",
     "prime_factors",
     "find_irreducible",
@@ -93,6 +94,11 @@ class Product:
 GroupDescriptor = Union[Cyclic, PrimeField, ExtensionField, Product]
 
 
+def _is_json_int(obj) -> bool:
+    """True for an integer; JSON true and false do not count as one."""
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
 def descriptor_to_json(desc: GroupDescriptor) -> dict:
     if isinstance(desc, Cyclic):
         return {"kind": "cyclic", "v": desc.v}
@@ -115,20 +121,20 @@ def descriptor_from_json(obj) -> GroupDescriptor:
     kind = obj.get("kind")
     if kind == "cyclic":
         v = obj.get("v")
-        if not isinstance(v, int):
+        if not _is_json_int(v):
             raise MalformedInput("cyclic descriptor needs an integer 'v'")
         return Cyclic(v)
     if kind == "prime":
         p = obj.get("p")
-        if not isinstance(p, int):
+        if not _is_json_int(p):
             raise MalformedInput("prime descriptor needs an integer 'p'")
         return PrimeField(p)
     if kind == "ext":
         p = obj.get("p")
         mod = obj.get("modulus")
-        if not isinstance(p, int) or not isinstance(mod, (list, tuple)):
+        if not _is_json_int(p) or not isinstance(mod, (list, tuple)):
             raise MalformedInput("ext descriptor needs 'p' and 'modulus'")
-        if not all(isinstance(c, int) for c in mod):
+        if not all(map(_is_json_int, mod)):
             raise MalformedInput("modulus coefficients must be integers")
         reduced = tuple(c % p for c in mod) if p > 1 else tuple(mod)
         return ExtensionField(p, reduced)
@@ -250,7 +256,7 @@ class Group:
         raise NotImplementedError
 
     def sub(self, a: Element, b: Element) -> Element:
-        return self.add(a, self.neg(b))
+        raise NotImplementedError
 
     def elements(self) -> list[Element]:
         """All elements in canonical order. The list is cached."""
@@ -287,6 +293,9 @@ class CyclicGroup(Group):
     def neg(self, a):
         return (-a) % self.order
 
+    def sub(self, a, b):
+        return (a - b) % self.order
+
     def _build_elements(self):
         return list(range(self.order))
 
@@ -307,6 +316,9 @@ class PrimeFieldGroup(Group):
 
     def neg(self, a):
         return (-a) % self.order
+
+    def sub(self, a, b):
+        return (a - b) % self.order
 
     def mul(self, a, b):
         return (a * b) % self.order
@@ -364,6 +376,10 @@ class ExtensionFieldGroup(Group):
     def neg(self, a):
         p = self.p
         return tuple((-x) % p for x in a)
+
+    def sub(self, a, b):
+        p = self.p
+        return tuple((x - y) % p for x, y in zip(a, b))
 
     def mul(self, a, b):
         p = self.p
@@ -424,6 +440,9 @@ class ProductGroup(Group):
     def neg(self, a):
         return (self.left.neg(a[0]), self.right.neg(a[1]))
 
+    def sub(self, a, b):
+        return (self.left.sub(a[0], b[0]), self.right.sub(a[1], b[1]))
+
     def _build_elements(self):
         return [
             (x, y) for x in self.left.elements() for y in self.right.elements()
@@ -460,27 +479,49 @@ def element_to_json(group: Group, x: Element):
     raise MalformedInput(f"unknown group type: {group!r}")
 
 
-def element_from_json(group: Group, obj) -> Element:
+def element_decoder(group: Group):
+    """The JSON decoder of one group's elements, resolved once.
+
+    Decoding a family or a plane list calls it once per element, so the
+    type dispatch on the group happens here rather than per element.
+    """
     if isinstance(group, (CyclicGroup, PrimeFieldGroup)):
-        if not isinstance(obj, int):
-            raise MalformedInput(f"expected an integer element, got {obj!r}")
-        return obj % group.order
-    if isinstance(group, ExtensionFieldGroup):
-        if not isinstance(obj, (list, tuple)) or len(obj) != group.degree:
-            raise MalformedInput(
-                f"expected {group.degree} coefficients, got {obj!r}"
-            )
-        if not all(isinstance(c, int) for c in obj):
-            raise MalformedInput("coefficients must be integers")
-        return tuple(c % group.p for c in obj)
-    if isinstance(group, ProductGroup):
-        if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-            raise MalformedInput(f"expected a pair, got {obj!r}")
-        return (
-            element_from_json(group.left, obj[0]),
-            element_from_json(group.right, obj[1]),
-        )
-    raise MalformedInput(f"unknown group type: {group!r}")
+        order = group.order
+
+        def dec(obj):
+            if isinstance(obj, bool) or not isinstance(obj, int):
+                raise MalformedInput(
+                    f"expected an integer element, got {obj!r}"
+                )
+            return obj % order
+
+    elif isinstance(group, ExtensionFieldGroup):
+        p, degree = group.p, group.degree
+
+        def dec(obj):
+            if not isinstance(obj, (list, tuple)) or len(obj) != degree:
+                raise MalformedInput(
+                    f"expected {degree} coefficients, got {obj!r}"
+                )
+            if not all(map(_is_json_int, obj)):
+                raise MalformedInput("coefficients must be integers")
+            return tuple(c % p for c in obj)
+
+    elif isinstance(group, ProductGroup):
+        left, right = element_decoder(group.left), element_decoder(group.right)
+
+        def dec(obj):
+            if not isinstance(obj, (list, tuple)) or len(obj) != 2:
+                raise MalformedInput(f"expected a pair, got {obj!r}")
+            return (left(obj[0]), right(obj[1]))
+
+    else:
+        raise MalformedInput(f"unknown group type: {group!r}")
+    return dec
+
+
+def element_from_json(group: Group, obj) -> Element:
+    return element_decoder(group)(obj)
 
 
 # ---------------------------------------------------------------------------

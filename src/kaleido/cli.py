@@ -370,6 +370,10 @@ def _cmd_search_constrained(args) -> int:
     if args.prefix is not None:
         if args.budget is not None:
             raise MalformedInput("--budget does not apply to --prefix")
+        if args.constraints is not None or args.file is not None:
+            raise MalformedInput(
+                "--constraints and --file do not apply to --prefix"
+            )
         prefix = _parse_block(field, args.prefix) if args.prefix else None
         block = prefix_block_search(field, args.schema, prefix)
         if block is None:
@@ -397,6 +401,8 @@ def _cmd_search_constrained(args) -> int:
             "found an initial block",
         )
         return EXIT_OK
+    if args.emit_kdf:
+        raise MalformedInput("--emit-kdf applies only to --prefix")
     if args.constraints:
         raw = json.loads(args.constraints)
     elif args.file:

@@ -21,7 +21,7 @@ from .algebra import (
     ProductGroup,
     descriptor_from_json,
     descriptor_to_json,
-    element_from_json,
+    element_decoder,
     element_to_json,
     make_group,
 )
@@ -306,9 +306,10 @@ def dm_from_json(obj) -> DifferenceMatrix:
         raise MalformedInput(f"matrix object lacks key {missing}") from None
     if not isinstance(raw, list):
         raise MalformedInput("rows must be a list")
-    rows = tuple(
-        tuple(element_from_json(group, x) for x in row) for row in raw
-    )
+    if not all(isinstance(row, list) for row in raw):
+        raise MalformedInput("each row must be a list of elements")
+    dec = element_decoder(group)
+    rows = tuple(tuple(map(dec, row)) for row in raw)
     return DifferenceMatrix(group, rows)
 
 

@@ -9,16 +9,19 @@ mark malformed input only.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
+from itertools import chain, combinations, permutations
+from operator import add, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .algebra import (
     Group,
     descriptor_from_json,
     descriptor_to_json,
-    element_from_json,
+    element_decoder,
     element_to_json,
+    is_prime,
     make_group,
 )
 from .errors import (
@@ -102,33 +105,59 @@ class DFReport:
         return "; ".join(parts) or "invalid"
 
 
+def _position_differences(rows: Sequence, k: int, sub) -> dict:
+    """Differences of equal-length point rows, position pair by pair.
+
+    Maps each ordered pair (i, j) of distinct positions to the list of
+    row[i] - row[j] over all rows. Each difference is computed once,
+    column by column.
+    """
+    cols = [list(map(itemgetter(i), rows)) for i in range(k)]
+    return {
+        (i, j): list(map(sub, cols[i], cols[j]))
+        for i, j in permutations(range(k), 2)
+    }
+
+
+def _df_report(
+    coverage: Counter, group: Group, lam: int, bad_blocks: list
+) -> DFReport:
+    """Judge counted differences: every nonzero element lam times."""
+    zero = group.zero
+    if (
+        len(coverage) == group.order - 1
+        and zero not in coverage
+        and set(coverage.values()) <= {lam}
+    ):
+        off = []
+    else:
+        # Only a failing family pays for a scan of the whole group.
+        off = [
+            (el, coverage.get(el, 0))
+            for el in group.elements()
+            if el != zero and coverage.get(el, 0) != lam
+        ]
+    valid = not bad_blocks and not off and zero not in coverage
+    return DFReport(valid, lam, coverage, off, bad_blocks)
+
+
 def verify_df(blocks: Sequence, group: Group, k: int, lam: int) -> DFReport:
     """Check that blocks form a (v, k, lam) difference family over group.
 
     Every nonzero group element must occur exactly lam times among the
     differences of all blocks.
     """
-    coverage: dict = {}
-    bad_blocks = []
+    good, bad_blocks = [], []
     for block in blocks:
-        pts = list(block)
+        pts = tuple(block)
         if len(pts) != k or len(set(pts)) != k:
-            bad_blocks.append(tuple(pts))
-            continue
-        for x in pts:
-            for y in pts:
-                if x != y:
-                    d = group.sub(x, y)
-                    coverage[d] = coverage.get(d, 0) + 1
-    off = []
-    for el in group.elements():
-        if el == group.zero:
-            continue
-        count = coverage.get(el, 0)
-        if count != lam:
-            off.append((el, count))
-    valid = not bad_blocks and not off and group.zero not in coverage
-    return DFReport(valid, lam, coverage, off, bad_blocks)
+            bad_blocks.append(pts)
+        else:
+            good.append(pts)
+    coverage = Counter()
+    for diffs in _position_differences(good, k, group.sub).values():
+        coverage.update(diffs)
+    return _df_report(coverage, group, lam, bad_blocks)
 
 
 @dataclass
@@ -186,23 +215,25 @@ def verify_kdf(kdf: KaleidoscopicDifferenceFamily) -> KDFReport:
     The blocks, as point sets, must form a (v, k, b) difference family.
     For every color, the lines of that color across all blocks must form a
     (v, h, 1) difference family. The first condition follows from the
-    second whenever the layout tiles its position pairs; both are checked.
+    second whenever the layout tiles its position pairs; both are checked,
+    from one list of differences per position pair.
     """
     group = kdf.group
     schema = kdf.schema
-    family_report = verify_df(
-        [frozenset(b.points) for b in kdf.blocks],
-        group,
-        schema.k,
-        schema.lambda_underlying,
+    diffs = _position_differences(
+        [b.points for b in kdf.blocks], schema.k, group.sub
     )
+    family = Counter()
+    for column in diffs.values():
+        family.update(column)
+    family_report = _df_report(family, group, schema.lambda_underlying, [])
     color_reports = []
     failing = []
-    all_lines = [b.lines() for b in kdf.blocks]
-    for color in range(schema.b):
-        rep = verify_df(
-            [lines[color] for lines in all_lines], group, schema.h, 1
-        )
+    for color, line in enumerate(schema.lines):
+        coverage = Counter()
+        for pair in permutations(line, 2):
+            coverage.update(diffs[pair])
+        rep = _df_report(coverage, group, 1, [])
         color_reports.append(rep)
         if not rep.valid:
             failing.append(color)
@@ -289,13 +320,68 @@ class KaleidoscopeReport:
 
 def verify_kaleidoscope(k: Kaleidoscope) -> KaleidoscopeReport:
     """Count (pair, color) incidences and demand each equals one."""
+    b = k.schema.b
+    if any(len(plane.lines) != b for plane in k.planes):
+        raise MalformedInput("plane has the wrong number of lines")
+    n = len(k.points)
+    if _each_pair_once(k, n):
+        return KaleidoscopeReport(True, n * (n - 1) // 2 * b, b, None, [])
+    return _kaleidoscope_violation(k)
+
+
+def _sidon_codes(n: int) -> list[int]:
+    """n ints whose pairwise sums are all different.
+
+    For a prime p >= n, the numbers 2pi + (i^2 mod p), i < p, form a Sidon
+    set (Erdos and Turan, 1941): a + b determines the pair {a, b}. So the
+    sum of two codes is a flat, symmetric key of a point pair.
+    """
+    p = max(n, 2)
+    while not is_prime(p):
+        p += 1
+    return [2 * p * i + i * i % p for i in range(n)]
+
+
+def _each_pair_once(k: Kaleidoscope, n: int) -> bool:
+    """True when every color's lines cover every point pair exactly once.
+
+    Each point gets a code from ``_sidon_codes``, and a point pair is the
+    sum of its two codes. A color passes when its lines make n(n-1)/2 pair
+    keys in all and no key twice. An unknown point, a line of another
+    size or a repeated key reads False; so do repeats in ``k.points``,
+    which leave fewer than n(n-1)/2 pairs to make keys from.
+    """
+    code = dict(zip(k.points, _sidon_codes(n)))
+    b, h = k.schema.b, k.schema.h
+    pairs = n * (n - 1) // 2
+    if len(k.planes) * (h * (h - 1) // 2) != pairs:
+        return False
+    lines = list(chain.from_iterable(plane.lines for plane in k.planes))
+    if set(map(len, lines)) - {h}:
+        return False
+    try:
+        codes = list(map(code.__getitem__, chain.from_iterable(lines)))
+    except KeyError:
+        return False
+    stride = b * h
+    for color in range(b):
+        # Slot s of this color's line in every plane, as one column.
+        cols = [codes[s::stride] for s in range(color * h, color * h + h)]
+        keys = set()
+        for a, c in combinations(cols, 2):
+            keys.update(map(add, a, c))
+        if len(keys) != pairs:
+            return False
+    return True
+
+
+def _kaleidoscope_violation(k: Kaleidoscope) -> KaleidoscopeReport:
+    """The report of a kaleidoscope that failed the pair count."""
     point_set = set(k.points)
     b = k.schema.b
     alien = []
     counts: dict = {}
     for plane in k.planes:
-        if len(plane.lines) != b:
-            raise MalformedInput("plane has the wrong number of lines")
         for color, line in enumerate(plane.lines):
             for x in line:
                 if x not in point_set:
@@ -434,6 +520,13 @@ def df_to_json(df: DifferenceFamily) -> dict:
     }
 
 
+def _decoded(raw, dec, what: str) -> tuple:
+    """A JSON list of elements, decoded one by one."""
+    if not isinstance(raw, (list, tuple)):
+        raise MalformedInput(f"{what} must be a list of elements")
+    return tuple(map(dec, raw))
+
+
 def df_from_json(obj) -> DifferenceFamily:
     if not isinstance(obj, dict):
         raise MalformedInput("difference family must be a JSON object")
@@ -444,11 +537,12 @@ def df_from_json(obj) -> DifferenceFamily:
         raw = obj["blocks"]
     except KeyError as missing:
         raise MalformedInput(f"family object lacks key {missing}") from None
+    except (TypeError, OverflowError):
+        raise MalformedInput("family k and lambda must be integers") from None
     if not isinstance(raw, list):
         raise MalformedInput("blocks must be a list")
-    blocks = tuple(
-        frozenset(element_from_json(group, x) for x in block) for block in raw
-    )
+    dec = element_decoder(group)
+    blocks = tuple(frozenset(_decoded(block, dec, "block")) for block in raw)
     return DifferenceFamily(group, k, lam, blocks)
 
 
@@ -475,11 +569,9 @@ def kdf_from_json(obj) -> KaleidoscopicDifferenceFamily:
         raise MalformedInput(f"family object lacks key {missing}") from None
     if not isinstance(raw, list):
         raise MalformedInput("blocks must be a list")
+    dec = element_decoder(group)
     blocks = tuple(
-        OrderedBlock(
-            schema, tuple(element_from_json(group, x) for x in block)
-        )
-        for block in raw
+        OrderedBlock(schema, _decoded(block, dec, "block")) for block in raw
     )
     provenance = obj.get("provenance") or {}
     if not isinstance(provenance, dict):
@@ -529,20 +621,24 @@ def kaleidoscope_from_json(obj) -> Kaleidoscope:
     except KeyError as missing:
         raise MalformedInput(f"kaleidoscope lacks key {missing}") from None
     group = None
-    if isinstance(raw_points, int):
+    if isinstance(raw_points, int) and not isinstance(raw_points, bool):
+        if raw_points < 0:
+            raise MalformedInput(f"point count {raw_points} is negative")
         points = tuple(range(raw_points))
 
         def dec(x):
-            if not isinstance(x, int) or not 0 <= x < raw_points:
+            if (
+                isinstance(x, bool)
+                or not isinstance(x, int)
+                or not 0 <= x < raw_points
+            ):
                 raise MalformedInput(f"point {x!r} out of range")
             return x
 
     elif isinstance(raw_points, dict):
         group = make_group(descriptor_from_json(raw_points))
         points = tuple(group.elements())
-
-        def dec(x):
-            return element_from_json(group, x)
+        dec = element_decoder(group)
 
     else:
         raise MalformedInput("points must be a count or a group descriptor")
@@ -555,16 +651,15 @@ def kaleidoscope_from_json(obj) -> Kaleidoscope:
             if not isinstance(raw_lines, list) or len(raw_lines) != schema.b:
                 raise MalformedInput("plane needs one line per color")
             lines = tuple(
-                frozenset(dec(x) for x in line) for line in raw_lines
+                frozenset(_decoded(line, dec, "line")) for line in raw_lines
             )
             for line in lines:
                 if len(line) != schema.h:
                     raise MalformedInput("line has the wrong size")
             planes.append(Plane(lines, None))
         elif isinstance(raw, list):
-            pts = tuple(dec(x) for x in raw)
-            block = OrderedBlock(schema, pts)
-            planes.append(Plane(block.lines(), pts))
+            block = OrderedBlock(schema, tuple(map(dec, raw)))
+            planes.append(Plane(block.lines(), block.points))
         else:
             raise MalformedInput("plane must be a point list or a line table")
     return Kaleidoscope(points, schema, tuple(planes), group)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .errors import DuplicateElements, MalformedInput
@@ -48,6 +49,9 @@ class KaleidoscopeSchema:
                 raise MalformedInput(f"line {line} is not an {self.h}-subset")
             if any(not isinstance(i, int) or not 0 <= i < self.k for i in line):
                 raise MalformedInput(f"line {line} has an index out of range")
+        # One getter picks the points of every line, in color order.
+        flat = [i for line in self.lines for i in line]
+        object.__setattr__(self, "_pick", itemgetter(*flat) if flat else None)
 
     @property
     def b(self) -> int:
@@ -66,9 +70,11 @@ class KaleidoscopeSchema:
 
     def lines_at(self, points: tuple) -> tuple[frozenset, ...]:
         """The b colored lines of a block, as point sets, color order."""
-        return tuple(
-            frozenset(points[i] for i in line) for line in self.lines
-        )
+        if self._pick is None:
+            return ()
+        picked = iter(self._pick(points))
+        # zip over h copies of one iterator cuts the picks into lines.
+        return tuple(map(frozenset, zip(*[picked] * self.h)))
 
     def same_layout(self, other: "KaleidoscopeSchema") -> bool:
         return (
@@ -182,13 +188,14 @@ def layout_from_json(obj) -> KaleidoscopeSchema:
         raise MalformedInput(f"layout object lacks key {missing}") from None
     if not isinstance(raw_lines, list):
         raise MalformedInput("layout lines must be a list")
+    not_ints = MalformedInput("layout k, h and lines must hold integers")
     try:
         lines = tuple(_sorted_line(line) for line in raw_lines)
         k, h = int(k), int(h)
-    except (TypeError, ValueError):
-        raise MalformedInput(
-            "layout k, h and lines must hold integers"
-        ) from None
+    except (TypeError, ValueError, OverflowError):
+        raise not_ints from None
+    if not all(type(i) is int for line in lines for i in line):
+        raise not_ints
     return KaleidoscopeSchema(str(name), k, h, lines)
 
 

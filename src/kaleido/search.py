@@ -595,11 +595,20 @@ def _try_form_candidate(field, key, form, x):
     return pts
 
 
+@functools.lru_cache(maxsize=2)
+def _chunk_field(desc):
+    """Field, class key and elements for chunk workers.
+
+    Cached per process, so a pool process builds the field and its table
+    once for all the chunks it runs.
+    """
+    field = make_group(desc)
+    return field, CyclotomicTable(field, 3).index, field.elements()
+
+
 def _parametric_chunk(payload):
     desc_json, form, start, stop = payload
-    field = make_group(descriptor_from_json(desc_json))
-    key = CyclotomicTable(field, 3).index
-    elems = field.elements()
+    field, key, elems = _chunk_field(descriptor_from_json(desc_json))
     for idx in range(start, stop):
         if _try_form_candidate(field, key, form, elems[idx]) is not None:
             return idx
@@ -621,15 +630,18 @@ def parametric_search(
     if form not in _FORMS:
         raise MalformedInput(f"unknown form {form!r}")
     budget = budget or SearchBudget()
-    key = CyclotomicTable(field, 3).index
     elems = field.elements()
     total = len(elems)
     if budget.max_candidates is not None:
         total = min(total, budget.max_candidates)
     serial = serial_parametric_reason(total, budget.chunk_size) is not None
     if budget.jobs > 1 and not serial:
+        # The workers build their own tables; the one hit is confirmed
+        # here through the character.
+        key = cubic_character(field)
         hit = _parallel_first_index(field, form, total, budget)
     else:
+        key = CyclotomicTable(field, 3).index
         hit = None
         for idx in range(total):
             if _try_form_candidate(field, key, form, elems[idx]) is not None:

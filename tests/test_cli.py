@@ -12,7 +12,9 @@ from kaleido.compose import dm_to_json, field_dm
 from kaleido.designs import (
     DifferenceFamily,
     PairwiseBalancedDesign,
+    develop,
     df_to_json,
+    kaleidoscope_to_json,
     kdf_to_json,
     pbd_to_text,
 )
@@ -93,6 +95,83 @@ def test_verify_df_file(capsys, tmp_path):
     path.write_text(json.dumps(df_to_json(df)))
     assert main(["verify", "df", "--file", str(path)]) == 0
     assert _out(capsys)["valid"] is True
+
+
+def _kdf19_obj():
+    return json.loads(json.dumps(kdf_to_json(_fkdf19())))
+
+
+def _scope19_obj():
+    return json.loads(json.dumps(kaleidoscope_to_json(develop(_fkdf19()))))
+
+
+def _dm7_obj():
+    return json.loads(json.dumps(dm_to_json(field_dm(F7, 7))))
+
+
+def _df7_obj():
+    df = DifferenceFamily(F7, 3, 1, (frozenset({0, 1, 3}),))
+    return json.loads(json.dumps(df_to_json(df)))
+
+
+def _bad_kdf_block(obj):
+    obj["blocks"] = [5]
+
+
+def _bad_dm_row(obj):
+    obj["rows"][0] = 5
+
+
+def _null_k(obj):
+    obj["k"] = None
+
+
+def _nested_layout_lines(obj):
+    obj["schema"] = {"name": "x", "k": 7, "h": 3, "lines": [[[0], [1], [2]]]}
+
+
+def _bad_plane_lines(obj):
+    obj["planes"][0] = {"lines": [1, 2, 3, 4, 5, 6, 7]}
+
+
+def _negative_points(obj):
+    obj["points"], obj["planes"] = -3, []
+
+
+def _true_points(obj):
+    obj["points"], obj["planes"] = True, []
+
+
+def _true_element(obj):
+    # read as the integer 1, this would still be a valid family
+    assert obj["blocks"][0][1] == 1
+    obj["blocks"][0][1] = True
+
+
+@pytest.mark.parametrize(
+    "target, make, spoil",
+    [
+        ("kdf", _kdf19_obj, _bad_kdf_block),
+        ("kaleidoscope", _scope19_obj, _bad_plane_lines),
+        ("kaleidoscope", _scope19_obj, _negative_points),
+        ("kaleidoscope", _scope19_obj, _true_points),
+        ("kdf", _kdf19_obj, _true_element),
+        ("dm", _dm7_obj, _bad_dm_row),
+        ("df", _df7_obj, _null_k),
+        ("kdf", _kdf19_obj, _nested_layout_lines),
+    ],
+    ids=["int-block", "int-lines", "negative-points", "true-points",
+         "true-element", "int-row", "null-k", "nested-layout-lines"],
+)
+def test_verify_malformed_documents(target, make, spoil, tmp_path, capsys):
+    obj = make()
+    spoil(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", target, "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_verify_missing_file():
@@ -317,6 +396,33 @@ def test_search_constrained_budget_with_prefix(capsys):
     rc = main(
         ["search", "constrained", "--q", "19", "--prefix", "",
          "--schema", "fano", "--budget", "1"]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag", ["--constraints", "--file"])
+def test_search_constrained_chain_with_prefix(flag, tmp_path, capsys):
+    chain = '[{"shift": 0, "class": 2}]'
+    path = tmp_path / "chain.json"
+    path.write_text(chain)
+    value = chain if flag == "--constraints" else str(path)
+    rc = main(
+        ["search", "constrained", "--q", "19", "--prefix", "",
+         "--schema", "fano", flag, value]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_search_constrained_emit_kdf_without_prefix(capsys):
+    rc = main(
+        ["search", "constrained", "--q", "19",
+         "--constraints", '[{"shift": 0, "class": 0}]', "--emit-kdf"]
     )
     assert rc == 2
     captured = capsys.readouterr()

@@ -6,7 +6,13 @@ from itertools import permutations
 
 import pytest
 
-from kaleido.algebra import CyclotomicTable, PrimeField, make_group
+from kaleido.algebra import (
+    CyclotomicTable,
+    ExtensionField,
+    PrimeField,
+    descriptor_to_json,
+    make_group,
+)
 from kaleido.designs import verify_kdf
 from kaleido.errors import (
     DuplicateElements,
@@ -289,6 +295,41 @@ def test_parametric_parallel_agrees():
         f37, FANO_AFFINE, budget=SearchBudget(chunk_size=8, jobs=2)
     )
     assert res.x == 13
+
+
+@pytest.mark.parametrize(
+    "desc, form, chunk_size",
+    [
+        # above 2 * 4096 candidates, so jobs=2 really runs in parallel
+        (PrimeField(100003), HESSE_POWERS, 4096),
+        # the hit at checked = 271 lies in the fifth chunk of 64
+        (ExtensionField(7, (1, 0, 1, 1)), FANO_POWERS, 64),
+    ],
+    ids=["q100003", "q343"],
+)
+def test_parametric_parallel_matches_serial(desc, form, chunk_size):
+    field = make_group(desc)
+    assert field.order > 2 * chunk_size
+    results = [
+        parametric_search(
+            field, form, SearchBudget(chunk_size=chunk_size, jobs=jobs)
+        )
+        for jobs in (1, 2)
+    ]
+    assert results[0] is not None
+    assert results[0] == results[1]
+
+
+def test_parametric_chunks_share_one_field_per_process():
+    search_module._chunk_field.cache_clear()
+    desc = descriptor_to_json(PrimeField(37))
+    hits = [
+        search_module._parametric_chunk((desc, FANO_AFFINE, start, start + 8))
+        for start in (0, 8)
+    ]
+    assert hits == [None, 13]
+    info = search_module._chunk_field.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_parametric_unknown_form():

@@ -1,0 +1,474 @@
+"""The verifiers against plain-counting reference copies kept here.
+
+``verify_df``, ``verify_kdf`` and ``verify_kaleidoscope`` count flat keys
+in C and take shortcuts when everything checks out. The reference
+versions below count one difference or one incidence at a time, the way
+the package did before, and must give equal reports, field by field, on
+valid and on broken inputs.
+"""
+
+import dataclasses
+import functools
+from itertools import chain, combinations
+
+import pytest
+
+from kaleido.algebra import (
+    Cyclic,
+    ExtensionField,
+    PrimeField,
+    find_irreducible,
+    make_group,
+)
+from kaleido import designs
+from kaleido.compose import compose_kdf, field_dm
+from kaleido.designs import (
+    DFReport,
+    KaleidoscopicDifferenceFamily,
+    Kaleidoscope,
+    KaleidoscopeReport,
+    KDFReport,
+    PairwiseBalancedDesign,
+    Plane,
+    develop,
+    kaleidoscope_from_json,
+    kaleidoscope_to_json,
+    replicate,
+    scale_block,
+    verify_df,
+    verify_kaleidoscope,
+    verify_kdf,
+)
+from kaleido.errors import MalformedInput
+from kaleido.schema import KaleidoscopeSchema, OrderedBlock, builtin_schema
+from kaleido.search import (
+    FANO_POWERS,
+    HESSE_POWERS,
+    form_block,
+    generate_kdf_from_initial_block,
+)
+
+FANO = builtin_schema("fano")
+HESSE = builtin_schema("hesse")
+
+
+# ---------------------------------------------------------------------------
+# reference verifiers: one difference, one incidence at a time
+
+
+def ref_verify_df(blocks, group, k, lam):
+    coverage: dict = {}
+    bad_blocks = []
+    for block in blocks:
+        pts = list(block)
+        if len(pts) != k or len(set(pts)) != k:
+            bad_blocks.append(tuple(pts))
+            continue
+        for x in pts:
+            for y in pts:
+                if x != y:
+                    d = group.sub(x, y)
+                    coverage[d] = coverage.get(d, 0) + 1
+    off = []
+    for el in group.elements():
+        if el == group.zero:
+            continue
+        count = coverage.get(el, 0)
+        if count != lam:
+            off.append((el, count))
+    valid = not bad_blocks and not off and group.zero not in coverage
+    return DFReport(valid, lam, coverage, off, bad_blocks)
+
+
+def ref_verify_kdf(kdf):
+    group = kdf.group
+    schema = kdf.schema
+    family_report = ref_verify_df(
+        [frozenset(b.points) for b in kdf.blocks],
+        group,
+        schema.k,
+        schema.lambda_underlying,
+    )
+    color_reports = []
+    failing = []
+    all_lines = [
+        tuple(frozenset(b.points[i] for i in line) for line in schema.lines)
+        for b in kdf.blocks
+    ]
+    for color in range(schema.b):
+        rep = ref_verify_df(
+            [lines[color] for lines in all_lines], group, schema.h, 1
+        )
+        color_reports.append(rep)
+        if not rep.valid:
+            failing.append(color)
+    valid = family_report.valid and not failing
+    return KDFReport(valid, family_report, color_reports, failing)
+
+
+def ref_verify_kaleidoscope(k):
+    point_set = set(k.points)
+    b = k.schema.b
+    alien = []
+    counts: dict = {}
+    for plane in k.planes:
+        if len(plane.lines) != b:
+            raise MalformedInput("plane has the wrong number of lines")
+        for color, line in enumerate(plane.lines):
+            for x in line:
+                if x not in point_set:
+                    alien.append(x)
+            for x, y in combinations(sorted(line), 2):
+                counts[(x, y, color)] = counts.get((x, y, color), 0) + 1
+    if alien:
+        return KaleidoscopeReport(False, len(counts), b, None, alien)
+    n = len(k.points)
+    expected = n * (n - 1) // 2 * b
+    over = [key for key, c in counts.items() if c != 1]
+    if not over and len(counts) == expected:
+        return KaleidoscopeReport(True, expected, b, None, [])
+    if over:
+        x, y, color = min(over)
+        return KaleidoscopeReport(
+            False, expected, b, ((x, y), color, counts[(x, y, color)]), []
+        )
+    pts = sorted(point_set)
+    for x, y in combinations(pts, 2):
+        for color in range(b):
+            if (x, y, color) not in counts:
+                return KaleidoscopeReport(
+                    False, expected, b, ((x, y), color, 0), []
+                )
+    return KaleidoscopeReport(False, expected, b, None, [])
+
+
+def assert_same_report(new, ref):
+    assert type(new) is type(ref)
+    for f in dataclasses.fields(ref):
+        got, want = getattr(new, f.name), getattr(ref, f.name)
+        if isinstance(want, DFReport):
+            assert_same_report(got, want)
+        elif f.name == "color_reports":
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert_same_report(g, w)
+        elif f.name == "coverage":
+            assert dict(got) == want
+        else:
+            assert got == want, f.name
+
+
+def check_kdf(kdf):
+    rep = verify_kdf(kdf)
+    assert_same_report(rep, ref_verify_kdf(kdf))
+    blocks = [b.points for b in kdf.blocks]
+    lam = kdf.schema.lambda_underlying
+    assert_same_report(
+        verify_df(blocks, kdf.group, kdf.schema.k, lam),
+        ref_verify_df(blocks, kdf.group, kdf.schema.k, lam),
+    )
+    return rep
+
+
+def check_scope(scope):
+    rep = verify_kaleidoscope(scope)
+    assert_same_report(rep, ref_verify_kaleidoscope(scope))
+    # Valid kaleidoscopes pass the flat pair count itself; only a failing
+    # one needs the tuple-keyed recount.
+    assert designs._each_pair_once(scope, len(scope.points)) == rep.valid
+    return rep
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+
+def _prime(p):
+    return make_group(PrimeField(p))
+
+
+def _extension(p, d):
+    return make_group(ExtensionField(p, find_irreducible(p, d)))
+
+
+def _composed(left, right):
+    left = generate_kdf_from_initial_block(_prime(left[0]), left[1])
+    right = generate_kdf_from_initial_block(_prime(right[0]), right[1])
+    return compose_kdf(left, right, field_dm(right.group, left.schema.k))
+
+
+FANO19 = (19, (0, 1, 2, 4, 5, 11, 8))
+HESSE19 = (19, (0, 1, 2, 3, 7, 16, 8, 4, 10))
+
+
+@functools.cache
+def family(name):
+    """A valid family of the named order, built fresh once per run."""
+    if name == "7":
+        return generate_kdf_from_initial_block(_prime(7), tuple(range(7)))
+    if name == "19":
+        return generate_kdf_from_initial_block(_prime(19), FANO19[1])
+    if name == "19-hesse":
+        return generate_kdf_from_initial_block(_prime(19), HESSE19[1])
+    if name == "31":
+        block = (0, 1, 30, 6, 25, 26, 5)
+        return generate_kdf_from_initial_block(_prime(31), block)
+    if name == "25":
+        f25 = _extension(5, 2)
+        block = form_block(f25, FANO_POWERS, (1, 4))
+        return generate_kdf_from_initial_block(f25, block)
+    if name == "49":
+        f49 = _extension(7, 2)
+        block = form_block(f49, HESSE_POWERS, (3, 1))
+        return generate_kdf_from_initial_block(f49, block, HESSE)
+    if name == "133":
+        return _composed((7, tuple(range(7))), FANO19)
+    if name == "361":
+        return _composed(HESSE19, HESSE19)
+    raise KeyError(name)
+
+
+@functools.cache
+def scope(name):
+    return develop(family(name))
+
+
+FAMILIES = ["7", "19", "19-hesse", "31", "25", "49", "133", "361"]
+
+
+def _spoiled_family(name, position=3):
+    """The family with one point of its first block moved."""
+    kdf = family(name)
+    first = list(kdf.blocks[0].points)
+    used = set(first)
+    first[position] = next(x for x in kdf.group.elements() if x not in used)
+    blocks = (OrderedBlock(kdf.schema, tuple(first)),) + kdf.blocks[1:]
+    return KaleidoscopicDifferenceFamily(kdf.group, kdf.schema, blocks, {})
+
+
+def _with_planes(k, planes):
+    return Kaleidoscope(k.points, k.schema, tuple(planes), k.group)
+
+
+# ---------------------------------------------------------------------------
+# valid inputs
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_valid_families_match(name):
+    assert check_kdf(family(name)).valid
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_valid_kaleidoscopes_match(name):
+    assert check_scope(scope(name)).valid
+
+
+def test_order_13_difference_families_match():
+    z13 = _prime(13)
+    for blocks, k in (
+        ([(0, 1, 4), (0, 2, 7)], 3),
+        ([(0, 1, 3, 9)], 4),
+    ):
+        new = verify_df(blocks, z13, k, 1)
+        assert new.valid
+        assert_same_report(new, ref_verify_df(blocks, z13, k, 1))
+
+
+def test_order_13_fano_candidate_matches():
+    # no seven-point family exists at order 13, so this one must fail
+    z13 = _prime(13)
+    base = OrderedBlock(FANO, (0, 1, 2, 4, 5, 11, 8))
+    blocks = tuple(scale_block(base, s, z13) for s in (1, 2))
+    rep = check_kdf(KaleidoscopicDifferenceFamily(z13, FANO, blocks, {}))
+    assert not rep.valid
+
+
+@pytest.mark.parametrize("name", ["fano", "hesse"])
+def test_replicated_kaleidoscopes_match(name):
+    schema = builtin_schema(name)
+    pbd = PairwiseBalancedDesign(schema.k, (frozenset(range(schema.k)),))
+    scope_ = replicate(pbd, schema)
+    assert check_scope(scope_).valid
+    decoded = kaleidoscope_from_json(kaleidoscope_to_json(scope_))
+    assert all(plane.block is None for plane in decoded.planes)
+    assert check_scope(decoded).valid
+
+
+# ---------------------------------------------------------------------------
+# broken inputs
+
+
+@pytest.mark.parametrize("name", ["19", "19-hesse", "25", "133"])
+@pytest.mark.parametrize("position", [0, 3])
+def test_moved_block_point_matches(name, position):
+    rep = check_kdf(_spoiled_family(name, position))
+    assert not rep.valid
+    assert rep.failing_colors
+    assert rep.family_report.off_elements
+
+
+def test_repeated_point_in_df_block_matches():
+    z19 = _prime(19)
+    for blocks in (
+        [(0, 1, 1), (0, 7, 9), (0, 11, 6)],
+        [(0, 1, 4), (0, 7, 9, 3), (0, 11, 6)],
+        [],
+    ):
+        new = verify_df(blocks, z19, 3, 1)
+        assert not new.valid
+        assert_same_report(new, ref_verify_df(blocks, z19, 3, 1))
+
+
+def test_zero_difference_in_df_matches():
+    # In Z_8, 8 - 0 is the difference 0. These blocks hit 0 and every
+    # nonzero element but 4 exactly twice: seven keys, as many as there
+    # are nonzero elements, so only the zero test tells 4 is missing.
+    z8 = make_group(Cyclic(8))
+    blocks = [(0, 8)] + [(0, d) for d in (1, 2, 3) for _ in range(2)]
+    new = verify_df(blocks, z8, 2, 2)
+    assert not new.valid
+    assert new.off_elements == [(4, 0)]
+    assert_same_report(new, ref_verify_df(blocks, z8, 2, 2))
+
+
+def test_lambda_off_by_one_matches():
+    z13 = _prime(13)
+    blocks = [(0, 1, 4), (0, 2, 7)]
+    for lam in (0, 2):
+        new = verify_df(blocks, z13, 3, lam)
+        assert not new.valid
+        assert_same_report(new, ref_verify_df(blocks, z13, 3, lam))
+
+
+@pytest.mark.parametrize("name", ["19", "133"])
+def test_swapped_colors_match(name):
+    k = scope(name)
+    planes = list(k.planes)
+    lines = list(planes[5].lines)
+    lines[0], lines[1] = lines[1], lines[0]
+    planes[5] = Plane(tuple(lines), None)
+    rep = check_scope(_with_planes(k, planes))
+    assert not rep.valid
+    assert rep.first_violation is not None
+
+
+@pytest.mark.parametrize("name", ["19", "25", "133"])
+def test_dropped_plane_matches(name):
+    k = scope(name)
+    planes = list(k.planes)
+    del planes[len(planes) // 2]
+    rep = check_scope(_with_planes(k, planes))
+    assert not rep.valid
+    assert rep.first_violation[2] == 0
+
+
+@pytest.mark.parametrize("name", ["19", "25", "133"])
+def test_duplicated_plane_matches(name):
+    k = scope(name)
+    planes = list(k.planes)
+    planes.append(planes[-1])
+    rep = check_scope(_with_planes(k, planes))
+    assert not rep.valid
+    assert rep.first_violation[2] == 2
+
+
+def _alien_point(k):
+    """A value of the points' own shape that is not a point."""
+    x = k.points[-1]
+    return x + 1000 if isinstance(x, int) else tuple(c + 1000 for c in x)
+
+
+@pytest.mark.parametrize("name", ["19", "25", "133"])
+def test_alien_point_matches(name):
+    k = scope(name)
+    alien = _alien_point(k)
+    planes = list(k.planes)
+    lines = list(planes[3].lines)
+    lines[2] = frozenset(sorted(lines[2])[1:]) | {alien}
+    planes[3] = Plane(tuple(lines), None)
+    rep = check_scope(_with_planes(k, planes))
+    assert not rep.valid
+    assert rep.alien_points == [alien]
+
+
+def test_replicated_alien_and_repeated_points_match():
+    pbd = PairwiseBalancedDesign(7, (frozenset(range(7)),))
+    k = replicate(pbd, FANO)
+    planes = list(k.planes)
+    lines = list(planes[0].lines)
+    lines[0] = frozenset({0, 1, 7})
+    planes[0] = Plane(tuple(lines), None)
+    assert check_scope(_with_planes(k, planes)).alien_points == [7]
+    repeated = Kaleidoscope((0, 1, 2, 3, 4, 5, 6, 6), FANO, k.planes, None)
+    assert not check_scope(repeated).valid
+
+
+def _moved_between_lines(k):
+    """Planes with one point moved from a line to the next color's line.
+
+    The move is picked so that the plane's points, listed line after
+    line, come out in the same order as before, so only the line sizes
+    tell the plane is wrong. Integer points iterate in a fixed order.
+    """
+    for p, plane in enumerate(k.planes):
+        flat = list(chain.from_iterable(plane.lines))
+        for c in range(len(plane.lines) - 1):
+            for x in plane.lines[c]:
+                lines = list(plane.lines)
+                lines[c], lines[c + 1] = lines[c] - {x}, lines[c + 1] | {x}
+                if list(chain.from_iterable(lines)) == flat:
+                    planes = list(k.planes)
+                    planes[p] = Plane(tuple(lines), None)
+                    return planes
+    raise AssertionError("no such move")
+
+
+def test_wrong_line_sizes_match():
+    k = scope("19")
+    rep = check_scope(_with_planes(k, _moved_between_lines(k)))
+    assert not rep.valid
+
+
+def test_wrong_line_count_raises_in_both():
+    k = scope("19")
+    planes = list(k.planes)
+    planes[7] = Plane(planes[7].lines[:-1], None)
+    broken = _with_planes(k, planes)
+    with pytest.raises(MalformedInput):
+        verify_kaleidoscope(broken)
+    with pytest.raises(MalformedInput):
+        ref_verify_kaleidoscope(broken)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 48, 49, 50, 133])
+def test_sidon_codes_give_distinct_pair_sums(n):
+    codes = designs._sidon_codes(n)
+    assert len(codes) == n
+    sums = [a + b for a, b in combinations(codes, 2)]
+    assert len(set(sums)) == len(sums)
+
+
+def _untiled_layout():
+    # position pairs (0, 5) and (1, 5) lie on two lines, (0, 3) and
+    # (1, 3) on none
+    lines = list(FANO.lines)
+    lines[lines.index((0, 1, 3))] = (0, 1, 5)
+    return KaleidoscopeSchema("untiled", 7, 3, tuple(lines))
+
+
+def test_untiled_layout_family_matches():
+    layout = _untiled_layout()
+    kdf = family("19")
+    blocks = tuple(OrderedBlock(layout, b.points) for b in kdf.blocks)
+    rep = check_kdf(KaleidoscopicDifferenceFamily(kdf.group, layout, blocks))
+    assert not rep.valid
+    assert rep.family_report.valid
+
+
+def test_untiled_layout_kaleidoscope_matches():
+    layout = _untiled_layout()
+    k = scope("19")
+    planes = [Plane(layout.lines_at(p.block), p.block) for p in k.planes]
+    rep = check_scope(Kaleidoscope(k.points, layout, tuple(planes), k.group))
+    assert not rep.valid
