@@ -16,7 +16,6 @@ from .algebra import (
     PrimeField,
     Product,
     cubic_character,
-    cyclotomic_table,
     descriptor_from_json,
     descriptor_to_json,
     element_from_json,

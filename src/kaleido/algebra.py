@@ -8,15 +8,15 @@ coefficient ints with the constant term first, so ``(4, 1)`` over
 Every group fixes one canonical element order, used whenever "smallest" is
 meant anywhere in the package: numeric for residues, lexicographic on
 coefficient tuples for extensions (constant term compared first), and
-lexicographic on pairs for products. ``Group.elements()`` returns the full
-list in that order.
+lexicographic on pairs for products. ``Group.elements()`` returns every
+element in that order.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 from .errors import (
     BadCongruence,
@@ -48,8 +48,6 @@ __all__ = [
     "find_irreducible",
     "primitive_element",
     "CyclotomicTable",
-    "cyclotomic_table",
-    "cyclotomic_index",
     "cubic_character",
     "transversal",
 ]
@@ -258,15 +256,19 @@ class Group:
     def sub(self, a: Element, b: Element) -> Element:
         raise NotImplementedError
 
-    def elements(self) -> list[Element]:
-        """All elements in canonical order. The list is cached."""
+    def elements(self) -> Sequence[Element]:
+        """All elements in canonical order, as a cached sequence.
+
+        Cyclic groups and prime fields give ``range(order)``, which holds
+        no per-element state; the other groups give a list.
+        """
         cached = getattr(self, "_elements", None)
         if cached is None:
             cached = self._build_elements()
             self._elements = cached
         return cached
 
-    def _build_elements(self) -> list[Element]:
+    def _build_elements(self) -> Sequence[Element]:
         raise NotImplementedError
 
     def __eq__(self, other) -> bool:
@@ -297,7 +299,7 @@ class CyclicGroup(Group):
         return (a - b) % self.order
 
     def _build_elements(self):
-        return list(range(self.order))
+        return range(self.order)
 
 
 class PrimeFieldGroup(Group):
@@ -336,7 +338,7 @@ class PrimeFieldGroup(Group):
         return isinstance(x, int) and 0 <= x < self.order
 
     def _build_elements(self):
-        return list(range(self.order))
+        return range(self.order)
 
 
 class ExtensionFieldGroup(Group):
@@ -550,9 +552,6 @@ def primitive_element(field: Group) -> Element:
     raise MalformedInput("no generator found; field arithmetic is broken")
 
 
-_DENSE_LIMIT = 50_000
-
-
 def _check_class_count(field: Group, e: int) -> None:
     """Raise unless the nonzero elements of field split into e classes."""
     if not field.is_field:
@@ -566,60 +565,64 @@ def _check_class_count(field: Group, e: int) -> None:
         raise BadCongruence(f"{e} does not divide {q} - 1")
 
 
+def _power_character(field: Group, e: int):
+    """The e-th power character x -> x^((q-1)/e), raising on bad input.
+
+    Its values are the e-th roots of unity, and two nonzero elements lie
+    in the same class exactly when their values are equal.
+    """
+    _check_class_count(field, e)
+    exp = (field.order - 1) // e
+    zero = field.zero
+    power = field.pow_
+
+    def chi(x: Element) -> Element:
+        if x == zero:
+            raise ZeroElement("zero belongs to no cyclotomic class")
+        if x not in field:
+            raise MalformedInput(f"{x!r} is not an element of this field")
+        return power(x, exp)
+
+    return chi
+
+
 class CyclotomicTable:
     """Classifies nonzero field elements into e classes.
 
     Class i is the coset g^i * H where H is the subgroup of e-th powers and
-    g is the canonical primitive element. Small fields get a dense map built
-    by walking the powers of g; larger fields resolve each element lazily
-    through the e-th power character, caching as they go. Class indices are
-    multiplicative either way.
+    g is the canonical primitive element. An element's class is read off
+    its e-th power character: x^((q-1)/e) = w^i with w = g^((q-1)/e)
+    exactly when x lies in class i, so one power and a lookup among the e
+    powers of w give the index, which is memoised. Class indices are
+    multiplicative.
 
-    A table pays for a primitive element and, below the dense limit, a
-    walk over all q - 1 powers. That is worth it when the labels matter
-    (constraints name classes such as "the class of 2") or when a search
-    looks up most of the field. A check that only asks whether elements
-    share a cube class needs no labels: ``cubic_character`` answers it
-    with one power per element.
+    A table pays for a primitive element. That is worth it when the labels
+    matter (constraints name classes such as "the class of 2") or when a
+    search repeats lookups. A check that only asks whether elements share
+    a cube class needs no labels: ``cubic_character`` answers it with one
+    power per element.
     """
 
     def __init__(self, field: Group, e: int):
-        _check_class_count(field, e)
-        q = field.order
+        self._char = _power_character(field, e)
         self.field = field
         self.e = e
-        self.q = q
+        self.q = field.order
         self.primitive = primitive_element(field)
-        self._exp = (q - 1) // e
+        omega = field.pow_(self.primitive, (self.q - 1) // e)
+        lookup = {}
+        w = field.one
+        for i in range(e):
+            lookup[w] = i
+            w = field.mul(w, omega)
+        self._char_lookup = lookup
         self._index: dict = {}
-        self._char_lookup = None
-        if q <= _DENSE_LIMIT:
-            x = field.one
-            g = self.primitive
-            for k in range(q - 1):
-                self._index[x] = k % e
-                x = field.mul(x, g)
-        else:
-            omega = field.pow_(self.primitive, self._exp)
-            lookup = {}
-            w = field.one
-            for i in range(e):
-                lookup[w] = i
-                w = field.mul(w, omega)
-            self._char_lookup = lookup
 
     def index(self, x: Element) -> int:
         """Class index of x. Zero is in no class."""
-        if x == self.field.zero:
-            raise ZeroElement("zero belongs to no cyclotomic class")
         got = self._index.get(x)
         if got is None:
-            if self._char_lookup is None:
-                raise MalformedInput(f"{x!r} is not an element of this field")
-            ch = self.field.pow_(x, self._exp)
-            got = self._char_lookup.get(ch)
-            if got is None:
-                raise MalformedInput(f"{x!r} is not an element of this field")
+            got = self._char_lookup[self._char(x)]
             self._index[x] = got
         return got
 
@@ -630,14 +633,6 @@ class CyclotomicTable:
         for _ in range(n):
             x = f.add(x, f.one)
         return self.index(x)
-
-
-def cyclotomic_table(field: Group, e: int = 3) -> CyclotomicTable:
-    return CyclotomicTable(field, e)
-
-
-def cyclotomic_index(table: CyclotomicTable, x: Element) -> int:
-    return table.index(x)
 
 
 def cubic_character(field: Group):
@@ -652,19 +647,7 @@ def cubic_character(field: Group):
     ``ZeroElement`` on zero and ``MalformedInput`` on a value that is not
     an element of the field, as ``CyclotomicTable.index`` does.
     """
-    _check_class_count(field, 3)
-    exp = (field.order - 1) // 3
-    zero = field.zero
-    power = field.pow_
-
-    def chi(x: Element) -> Element:
-        if x == zero:
-            raise ZeroElement("zero belongs to no cyclotomic class")
-        if x not in field:
-            raise MalformedInput(f"{x!r} is not an element of this field")
-        return power(x, exp)
-
-    return chi
+    return _power_character(field, 3)
 
 
 def transversal(field: Group, mode: str = "canonical") -> list[Element]:

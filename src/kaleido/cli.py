@@ -318,15 +318,13 @@ def _cmd_search_parametric(args) -> int:
     return EXIT_OK
 
 
-def _cmd_search_asymptotic(args) -> int:
-    field = _field_from_args(args)
-    block = asymptotic_initial_block(
-        field, args.schema, backtrack=args.backtrack
-    )
+def _emit_found_block(field: Group, args, block, miss_note: str) -> int:
+    """Print a search's block, or its family with ``--emit-kdf``, or the
+    miss; returns the exit code."""
     if block is None:
         _emit(
             {"found": False, "q": field.order, "schema": args.schema},
-            "chain construction found nothing",
+            miss_note,
         )
         return EXIT_INVALID
     if args.emit_kdf:
@@ -348,6 +346,16 @@ def _cmd_search_asymptotic(args) -> int:
         "found an initial block",
     )
     return EXIT_OK
+
+
+def _cmd_search_asymptotic(args) -> int:
+    field = _field_from_args(args)
+    block = asymptotic_initial_block(
+        field, args.schema, backtrack=args.backtrack
+    )
+    return _emit_found_block(
+        field, args, block, "chain construction found nothing"
+    )
 
 
 def _constraints_from_json(field: Group, raw) -> list:
@@ -376,31 +384,9 @@ def _cmd_search_constrained(args) -> int:
             )
         prefix = _parse_block(field, args.prefix) if args.prefix else None
         block = prefix_block_search(field, args.schema, prefix)
-        if block is None:
-            _emit(
-                {"found": False, "q": field.order, "schema": args.schema},
-                "no block extends the prefix",
-            )
-            return EXIT_INVALID
-        if args.emit_kdf:
-            kdf = generate_kdf_from_initial_block(
-                field, block.points, block.schema
-            )
-            _emit(
-                kdf_to_json(kdf),
-                f"scaled the block into a family of {len(kdf.blocks)}",
-            )
-            return EXIT_OK
-        _emit(
-            {
-                "found": True,
-                "q": field.order,
-                "schema": args.schema,
-                "block": [element_to_json(field, p) for p in block.points],
-            },
-            "found an initial block",
+        return _emit_found_block(
+            field, args, block, "no block extends the prefix"
         )
-        return EXIT_OK
     if args.emit_kdf:
         raise MalformedInput("--emit-kdf applies only to --prefix")
     if args.constraints:

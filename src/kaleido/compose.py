@@ -228,7 +228,6 @@ def compose_kdf(
 def pbd_compose(
     pbd: PairwiseBalancedDesign,
     catalog: Mapping[int, Kaleidoscope],
-    verify_ingredients: bool = True,
 ) -> Kaleidoscope:
     """Glue catalog kaleidoscopes along the blocks of a covering design.
 
@@ -255,7 +254,7 @@ def pbd_compose(
             raise SchemaMismatch(
                 f"catalog entry for size {size} uses a different layout"
             )
-        if verify_ingredients and size not in checked:
+        if size not in checked:
             krep = verify_kaleidoscope(ingredient)
             if not krep.valid:
                 raise IngredientInvalid(
@@ -354,22 +353,19 @@ class Catalog:
         except json.JSONDecodeError as err:
             raise MalformedInput(f"{path}: {err}") from None
 
-    def load_kaleidoscope(
-        self, order: int, schema_name: str, verify: bool = True
-    ) -> Kaleidoscope:
+    def load_kaleidoscope(self, order: int, schema_name: str) -> Kaleidoscope:
         obj = self.get_raw(order, schema_name)
         if "blocks" in obj:
             kdf = kdf_from_json(obj)
             scope = develop(kdf)  # develop verifies the family
         else:
             scope = kaleidoscope_from_json(obj)
-            if verify:
-                rep = verify_kaleidoscope(scope)
-                if not rep.valid:
-                    raise IngredientInvalid(
-                        f"catalog entry k{order}_{schema_name}:"
-                        f" {rep.summary()}"
-                    )
+            rep = verify_kaleidoscope(scope)
+            if not rep.valid:
+                raise IngredientInvalid(
+                    f"catalog entry k{order}_{schema_name}:"
+                    f" {rep.summary()}"
+                )
         if len(scope.points) != order:
             raise IngredientInvalid(
                 f"catalog entry k{order}_{schema_name} has"

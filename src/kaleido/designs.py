@@ -17,6 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from .algebra import (
     Group,
+    _is_json_int,
     descriptor_from_json,
     descriptor_to_json,
     element_decoder,
@@ -532,13 +533,13 @@ def df_from_json(obj) -> DifferenceFamily:
         raise MalformedInput("difference family must be a JSON object")
     try:
         group = make_group(descriptor_from_json(obj["group"]))
-        k = int(obj["k"])
-        lam = int(obj["lambda"])
+        k = obj["k"]
+        lam = obj["lambda"]
         raw = obj["blocks"]
     except KeyError as missing:
         raise MalformedInput(f"family object lacks key {missing}") from None
-    except (TypeError, OverflowError):
-        raise MalformedInput("family k and lambda must be integers") from None
+    if not (_is_json_int(k) and _is_json_int(lam)):
+        raise MalformedInput("family k and lambda must be integers")
     if not isinstance(raw, list):
         raise MalformedInput("blocks must be a list")
     dec = element_decoder(group)

@@ -17,6 +17,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Optional
 
+from .algebra import _is_json_int
 from .errors import DuplicateElements, MalformedInput
 
 __all__ = [
@@ -25,7 +26,6 @@ __all__ = [
     "builtin_schema",
     "validate_schema",
     "SchemaReport",
-    "lines_of",
     "schema_to_json",
     "schema_from_json",
     "layout_from_json",
@@ -155,11 +155,6 @@ class OrderedBlock:
         return self.schema.lines_at(self.points)
 
 
-def lines_of(block: OrderedBlock) -> tuple[frozenset, ...]:
-    """Colored lines of a block, indexed by color."""
-    return block.lines()
-
-
 def schema_to_json(schema: KaleidoscopeSchema):
     """Builtin layouts serialize as their name, others in full."""
     for name, build in _BUILTINS.items():
@@ -189,10 +184,11 @@ def layout_from_json(obj) -> KaleidoscopeSchema:
     if not isinstance(raw_lines, list):
         raise MalformedInput("layout lines must be a list")
     not_ints = MalformedInput("layout k, h and lines must hold integers")
+    if not (_is_json_int(k) and _is_json_int(h)):
+        raise not_ints
     try:
         lines = tuple(_sorted_line(line) for line in raw_lines)
-        k, h = int(k), int(h)
-    except (TypeError, ValueError, OverflowError):
+    except TypeError:
         raise not_ints from None
     if not all(type(i) is int for line in lines for i in line):
         raise not_ints

@@ -28,7 +28,7 @@ from kaleido.designs import (
     verify_kaleidoscope,
     verify_kdf,
 )
-from kaleido.schema import OrderedBlock, builtin_schema, lines_of
+from kaleido.schema import OrderedBlock, builtin_schema
 from kaleido import search, tables
 from kaleido.search import (
     FANO_AFFINE,
@@ -82,7 +82,7 @@ def test_criterion_01_order19_seven_point_family(capsys):
         [{8, 0, 2}, {18, 0, 14}, {12, 0, 3}],
     ]
     for j in range(7):
-        color_class = [lines_of(b)[j] for b in blocks]
+        color_class = [b.lines()[j] for b in blocks]
         assert [set(s) for s in color_class] == displayed[j]
         assert verify_df(color_class, F19, 3, 1).valid
     _finish(capsys, 1, 1.0, t0, "3 blocks, 7 color classes at lambda 1")

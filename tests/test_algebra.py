@@ -12,7 +12,6 @@ from kaleido.algebra import (
     ExtensionField,
     PrimeField,
     Product,
-    cyclotomic_table,
     descriptor_from_json,
     descriptor_to_json,
     element_from_json,
@@ -54,7 +53,7 @@ def test_cyclic_group_basics():
     assert g.add(7, 8) == 3
     assert g.neg(5) == 7
     assert g.sub(3, 7) == 8
-    assert g.elements() == list(range(12))
+    assert list(g.elements()) == list(range(12))
     assert not g.is_field
 
 
@@ -215,7 +214,7 @@ def test_primitive_elements():
 
 def test_cubes_mod_19():
     f = make_group(PrimeField(19))
-    tab = cyclotomic_table(f, 3)
+    tab = CyclotomicTable(f, 3)
     cubes = sorted(x for x in range(1, 19) if tab.index(x) == 0)
     assert cubes == [1, 7, 8, 11, 12, 18]
     assert tab.index(7) == 0
@@ -223,12 +222,12 @@ def test_cubes_mod_19():
 
 def test_cyclotomic_errors():
     with pytest.raises(OrderTooSmall):
-        cyclotomic_table(make_group(ExtensionField(2, (1, 1, 1))), 6)
+        CyclotomicTable(make_group(ExtensionField(2, (1, 1, 1))), 6)
     with pytest.raises(BadCongruence):
-        cyclotomic_table(make_group(PrimeField(11)), 3)
+        CyclotomicTable(make_group(PrimeField(11)), 3)
     with pytest.raises(MalformedInput):
-        cyclotomic_table(make_group(Cyclic(13)), 3)
-    tab = cyclotomic_table(make_group(PrimeField(7)), 3)
+        CyclotomicTable(make_group(Cyclic(13)), 3)
+    tab = CyclotomicTable(make_group(PrimeField(7)), 3)
     with pytest.raises(ZeroElement):
         tab.index(0)
 
@@ -247,7 +246,7 @@ def test_class_multiplicativity_exhaustive(q):
             n //= p
             d += 1
         f = make_group(ExtensionField(p, find_irreducible(p, d)))
-    tab = cyclotomic_table(f, 3)
+    tab = CyclotomicTable(f, 3)
     units = [x for x in f.elements() if x != f.zero]
     for x in units:
         ix = tab.index(x)
@@ -264,7 +263,7 @@ def test_six_class_multiplicativity(q):
         if q == p
         else make_group(ExtensionField(p, find_irreducible(p, 2)))
     )
-    tab = cyclotomic_table(f, 6)
+    tab = CyclotomicTable(f, 6)
     units = [x for x in f.elements() if x != f.zero]
     for x in units:
         ix = tab.index(x)
@@ -296,25 +295,23 @@ def test_minus_one_is_always_a_cube():
         if len(fs) != 1:
             continue
         f = _field_of_order(q)
-        tab = cyclotomic_table(f, 3)
+        tab = CyclotomicTable(f, 3)
         assert tab.index(f.neg(f.one)) == 0, f"q={q}"
         checked += 1
     assert checked > 50
 
 
-def test_dense_and_lazy_tables_agree():
-    from kaleido import algebra
-
-    f = make_group(PrimeField(103))
-    dense = CyclotomicTable(f, 3)
-    old = algebra._DENSE_LIMIT
-    algebra._DENSE_LIMIT = 10
-    try:
-        lazy = CyclotomicTable(f, 3)
-    finally:
-        algebra._DENSE_LIMIT = old
-    for x in range(1, 103):
-        assert dense.index(x) == lazy.index(x)
+def test_dense_and_lazy_tables_agree(power_walk):
+    """The table agrees with the walk over the powers of g: in full at
+    q = 103, and over the first 5,000 powers at q = 100,003."""
+    for p, steps in ((103, None), (100003, 5000)):
+        f = make_group(PrimeField(p))
+        for e in (3, 6):
+            tab = CyclotomicTable(f, e)
+            walk = power_walk(f, e, steps)
+            assert len(walk) == (steps or p - 1)
+            for x, k in walk.items():
+                assert tab.index(x) == k, (p, e, x)
 
 
 # --- transversals ---
@@ -333,7 +330,7 @@ def test_transversal_sixth_powers_19():
 @pytest.mark.parametrize("q", [7, 13, 19, 25, 31, 37, 43, 49])
 def test_transversal_tiles_the_cubes(q):
     f = _field_of_order(q)
-    tab = cyclotomic_table(f, 3)
+    tab = CyclotomicTable(f, 3)
     s = transversal(f, "canonical")
     assert len(s) == (q - 1) // 6
     orbit = set(s) | {f.neg(x) for x in s}

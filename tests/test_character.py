@@ -1,9 +1,10 @@
-"""The cubic character as a class key, checked against class tables.
+"""The cubic character as a class key, checked against class indices.
 
-The table-keyed line predicate below is the reference: it compares class
-indices read from a ``CyclotomicTable``. The package's one-shot checks
-key the same predicate on the cubic character instead, and must accept
-exactly the same lines and blocks.
+The walk-keyed line predicate below is the reference: it compares class
+indices taken from a walk over the powers of the primitive element (the
+``power_walk`` fixture), which uses no power character. The package's
+checks key the same predicate on the cubic character instead, and must
+accept exactly the same lines and blocks.
 """
 
 import functools
@@ -29,6 +30,7 @@ from kaleido.errors import (
     OrderTooSmall,
     ZeroElement,
 )
+from kaleido.schema import builtin_schema
 from kaleido.search import (
     FANO_AFFINE,
     FANO_POWERS,
@@ -39,16 +41,24 @@ from kaleido.search import (
 )
 
 
-def table_line_spreads(points3, table):
-    """Reference predicate: three distinct class indices from a table."""
+def walk_line_spreads(points3, field, classes):
+    """Reference predicate: three distinct class indices from a walk."""
     a, b, c = points3
-    f = table.field
-    i1 = table.index(f.sub(a, b))
-    i2 = table.index(f.sub(a, c))
+    i1 = classes[field.sub(a, b)]
+    i2 = classes[field.sub(a, c)]
     if i1 == i2:
         return False
-    i3 = table.index(f.sub(b, c))
+    i3 = classes[field.sub(b, c)]
     return i3 != i1 and i3 != i2
+
+
+def walk_block_spreads(field, block, classes):
+    """Reference check of a listed block, every line of its layout."""
+    schema = builtin_schema("fano" if len(block) == 7 else "hesse")
+    return all(
+        walk_line_spreads(tuple(block[q] for q in line), field, classes)
+        for line in schema.lines
+    )
 
 
 def _field(p, degree=1):
@@ -68,30 +78,32 @@ TRIPLE_FIELDS = [
 @pytest.mark.parametrize(
     "p,degree", TRIPLE_FIELDS, ids=[f"{p}^{d}" for p, d in TRIPLE_FIELDS]
 )
-def test_character_predicate_matches_table_on_every_triple(p, degree):
+def test_character_predicate_matches_table_on_every_triple(
+    p, degree, power_walk
+):
     field = _field(p, degree)
     # Both predicates read the same memoised subtraction, so the
     # comparison isolates the two class keys.
     field.sub = functools.lru_cache(maxsize=None)(field.sub)
-    table = CyclotomicTable(field, 3)
+    classes = power_walk(field, 3)
     chi = functools.lru_cache(maxsize=None)(cubic_character(field))
     spreading = 0
     for trip in combinations(field.elements(), 3):
-        want = table_line_spreads(trip, table)
+        want = walk_line_spreads(trip, field, classes)
         assert _line_spreads(trip, field, chi) == want, trip
         spreading += want
     assert 0 < spreading < comb(field.order, 3)
 
 
-def test_character_values_are_the_cube_roots_of_unity():
+def test_character_values_are_the_cube_roots_of_unity(power_walk):
     for p, degree in TRIPLE_FIELDS:
         field = _field(p, degree)
         chi = cubic_character(field)
-        table = CyclotomicTable(field, 3)
+        classes = power_walk(field, 3)
         by_class = {}
         for x in field.elements():
             if x != field.zero:
-                by_class.setdefault(table.index(x), set()).add(chi(x))
+                by_class.setdefault(classes[x], set()).add(chi(x))
         values = [v for vs in by_class.values() for v in vs]
         assert len(by_class) == 3 and len(values) == 3, (p, degree)
         assert by_class[0] == {field.one}
@@ -139,22 +151,31 @@ def _moved(field, block, pos):
     return None
 
 
-def test_character_check_matches_table_on_stored_witnesses():
+# A walk costs a few microseconds per element. Over the 31 stored witness
+# fields above this order (5.0e6 elements in all, up to 569^2) it would add
+# some 20 s, so those witnesses are only checked to verify.
+WALK_LIMIT = 50_000
+
+
+def test_character_check_matches_table_on_stored_witnesses(power_walk):
     witnesses = _stored_witnesses()
     assert len(witnesses) == 80
-    rejected = 0
+    rejected = walked = 0
     for field, block in witnesses:
-        table = CyclotomicTable(field, 3)
         assert verify_listed_block(field, block), (field, block)
-        assert verify_listed_block(field, block, table=table)
+        if field.order > WALK_LIMIT:
+            continue
+        classes = power_walk(field, 3)
+        walked += 1
+        assert walk_block_spreads(field, block, classes)
         for pos in range(len(block)):
             moved = _moved(field, block, pos)
             if moved is None:
                 continue
-            want = verify_listed_block(field, moved, table=table)
+            want = walk_block_spreads(field, moved, classes)
             assert verify_listed_block(field, moved) == want, (field, moved)
             rejected += not want
-    assert rejected > 0
+    assert walked == 49 and rejected > 0
 
 
 def test_consecutive_block_primes_unchanged():
@@ -168,6 +189,7 @@ def test_consecutive_block_primes_unchanged():
 
 F37 = make_group(PrimeField(37))
 F25 = make_group(ExtensionField(5, (2, 0, 1)))
+F100003 = make_group(PrimeField(100003))
 
 
 def test_listed_block_rejects_a_non_element():
@@ -187,20 +209,33 @@ def test_listed_block_rejects_a_repeated_point():
 
 
 @pytest.mark.parametrize(
-    "x,error",
+    "field,x,error",
     [
-        (0, ZeroElement),
-        (37, MalformedInput),
-        (-1, MalformedInput),
-        (2.5, MalformedInput),
+        pytest.param(F37, 0, ZeroElement, id="0-ZeroElement"),
+        pytest.param(F37, 37, MalformedInput, id="37-MalformedInput"),
+        pytest.param(F37, -1, MalformedInput, id="-1-MalformedInput"),
+        pytest.param(F37, 2.5, MalformedInput, id="2.5-MalformedInput"),
+        pytest.param(F100003, 0, ZeroElement, id="q100003-0-ZeroElement"),
+        pytest.param(
+            F100003, 100003, MalformedInput, id="q100003-100003-MalformedInput"
+        ),
+        pytest.param(
+            F100003, 100004, MalformedInput, id="q100003-100004-MalformedInput"
+        ),
+        pytest.param(
+            F100003, -1, MalformedInput, id="q100003--1-MalformedInput"
+        ),
+        pytest.param(
+            F100003, 2.5, MalformedInput, id="q100003-2.5-MalformedInput"
+        ),
     ],
 )
-def test_character_errors_match_table_errors(x, error):
-    table = CyclotomicTable(F37, 3)
+def test_character_errors_match_table_errors(field, x, error):
+    table = CyclotomicTable(field, 3)
     with pytest.raises(error):
         table.index(x)
     with pytest.raises(error):
-        cubic_character(F37)(x)
+        cubic_character(field)(x)
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from kaleido.designs import (
     kdf_to_json,
     pbd_to_text,
 )
+from kaleido.schema import builtin_schema
 from kaleido.search import generate_kdf_from_initial_block
 
 F7 = make_group(PrimeField(7))
@@ -126,6 +127,18 @@ def _null_k(obj):
     obj["k"] = None
 
 
+def _float_k(obj):
+    # read through int(), this would be k = 3 and lambda = 1: valid
+    obj["k"], obj["lambda"] = 3.7, "1"
+
+
+def _float_layout(obj):
+    # read through int(), this would be the seven-point layout: valid;
+    # read as floats, it would fail with a traceback
+    fano = [list(line) for line in builtin_schema("fano").lines]
+    obj["schema"] = {"name": "x", "k": 7.0, "h": 3.0, "lines": fano}
+
+
 def _nested_layout_lines(obj):
     obj["schema"] = {"name": "x", "k": 7, "h": 3, "lines": [[[0], [1], [2]]]}
 
@@ -159,9 +172,12 @@ def _true_element(obj):
         ("dm", _dm7_obj, _bad_dm_row),
         ("df", _df7_obj, _null_k),
         ("kdf", _kdf19_obj, _nested_layout_lines),
+        ("df", _df7_obj, _float_k),
+        ("kdf", _kdf19_obj, _float_layout),
     ],
     ids=["int-block", "int-lines", "negative-points", "true-points",
-         "true-element", "int-row", "null-k", "nested-layout-lines"],
+         "true-element", "int-row", "null-k", "nested-layout-lines",
+         "float-k", "float-layout"],
 )
 def test_verify_malformed_documents(target, make, spoil, tmp_path, capsys):
     obj = make()

@@ -7,7 +7,6 @@ from kaleido.schema import (
     KaleidoscopeSchema,
     OrderedBlock,
     builtin_schema,
-    lines_of,
     schema_from_json,
     schema_to_json,
     validate_schema,
@@ -96,7 +95,7 @@ def test_ordered_block_lines_example_19():
         [{8, 0, 2}, {18, 0, 14}, {12, 0, 3}],
     ]
     for j in range(7):
-        got = [set(lines_of(b)[j]) for b in (b1, b2, b3)]
+        got = [set(b.lines()[j]) for b in (b1, b2, b3)]
         assert got == fj[j]
 
 
