@@ -30,8 +30,8 @@ from .designs import (
     Kaleidoscope,
     KaleidoscopicDifferenceFamily,
     PairwiseBalancedDesign,
-    Plane,
     develop,
+    dumps,
     kaleidoscope_from_json,
     kdf_from_json,
     verify_df,
@@ -267,16 +267,7 @@ def pbd_compose(
                 f" {len(ingredient.points)} points"
             )
         relabel = dict(zip(ingredient.points, sorted(block)))
-        for plane in ingredient.planes:
-            lines = tuple(
-                frozenset(relabel[x] for x in line) for line in plane.lines
-            )
-            block_pts = (
-                tuple(relabel[x] for x in plane.block)
-                if plane.block is not None
-                else None
-            )
-            planes.append(Plane(lines, block_pts))
+        planes.extend(plane.relabeled(relabel) for plane in ingredient.planes)
     if schema is None:
         raise MalformedInput("the covering design has no blocks")
     return Kaleidoscope(tuple(range(pbd.v)), schema, tuple(planes), None)
@@ -393,9 +384,7 @@ class Catalog:
             raise MalformedInput("expected a family or kaleidoscope object")
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(order, name)
-        path.write_text(
-            json.dumps(obj, sort_keys=True, indent=1) + "\n"
-        )
+        path.write_text(dumps(obj) + "\n")
         return path
 
 

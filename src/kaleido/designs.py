@@ -9,9 +9,11 @@ mark malformed input only.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field as dc_field
-from itertools import chain, combinations, permutations
+from functools import lru_cache, partial
+from itertools import chain, combinations, permutations, repeat
+from json.encoder import encode_basestring_ascii as _quote
 from operator import add, itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -33,7 +35,13 @@ from .errors import (
     MalformedInput,
     NotAUnitalDesign,
 )
-from .schema import KaleidoscopeSchema, OrderedBlock, schema_from_json, schema_to_json
+from .schema import (
+    KaleidoscopeSchema,
+    OrderedBlock,
+    _check_row,
+    schema_from_json,
+    schema_to_json,
+)
 
 __all__ = [
     "delta",
@@ -258,16 +266,46 @@ def scale_block(block: OrderedBlock, u, field: Group) -> OrderedBlock:
 # full colored designs
 
 
-@dataclass(frozen=True)
 class Plane:
     """One colored plane: line sets indexed by color.
 
-    Planes that arise as a translate of an ordered block also remember the
-    point tuple, which keeps their serialized form compact.
+    A translate of an ordered block stores only its point row ``block``
+    and its layout; ``lines`` cuts the row by the layout each time it is
+    read. A plane given explicit lines (``replicate``, a decoded line
+    table, an edited copy) keeps them, and is judged by them, whatever
+    its row says. The row, when there is one, is also what the plane
+    serializes as.
     """
 
-    lines: tuple[frozenset, ...]
-    block: Optional[tuple] = None
+    __slots__ = ("block", "_lines", "_schema")
+
+    def __init__(
+        self,
+        lines: Optional[tuple] = None,
+        block: Optional[tuple] = None,
+        schema: Optional[KaleidoscopeSchema] = None,
+    ):
+        if lines is None and (block is None or schema is None):
+            raise MalformedInput("a plane needs lines, or a row and a layout")
+        self.block = block
+        self._lines = lines
+        self._schema = schema
+
+    @property
+    def lines(self) -> tuple[frozenset, ...]:
+        if self._lines is None:
+            return self._schema.lines_at(self.block)
+        return self._lines
+
+    def relabeled(self, relabel: dict) -> "Plane":
+        """The same plane with every point x renamed relabel[x]."""
+        move = relabel.__getitem__
+        lines = block = None
+        if self._lines is not None:
+            lines = tuple(frozenset(map(move, line)) for line in self._lines)
+        if self.block is not None:
+            block = tuple(map(move, self.block))
+        return Plane(lines, block, self._schema)
 
 
 @dataclass
@@ -281,22 +319,24 @@ class Kaleidoscope:
 def develop(kdf: KaleidoscopicDifferenceFamily) -> Kaleidoscope:
     """Translate every block by every group element.
 
-    Refuses families that fail verification, since the result would not be
-    a kaleidoscope.
+    Each translate is stored as its point row; its lines are cut from the
+    row when read. Refuses families that fail verification, since the
+    result would not be a kaleidoscope.
     """
     report = verify_kdf(kdf)
     if not report.valid:
         raise InvalidKDF(report.summary())
     group = kdf.group
     schema = kdf.schema
+    elements = group.elements()
     planes = []
     for block in kdf.blocks:
-        for g in group.elements():
-            pts = tuple(group.add(x, g) for x in block.points)
-            planes.append(Plane(schema.lines_at(pts), pts))
-    return Kaleidoscope(
-        tuple(group.elements()), schema, tuple(planes), group
-    )
+        # Column i holds position i of every translate, in element order.
+        cols = [
+            list(map(group.add, repeat(x), elements)) for x in block.points
+        ]
+        planes.extend(Plane(None, row, schema) for row in zip(*cols))
+    return Kaleidoscope(tuple(elements), schema, tuple(planes), group)
 
 
 @dataclass
@@ -322,12 +362,34 @@ class KaleidoscopeReport:
 def verify_kaleidoscope(k: Kaleidoscope) -> KaleidoscopeReport:
     """Count (pair, color) incidences and demand each equals one."""
     b = k.schema.b
-    if any(len(plane.lines) != b for plane in k.planes):
-        raise MalformedInput("plane has the wrong number of lines")
     n = len(k.points)
     if _each_pair_once(k, n):
         return KaleidoscopeReport(True, n * (n - 1) // 2 * b, b, None, [])
     return _kaleidoscope_violation(k)
+
+
+def _rows_and_tables(k: Kaleidoscope) -> tuple[list, list]:
+    """The point rows cut by ``k.schema``, and the other planes' lines.
+
+    A row cut by another layout counts by its lines, which is what
+    ``plane.lines`` reports for it. A row or a line table of the wrong
+    length raises ``MalformedInput``.
+    """
+    schema = k.schema
+    rows, tables = [], []
+    for plane in k.planes:
+        if plane._lines is None:
+            own = plane._schema
+            if len(plane.block) != own.k:
+                raise MalformedInput("plane has the wrong number of points")
+            if own is schema or own.same_layout(schema):
+                rows.append(plane.block)
+                continue
+        lines = plane.lines
+        if len(lines) != schema.b:
+            raise MalformedInput("plane has the wrong number of lines")
+        tables.append(lines)
+    return rows, tables
 
 
 def _sidon_codes(n: int) -> list[int]:
@@ -346,32 +408,45 @@ def _sidon_codes(n: int) -> list[int]:
 def _each_pair_once(k: Kaleidoscope, n: int) -> bool:
     """True when every color's lines cover every point pair exactly once.
 
+    Rows are read position by position and line tables slot by slot
+    (see ``_rows_and_tables``, whose ``MalformedInput`` passes through).
     Each point gets a code from ``_sidon_codes``, and a point pair is the
-    sum of its two codes. A color passes when its lines make n(n-1)/2 pair
-    keys in all and no key twice. An unknown point, a line of another
-    size or a repeated key reads False; so do repeats in ``k.points``,
-    which leave fewer than n(n-1)/2 pairs to make keys from.
+    sum of its two codes. A color passes when its lines make n(n-1)/2
+    pair keys in all, no key twice and no key of a point paired with
+    itself. An unknown point, a line of another size, a point repeated
+    in a row or a repeated key reads False; so do repeats in
+    ``k.points``, which leave fewer than n(n-1)/2 pairs to make keys
+    from.
     """
+    rows, tables = _rows_and_tables(k)
     code = dict(zip(k.points, _sidon_codes(n)))
-    b, h = k.schema.b, k.schema.h
+    schema = k.schema
+    b, h, width = schema.b, schema.h, schema.k
     pairs = n * (n - 1) // 2
     if len(k.planes) * (h * (h - 1) // 2) != pairs:
         return False
-    lines = list(chain.from_iterable(plane.lines for plane in k.planes))
+    lines = list(chain.from_iterable(tables))
     if set(map(len, lines)) - {h}:
         return False
     try:
-        codes = list(map(code.__getitem__, chain.from_iterable(lines)))
+        row_codes = list(map(code.__getitem__, chain.from_iterable(rows)))
+        line_codes = list(map(code.__getitem__, chain.from_iterable(lines)))
     except KeyError:
         return False
+    # A Sidon set's sums tell x + x apart from every other pair's sum.
+    doubles = {c + c for c in code.values()}
+    # Position i of every row, and slot s of every line table, as columns.
+    positions = [row_codes[i::width] for i in range(width)]
     stride = b * h
-    for color in range(b):
-        # Slot s of this color's line in every plane, as one column.
-        cols = [codes[s::stride] for s in range(color * h, color * h + h)]
+    for color, line in enumerate(schema.lines):
+        cols = [
+            positions[i] + line_codes[s::stride]
+            for s, i in enumerate(line, color * h)
+        ]
         keys = set()
         for a, c in combinations(cols, 2):
             keys.update(map(add, a, c))
-        if len(keys) != pairs:
+        if len(keys) != pairs or not keys.isdisjoint(doubles):
             return False
     return True
 
@@ -476,9 +551,7 @@ def replicate(
         ordered = tuple(sorted(block))
         base = schema.lines_at(ordered)
         for j in range(b):
-            planes.append(
-                Plane(tuple(base[(c - j) % b] for c in range(b)), None)
-            )
+            planes.append(Plane(tuple(base[(c - j) % b] for c in range(b))))
     return Kaleidoscope(tuple(range(design.v)), schema, tuple(planes), None)
 
 
@@ -583,28 +656,23 @@ def kdf_from_json(obj) -> KaleidoscopicDifferenceFamily:
 def kaleidoscope_to_json(k: Kaleidoscope) -> dict:
     if k.group is not None:
         points = descriptor_to_json(k.group.descriptor)
-        group = k.group
-
-        def enc(x):
-            return element_to_json(group, x)
-
+        # Each element is encoded once, and its JSON value is shared by
+        # every plane, so ``dumps`` writes a list-valued one once per depth.
+        enc = lru_cache(maxsize=None)(partial(element_to_json, k.group))
     else:
         points = len(k.points)
         if tuple(k.points) != tuple(range(points)):
             raise MalformedInput(
                 "only integer point ranges serialize without a group"
             )
-
-        def enc(x):
-            return int(x)
+        enc = int
     planes = []
     for plane in k.planes:
         if plane.block is not None:
-            planes.append([enc(x) for x in plane.block])
+            planes.append(list(map(enc, plane.block)))
         else:
-            planes.append(
-                {"lines": [[enc(x) for x in sorted(line)] for line in plane.lines]}
-            )
+            lines = [list(map(enc, sorted(line))) for line in plane.lines]
+            planes.append({"lines": lines})
     return {
         "points": points,
         "schema": schema_to_json(k.schema),
@@ -657,10 +725,11 @@ def kaleidoscope_from_json(obj) -> Kaleidoscope:
             for line in lines:
                 if len(line) != schema.h:
                     raise MalformedInput("line has the wrong size")
-            planes.append(Plane(lines, None))
+            planes.append(Plane(lines))
         elif isinstance(raw, list):
-            block = OrderedBlock(schema, tuple(map(dec, raw)))
-            planes.append(Plane(block.lines(), block.points))
+            row = tuple(map(dec, raw))
+            _check_row(schema, row)
+            planes.append(Plane(None, row, schema))
         else:
             raise MalformedInput("plane must be a point list or a line table")
     return Kaleidoscope(points, schema, tuple(planes), group)
@@ -710,6 +779,82 @@ def pbd_from_text(text: str) -> PairwiseBalancedDesign:
     return PairwiseBalancedDesign(v, tuple(blocks))
 
 
-def dumps(obj: dict) -> str:
-    """Stable JSON text: sorted keys, no trailing spaces."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
+_INF = float("inf")
+
+
+class _Unsupported(Exception):
+    """A value ``_write`` leaves to the standard library's encoder."""
+
+
+def dumps(obj) -> str:
+    """Stable JSON text: sorted keys, one space of indent per level.
+
+    The text is byte for byte ``json.dumps(obj, sort_keys=True,
+    indent=1)``. With an indent, the standard library falls back to its
+    pure-Python encoder; this writer joins whole lists at once, takes
+    lists of ints in one pass, and writes a list object met again at the
+    same depth (a shared element encoding) from its first text. A value
+    of any other type than dict, list, tuple, str, int, float, bool and
+    None, or a key that is not a str, sends the whole object to
+    ``json.dumps``, which encodes it or raises as it always did.
+    """
+    try:
+        return _write(obj, 0, defaultdict(dict))
+    except _Unsupported:
+        return json.dumps(obj, sort_keys=True, indent=1)
+
+
+def _write(obj, depth: int, memo: defaultdict) -> str:
+    """The text of obj at nesting depth; memo maps depth -> id -> text."""
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        outer = "\n" + " " * depth
+        inner = outer + " "
+        ints = type(obj[0]) is int and set(map(type, obj)) == {int}
+        if ints:
+            parts = map(int.__repr__, obj)
+        else:
+            # Texts of lists already written one level down, else None.
+            parts = list(map(memo[depth + 1].get, map(id, obj)))
+            if None in parts:
+                parts = [
+                    _write(item, depth + 1, memo) if text is None else text
+                    for text, item in zip(parts, obj)
+                ]
+        text = "[" + inner + ("," + inner).join(parts) + outer + "]"
+        if ints:
+            memo[depth][id(obj)] = text
+        return text
+    if kind is dict:
+        if not obj:
+            return "{}"
+        if set(map(type, obj)) != {str}:
+            raise _Unsupported
+        outer = "\n" + " " * depth
+        inner = outer + " "
+        parts = [
+            _quote(name) + ": " + _write(value, depth + 1, memo)
+            for name, value in sorted(obj.items())
+        ]
+        return "{" + inner + ("," + inner).join(parts) + outer + "}"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if kind is float:
+        if obj != obj:
+            return "NaN"
+        if obj == _INF:
+            return "Infinity"
+        if obj == -_INF:
+            return "-Infinity"
+        return float.__repr__(obj)
+    raise _Unsupported

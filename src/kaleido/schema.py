@@ -135,6 +135,16 @@ def validate_schema(schema: KaleidoscopeSchema) -> SchemaReport:
     return SchemaReport(first is None, first, coverage)
 
 
+def _check_row(schema: KaleidoscopeSchema, points: tuple) -> None:
+    """Demand k distinct points, one per layout position."""
+    if len(points) != schema.k:
+        raise MalformedInput(
+            f"block has {len(points)} points, layout wants {schema.k}"
+        )
+    if len(set(points)) != len(points):
+        raise DuplicateElements(f"repeated point in block {points}")
+
+
 @dataclass(frozen=True)
 class OrderedBlock:
     """A block whose tuple order carries the layout's positions."""
@@ -143,13 +153,7 @@ class OrderedBlock:
     points: tuple
 
     def __post_init__(self):
-        if len(self.points) != self.schema.k:
-            raise MalformedInput(
-                f"block has {len(self.points)} points, layout wants"
-                f" {self.schema.k}"
-            )
-        if len(set(self.points)) != len(self.points):
-            raise DuplicateElements(f"repeated point in block {self.points}")
+        _check_row(self.schema, self.points)
 
     def lines(self) -> tuple[frozenset, ...]:
         return self.schema.lines_at(self.points)

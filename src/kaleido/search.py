@@ -19,6 +19,7 @@ memoised ``CyclotomicTable.index``.
 from __future__ import annotations
 
 import functools
+import multiprocessing
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -604,12 +605,28 @@ def _chunk_field(desc):
     return field, cubic_character(field), field.elements()
 
 
+# Set in each pool process by ``_init_chunk_worker``: the event the parent
+# sets once it holds the first hit, so running chunks stop early.
+_chunk_stop = None
+# Candidates a chunk tries between two looks at the event.
+_STOP_CHECK_EVERY = 256
+
+
+def _init_chunk_worker(stop) -> None:
+    global _chunk_stop
+    _chunk_stop = stop
+
+
 def _parametric_chunk(payload):
+    """First hit in one chunk, or None; None too once told to stop."""
     desc_json, form, start, stop = payload
     field, key, elems = _chunk_field(descriptor_from_json(desc_json))
-    for idx in range(start, stop):
-        if _try_form_candidate(field, key, form, elems[idx]) is not None:
-            return idx
+    for base in range(start, stop, _STOP_CHECK_EVERY):
+        if _chunk_stop is not None and _chunk_stop.is_set():
+            return None
+        for idx in range(base, min(base + _STOP_CHECK_EVERY, stop)):
+            if _try_form_candidate(field, key, form, elems[idx]) is not None:
+                return idx
     return None
 
 
@@ -650,12 +667,24 @@ def parametric_search(
 
 
 def _parallel_first_index(field, form, total, budget):
+    """The serial loop's first hit, from chunks run across the pool.
+
+    Chunk results are read in order, so every chunk before the first hit
+    has come back empty when it is read. Then the pending chunks are
+    cancelled, and the running ones, all later than the hit, stop at
+    their next look at the shared event.
+    """
     desc_json = descriptor_to_json(field.descriptor)
     chunks = [
         (desc_json, form, start, min(start + budget.chunk_size, total))
         for start in range(0, total, budget.chunk_size)
     ]
-    with ProcessPoolExecutor(max_workers=budget.jobs) as pool:
+    stop = multiprocessing.Event()
+    with ProcessPoolExecutor(
+        max_workers=budget.jobs,
+        initializer=_init_chunk_worker,
+        initargs=(stop,),
+    ) as pool:
         futures = [pool.submit(_parametric_chunk, c) for c in chunks]
         try:
             for fut in futures:
@@ -663,6 +692,7 @@ def _parallel_first_index(field, form, total, budget):
                 if idx is not None:
                     return idx
         finally:
+            stop.set()
             for fut in futures:
                 fut.cancel()
     return None

@@ -1,0 +1,100 @@
+"""The JSON writer: byte for byte the standard library's indented text.
+
+``designs.dumps`` replaces ``json.dumps(obj, sort_keys=True, indent=1)``
+on every path that writes JSON, so any document must come out with the
+same bytes. The order-133 kaleidoscope text is pinned by its digest in
+``bench/pinned.json`` (read here, never written).
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from kaleido.algebra import PrimeField, make_group
+from kaleido.compose import compose_kdf, field_dm
+from kaleido.designs import develop, dumps, kaleidoscope_to_json
+from kaleido.search import generate_kdf_from_initial_block
+
+PINNED = Path(__file__).resolve().parent.parent / "bench" / "pinned.json"
+
+
+def reference(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=1)
+
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()
+    | st.sampled_from([-0.0, 1e-7, 1e300, -1e-300, 5e-324])
+    | st.text()
+    | st.text(alphabet=st.characters(codec="utf-8"))
+    | st.sampled_from(
+        ['"', "\\", "\x00\x1f\x7f", "\u00e9", "\u2028", "\U0001f600", "\ud800"]
+    )
+)
+documents = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=documents)
+@example(doc=[])
+@example(doc={})
+@example(doc=[[], {}, [[]], {"": {}}])
+@example(doc={"b": [True, False, None], "a": [-1, 10**30, -(10**30)]})
+@example(doc=[float("nan"), float("inf"), float("-inf"), -0.0, 1e-7, 1e300])
+@example(doc={'q"uote': "back\\slash", "ctl": "\x01\n\t", "é": "\U0001f600"})
+def test_dumps_matches_json_dumps(doc):
+    assert dumps(doc) == reference(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shared=st.lists(st.integers() | st.booleans(), min_size=1, max_size=4),
+    other=documents,
+)
+def test_shared_list_at_two_depths(shared, other):
+    doc = {"a": shared, "b": [shared, [shared, other]], "c": [[[shared]]]}
+    assert dumps(doc) == reference(doc)
+
+
+def test_tuples_and_shared_element_encodings():
+    pair = [3, 4]
+    doc = {"planes": [[pair, pair], [[1, 2], pair]], "t": (1, (2, pair))}
+    assert dumps(doc) == reference(doc)
+
+
+def test_other_keys_and_types_go_to_json_dumps():
+    for doc in ({2: "two", 1: [1]}, {"x": {2.5: [1], 0.5: None}}, {True: 1}):
+        assert dumps(doc) == reference(doc)
+    with pytest.raises(TypeError):
+        dumps({"set": {1, 2}})
+    with pytest.raises(TypeError):
+        dumps({"a": 1, 2: 3})  # mixed keys cannot be sorted
+
+
+def test_order_133_kaleidoscope_text_is_pinned():
+    spec = json.loads(PINNED.read_text())["composed"]["133"]
+    sides = [
+        generate_kdf_from_initial_block(
+            make_group(PrimeField(side["p"])), tuple(side["block"])
+        )
+        for side in (spec["left"], spec["right"])
+    ]
+    left, right = sides
+    kdf = compose_kdf(left, right, field_dm(right.group, left.schema.k))
+    scope = develop(kdf)
+    assert len(scope.planes) == spec["planes"]
+    text = dumps(kaleidoscope_to_json(scope))
+    assert hashlib.sha256(text.encode()).hexdigest() == spec["sha256"]

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import threading
 from itertools import permutations
 
 import pytest
@@ -370,6 +371,20 @@ def test_parametric_chunks_share_one_field_per_process():
     assert hits == [None, 13]
     info = search_module._chunk_field.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def test_parametric_chunk_stops_at_the_shared_event():
+    desc = descriptor_to_json(PrimeField(37))
+    chunk = (desc, FANO_AFFINE, 8, 16)  # holds the hit x = 13
+    # Same is_set() as the multiprocessing event a pool process is given.
+    stop = threading.Event()
+    search_module._init_chunk_worker(stop)
+    try:
+        assert search_module._parametric_chunk(chunk) == 13
+        stop.set()
+        assert search_module._parametric_chunk(chunk) is None
+    finally:
+        search_module._init_chunk_worker(None)
 
 
 def test_parametric_unknown_form():
