@@ -640,7 +640,9 @@ def parametric_search(
     Candidates run in canonical order, screened by the form's reduced
     line list and then confirmed in full. Returns none when no x works,
     or when ``max_candidates`` runs out before one does. ``jobs`` above 1
-    is used unless ``serial_parametric_reason`` gives a reason not to.
+    is used unless ``serial_parametric_reason`` gives a reason not to;
+    even then the first chunk runs here, and a pool is started for the
+    other chunks only when the first one misses.
     """
     if form not in _FORMS:
         raise MalformedInput(f"unknown form {form!r}")
@@ -650,15 +652,19 @@ def parametric_search(
     if budget.max_candidates is not None:
         total = min(total, budget.max_candidates)
     serial = serial_parametric_reason(total, budget.chunk_size) is not None
+    parallel = budget.jobs > 1 and not serial
+    here = min(total, budget.chunk_size) if parallel else total
     key = cubic_character(field)
-    if budget.jobs > 1 and not serial:
-        hit = _parallel_first_index(field, form, total, budget)
-    else:
-        hit = None
-        for idx in range(total):
-            if _try_form_candidate(field, key, form, elems[idx]) is not None:
-                hit = idx
-                break
+    hit = next(
+        (
+            idx
+            for idx in range(here)
+            if _try_form_candidate(field, key, form, elems[idx]) is not None
+        ),
+        None,
+    )
+    if hit is None and parallel:
+        hit = _parallel_first_index(field, form, here, total, budget)
     if hit is None:
         return None
     x = elems[hit]
@@ -666,8 +672,9 @@ def parametric_search(
     return ParametricResult(x, pts, hit + 1)
 
 
-def _parallel_first_index(field, form, total, budget):
-    """The serial loop's first hit, from chunks run across the pool.
+def _parallel_first_index(field, form, start, total, budget):
+    """The serial loop's first hit from ``start`` on, from chunks run
+    across the pool.
 
     Chunk results are read in order, so every chunk before the first hit
     has come back empty when it is read. Then the pending chunks are
@@ -676,8 +683,8 @@ def _parallel_first_index(field, form, total, budget):
     """
     desc_json = descriptor_to_json(field.descriptor)
     chunks = [
-        (desc_json, form, start, min(start + budget.chunk_size, total))
-        for start in range(0, total, budget.chunk_size)
+        (desc_json, form, lo, min(lo + budget.chunk_size, total))
+        for lo in range(start, total, budget.chunk_size)
     ]
     stop = multiprocessing.Event()
     with ProcessPoolExecutor(
@@ -771,49 +778,65 @@ _SPLIT_FREE_SLOTS = 3
 
 
 @functools.cache
-def _line_table(v: int) -> list:
-    """Pair masks of every line over the integers mod v.
+def _candidate_table(v: int) -> list:
+    """Candidate masks and class masks of every line over the integers mod v.
 
-    Entry ``[a*v + b][c]`` is the 6-bit mask of the residue pairs
-    {d, v - d} that the differences of the line {a, b, c} hit, or 0 when
-    a difference is zero or two of them hit the same pair. Built once per
-    order and process, and only read.
+    A difference d and its negative v - d form one class, bit
+    min(d, v - d) - 1 of a class mask of (v - 1)/2 bits. Row ``a*v + b``
+    is a pair ``(cands, classes)``. ``classes[c]`` is the class mask of
+    the line {a, b, c}, or 0 when it is not repeat-free: a difference is
+    zero or two fall in one class. ``cands[m]`` is the bitmask of every c
+    whose line is repeat-free and misses the class mask m; it is the OR,
+    over the subsets s of the complement of m, of the c with class mask
+    s, taken by one subset-OR pass per row. Built once per order and
+    process, and only read.
     """
-    pair = [(1 << d) | (1 << (v - d)) for d in range(v)]
+    n = (v - 1) // 2
+    size = 1 << n
+    cls = [0] + [1 << (min(d, v - d) - 1) for d in range(1, v)]
     table = []
     for a in range(v):
         for b in range(v):
-            row = []
+            classes = [0] * v
+            by_mask = [0] * size
+            ab = cls[(a - b) % v]
             for c in range(v):
-                p1 = pair[(a - b) % v]
-                p2 = pair[(a - c) % v]
-                p3 = pair[(b - c) % v]
-                distinct = a != b and a != c and b != c
-                if distinct and not (p1 & p2 or p1 & p3 or p2 & p3):
-                    row.append(p1 | p2 | p3)
-                else:
-                    row.append(0)
-            table.append(row)
+                line = ab | cls[(a - c) % v] | cls[(b - c) % v]
+                # three bits: no zero difference, three distinct classes
+                if line.bit_count() == 3:
+                    classes[c] = line
+                    by_mask[line] |= 1 << c
+            # by_mask[s] becomes the OR over every subset of s
+            for i in range(n):
+                bit = 1 << i
+                for s in range(size):
+                    if s & bit:
+                        by_mask[s] |= by_mask[s ^ bit]
+            # the complement of m is size - 1 - m
+            table.append((by_mask[::-1], classes))
     return table
 
 
 class _Sweep:
     """Backtracking fill of all block entries with per-color pruning.
 
-    State is one bitmask per color over the nonzero residues; a line
-    commits six difference bits and is rejected on any repeat. Because
-    each color must cover v - 1 residues with exactly 6t differences,
-    repeat-freedom at full depth is the whole condition.
+    State is one class mask per color: a difference d and its negative
+    v - d form one class, so a color mask has (v - 1)/2 bits. A line
+    commits the three classes of its differences and is rejected on any
+    repeat. Because each color must cover v - 1 residues with exactly 6t
+    differences, that is 3t classes out of (v - 1)/2, repeat-freedom at
+    full depth is the whole condition.
 
-    Lines are checked by table lookup. ``line_bits[a*v + b][c]`` holds the
-    six bits of the line {a, b, c}, or 0 when its differences repeat among
-    themselves, so the line fits its color exactly when the entry is
-    nonzero and misses that color's mask. That is the test the differences
-    would give one at a time, so the same candidates pass in the same
-    order and the tree, its node count and its solution order are those of
-    the direct computation. Each line is checked at its last position; its
-    two earlier entries are fixed along the branch, so the row of the
-    table is looked up once per node, before the candidate loop.
+    Candidates are found as bitmasks over the residues. Each line is
+    checked at its last position; its two earlier entries a, b are fixed
+    along the branch, so ``table[a*v + b][0][m]``, for its color's mask m,
+    is the set of last entries the line accepts (``_candidate_table``).
+    A node ANDs the complement of its block's used residues with one such
+    entry per line ending at its position, and walks the set bits in
+    ascending order. That is the test the differences would give one at a
+    time, so the same candidates pass in the same order and the tree, its
+    node count and its solution order are those of the direct
+    computation.
     """
 
     def __init__(self, v: int, schema: KaleidoscopeSchema, mode: str,
@@ -827,7 +850,7 @@ class _Sweep:
         self.slots = [(r, pos) for r in range(self.t) for pos in range(k)]
         self.fixed = {(r, 0): 0 for r in range(self.t)}
         self.fixed[(0, 1)] = 1
-        self.line_bits = _line_table(v)
+        self.table = _candidate_table(v)
         # per position: (color, q1, q2) for each line ending there
         self.checks_at = [
             [
@@ -857,15 +880,21 @@ class _Sweep:
 
     def run(self, prefix: tuple = (), stop_depth: Optional[int] = None,
             collect: Optional[list] = None):
-        self._prefix = prefix
         self._stop_depth = stop_depth
         self._collect = collect
+        # Replayed prefix entries are not counted as nodes.
+        self._replay = len(prefix)
+        every = (1 << self.v) - 1
+        self._allowed = [
+            1 << prefix[depth] if depth < len(prefix)
+            else 1 << self.fixed[slot] if slot in self.fixed
+            else every
+            for depth, slot in enumerate(self.slots)
+        ]
         self._descend(0)
 
     def _descend(self, depth: int):
-        if self.stopped:
-            return
-        if self._stop_depth is not None and depth == self._stop_depth:
+        if depth == self._stop_depth:
             values = tuple(
                 self.pts[r][pos] for r, pos in self.slots[:depth]
             )
@@ -879,50 +908,41 @@ class _Sweep:
                 self.stopped = True
             return
         r, pos = self.slots[depth]
-        if depth < len(self._prefix):
-            candidates = (self._prefix[depth],)
-            replay = True
-        elif (r, pos) in self.fixed:
-            candidates = (self.fixed[(r, pos)],)
-            replay = False
-        else:
-            candidates = range(self.v)
-            replay = False
         v = self.v
         row = self.pts[r]
         used = self.used[r]
         masks = self.masks
-        line_bits = self.line_bits
-        checks = [
-            (color, line_bits[row[q1] * v + row[q2]], masks[color])
-            for color, q1, q2 in self.checks_at[pos]
-        ]
-        for val in candidates:
-            if used >> val & 1:
-                continue
-            for _, bits, mask in checks:
-                x = bits[val]
-                if not x or x & mask:
-                    break
-            else:
-                if not replay:
-                    limit = self.max_nodes
-                    if limit is not None and self.nodes >= limit:
-                        self.stopped = True
-                        self.budget_hit = True
-                        return
-                    self.nodes += 1
-                # entries past this position are stale and never read
-                row[pos] = val
-                self.used[r] = used | 1 << val
-                for color, bits, mask in checks:
-                    masks[color] = mask | bits[val]
-                self._descend(depth + 1)
-                for color, _, mask in checks:
-                    masks[color] = mask
-                self.used[r] = used
-                if self.stopped:
+        table = self.table
+        free = self._allowed[depth] & ~used
+        checks = []
+        for color, q1, q2 in self.checks_at[pos]:
+            cands, classes = table[row[q1] * v + row[q2]]
+            mask = masks[color]
+            free &= cands[mask]
+            checks.append((color, classes, mask))
+        counted = depth >= self._replay
+        limit = self.max_nodes
+        while free:
+            bit = free & -free
+            free ^= bit
+            val = bit.bit_length() - 1
+            if counted:
+                if limit is not None and self.nodes >= limit:
+                    self.stopped = True
+                    self.budget_hit = True
                     return
+                self.nodes += 1
+            # entries past this position are stale and never read
+            row[pos] = val
+            self.used[r] = used | bit
+            for color, classes, mask in checks:
+                masks[color] = mask | classes[val]
+            self._descend(depth + 1)
+            for color, _, mask in checks:
+                masks[color] = mask
+            self.used[r] = used
+            if self.stopped:
+                return
 
 
 def serial_sweep_reason(mode: str, max_nodes: Optional[int]) -> Optional[str]:
@@ -967,7 +987,7 @@ def exhaustive_nonexistence(
     certificate. Exists mode stops at the first family. The heavier
     combinations, the nine-point layout at v >= 13 and anything at
     v = 19, must be opted into or given a node budget: nine points at
-    v = 13 visit 96,605,589 nodes (about 195 s on two cores), and seven
+    v = 13 visit 96,605,589 nodes (about 64 s on two cores), and seven
     points at v = 19 an estimated 6.6e9. Exists mode and a node budget
     run in one process (see ``serial_sweep_reason``).
     """
@@ -1002,8 +1022,12 @@ def exhaustive_nonexistence(
     exhausted = not sweep.budget_hit
     if exhausted and jobs > 1 and len(prefixes) > 1:
         payloads = [(v, schema_name, p) for p in prefixes]
+        # About four batches per process: few round trips, yet a process
+        # that drew small subtrees still takes another batch.
+        chunksize = -(-len(payloads) // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for nodes, sols, fst in pool.map(_sweep_worker, payloads):
+            results = pool.map(_sweep_worker, payloads, chunksize=chunksize)
+            for nodes, sols, fst in results:
                 total_nodes += nodes
                 solutions += sols
                 if first is None and fst is not None:

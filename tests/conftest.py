@@ -25,3 +25,26 @@ def _power_walk(field, e, steps=None):
 @pytest.fixture
 def power_walk():
     return _power_walk
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--run-slow",
+        action="store_true",
+        help="also run the tests marked slow, which take minutes",
+    )
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: takes minutes; skipped unless --run-slow is given"
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--run-slow"):
+        return
+    skip = pytest.mark.skip(reason="slow; pass --run-slow to run it")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)

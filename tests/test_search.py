@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
 import threading
@@ -361,6 +362,23 @@ def test_parametric_parallel_matches_serial(desc, form, chunk_size):
     assert results[0] == results[1]
 
 
+def test_parametric_first_chunk_hit_starts_no_pool(monkeypatch):
+    """The hit at q = 100,003 is candidate 72, in the first chunk, which
+    runs in this process; no pool may be started for the others."""
+    field = make_group(PrimeField(100003))
+    serial = parametric_search(field, HESSE_POWERS, SearchBudget(jobs=1))
+    assert serial.checked == 72
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(search_module, "ProcessPoolExecutor", no_pool)
+    parallel = parametric_search(
+        field, HESSE_POWERS, SearchBudget(chunk_size=4096, jobs=2)
+    )
+    assert parallel == serial
+
+
 def test_parametric_chunks_share_one_field_per_process():
     search_module._chunk_field.cache_clear()
     desc = descriptor_to_json(PrimeField(37))
@@ -457,6 +475,21 @@ def test_sweep_v7_parallel_matches_serial():
     assert parallel.solutions == serial.solutions == 8
     assert parallel.nodes_visited == serial.nodes_visited == 43
     assert parallel.exhausted
+
+
+def test_sweep_v7_batched_matches_serial():
+    serial = exhaustive_nonexistence(7, "fano", jobs=1)
+    batched = exhaustive_nonexistence(7, "fano", jobs=4)
+    assert batched.jobs == 4
+    assert (batched.solutions, batched.nodes_visited) == (8, 43)
+    assert batched.first_solution == serial.first_solution
+
+
+def test_sweep_v13_batched_certificate_matches_serial():
+    serial = exhaustive_nonexistence(13, "fano", jobs=1).to_json()
+    batched = exhaustive_nonexistence(13, "fano", jobs=2).to_json()
+    assert (serial.pop("jobs"), batched.pop("jobs")) == (1, 2)
+    assert batched == serial
 
 
 def test_sweep_node_budget():
@@ -557,6 +590,67 @@ def test_sweep_v7_matches_brute_force():
     assert cert.nodes_visited == partial == 43
 
 
+def _line_accepts(a, b, c, m, v):
+    """The line {a, b, c} straight from its three differences: all
+    nonzero, in three distinct classes {d, v - d}, none of them in the
+    class mask m (bit k - 1 for the class of k)."""
+    diffs = [(a - b) % v, (a - c) % v, (b - c) % v]
+    if 0 in diffs:
+        return False
+    classes = {min(d, v - d) for d in diffs}
+    return len(classes) == 3 and not any(m >> (k - 1) & 1 for k in classes)
+
+
+def _candidate_table_errors(v, table, masks):
+    """Every (a, b, c, m) on which the table and the direct check differ."""
+    errors = []
+    for a in range(v):
+        for b in range(v):
+            cands, classes = table[a * v + b]
+            for c in range(v):
+                diffs = [(a - b) % v, (a - c) % v, (b - c) % v]
+                line = sum({1 << (min(d, v - d) - 1) for d in diffs if d})
+                want = line if _line_accepts(a, b, c, 0, v) else 0
+                if classes[c] != want:
+                    errors.append((a, b, c, "classes"))
+                for m in masks:
+                    if (cands[m] >> c & 1) != _line_accepts(a, b, c, m, v):
+                        errors.append((a, b, c, m))
+    return errors
+
+
+@pytest.mark.parametrize("v,sample", [(7, None), (13, None), (19, 40)])
+def test_candidate_table_matches_the_differences(v, sample):
+    """Every entry at v = 7 and 13; at v = 19 every row and c for a seeded
+    sample of the 512 class masks, the empty and the full mask included."""
+    n = (v - 1) // 2
+    masks = range(1 << n)
+    if sample is not None:
+        masks = [0, (1 << n) - 1] + random.Random(v).sample(masks, sample)
+    table = search_module._candidate_table(v)
+    assert len(table) == v * v
+    assert all(len(cands) == 1 << n for cands, _ in table)
+    assert _candidate_table_errors(v, table, masks) == []
+
+
+def test_candidate_table_check_catches_one_wrong_bit():
+    v = 7
+    masks = range(1 << 3)
+    for row, m, c in [(1 * v + 2, 0, 4), (3 * v + 0, 5, 6), (0, 7, 0)]:
+        table = list(search_module._candidate_table(v))
+        cands, classes = table[row]
+        cands = list(cands)
+        cands[m] ^= 1 << c
+        table[row] = (cands, classes)
+        assert _candidate_table_errors(v, table, masks) == [
+            (row // v, row % v, c, m)
+        ]
+    table = list(search_module._candidate_table(v))
+    cands, classes = table[v + 2]
+    table[v + 2] = (cands, [x ^ 1 for x in classes])
+    assert len(_candidate_table_errors(v, table, [])) == v
+
+
 def _subtree_node_counts(v, schema_name):
     schema = builtin_schema(schema_name)
     top = search_module._Sweep(v, schema, "count")
@@ -614,6 +708,19 @@ _NORMS = [
     "unit scaling: the second entry of the first block is 1",
     "solutions are counted over ordered block sequences",
 ]
+
+
+@pytest.mark.slow
+def test_sweep_v13_nine_points_exhausted():
+    """The nine-point tree at order 13 in full: no cyclic family. About a
+    minute on two cores; run with --run-slow."""
+    cert = exhaustive_nonexistence(13, "hesse", jobs=2, allow_long=True)
+    assert cert.to_json() == {
+        "v": 13, "schema": "hesse", "blocks": 2, "normalizations": _NORMS,
+        "subtree_count": 720, "nodes_visited": 96_605_589, "solutions": 0,
+        "first_solution": None, "exhausted": True, "mode": "count",
+        "jobs": 2,
+    }
 
 
 @pytest.mark.parametrize(
