@@ -75,7 +75,6 @@ from .search import (
     Q_BOUNDS,
     SearchBudget,
     asymptotic_initial_block,
-    evenly_distributed,
     exhaustive_nonexistence,
     find_constrained_element,
     form_block,

@@ -12,7 +12,6 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional
 
 from .algebra import (
     ExtensionField,
@@ -72,7 +71,6 @@ from .search import (
     generate_kdf_from_initial_block,
     parametric_search,
     prefix_block_search,
-    serial_parametric_reason,
     serial_sweep_reason,
     verify_listed_block,
 )
@@ -282,28 +280,19 @@ def _cmd_verify_pbd(args) -> int:
 # search
 
 
-def _note_jobs(asked: int, reason: Optional[str]) -> int:
-    """The jobs count a search ran on; says on stderr when it cut ``asked``."""
-    if asked == 1 or reason is None:
-        return asked
-    print(f"note: ran on 1 job instead of {asked}: {reason}", file=sys.stderr)
-    return 1
-
-
 def _cmd_search_parametric(args) -> int:
     field = _field_from_args(args)
-    budget = SearchBudget(max_candidates=args.budget, jobs=args.jobs)
-    res = parametric_search(field, args.form, budget)
+    res = parametric_search(
+        field, args.form, SearchBudget(max_candidates=args.budget)
+    )
     candidates = field.order
     if args.budget is not None:
         candidates = min(candidates, args.budget)
-    reason = serial_parametric_reason(candidates, budget.chunk_size)
     out = {
         "found": res is not None,
         "form": args.form,
         "q": field.order,
         "exhausted": res is None and candidates == field.order,
-        "jobs": _note_jobs(args.jobs, reason),
     }
     if res is None:
         note = "no parameter works"
@@ -502,7 +491,12 @@ def _cmd_nonexistence(args) -> int:
         max_nodes=args.max_nodes,
         allow_long=args.allow_long,
     )
-    _note_jobs(args.jobs, serial_sweep_reason(args.mode, args.max_nodes))
+    reason = serial_sweep_reason(args.mode, args.max_nodes)
+    if args.jobs != 1 and reason is not None:
+        print(
+            f"note: ran on 1 job instead of {args.jobs}: {reason}",
+            file=sys.stderr,
+        )
     note = (
         f"{cert.solutions} normalized families, "
         f"{cert.nodes_visited} nodes"
@@ -605,7 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
                         search.HESSE_POWERS)),
     )
     sp.add_argument("--budget", type=int)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(func=_cmd_search_parametric)
     sp = ssub.add_parser("asymptotic")
     _add_field_flags(sp)

@@ -84,6 +84,8 @@ def field_dm(field: Group, k: int) -> DifferenceMatrix:
     """
     if not field.is_field:
         raise MalformedInput("the multiplication-table matrix needs a field")
+    if k < 1:
+        raise MalformedInput(f"a difference matrix needs a row, got k = {k}")
     if k > field.order:
         raise OrderTooSmall(
             f"cannot pick {k} distinct multipliers in a field of order"

@@ -19,11 +19,10 @@ memoised ``CyclotomicTable.index``.
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .algebra import (
     CyclotomicTable,
@@ -31,8 +30,6 @@ from .algebra import (
     Group,
     PrimeField,
     cubic_character,
-    descriptor_from_json,
-    descriptor_to_json,
     element_to_json,
     is_prime,
     make_group,
@@ -53,7 +50,6 @@ __all__ = [
     "SearchBudget",
     "CyclotomicConstraint",
     "ConstrainedSearchResult",
-    "evenly_distributed",
     "verify_listed_block",
     "generate_kdf_from_initial_block",
     "find_constrained_element",
@@ -68,7 +64,6 @@ __all__ = [
     "consecutive_block_primes",
     "NonexistenceCertificate",
     "serial_sweep_reason",
-    "serial_parametric_reason",
     "exhaustive_nonexistence",
 ]
 
@@ -101,11 +96,8 @@ def _check_limit(name: str, limit: Optional[int]) -> None:
 @dataclass(frozen=True)
 class SearchBudget:
     max_candidates: Optional[int] = None
-    chunk_size: int = 4096
-    jobs: int = 1
 
     def __post_init__(self):
-        _check_jobs(self.jobs)
         _check_limit("max_candidates", self.max_candidates)
 
 
@@ -125,20 +117,6 @@ def _line_spreads(points3, field: Group, key) -> bool:
         return False
     k3 = key(field.sub(b, c))
     return k3 != k1 and k3 != k2
-
-
-def evenly_distributed(line: Iterable, table: CyclotomicTable) -> bool:
-    """True when the three pairwise differences land in three classes.
-
-    Sign does not matter because -1 is a cube in every field of order
-    1 (mod 6).
-    """
-    if table.e != 3:
-        raise MalformedInput("even distribution is a three-class notion")
-    pts = tuple(line)
-    if len(pts) != 3 or len(set(pts)) != 3:
-        raise DuplicateElements(f"need 3 distinct elements, got {pts!r}")
-    return _line_spreads(pts, table.field, table.index)
 
 
 def _schema_for_block(points, schema: Optional[KaleidoscopeSchema]):
@@ -594,42 +572,6 @@ def _try_form_candidate(field, key, form, x):
     return pts
 
 
-@functools.lru_cache(maxsize=2)
-def _chunk_field(desc):
-    """Field, class key and elements for chunk workers.
-
-    Cached per process, so a pool process builds the field once for all
-    the chunks it runs.
-    """
-    field = make_group(desc)
-    return field, cubic_character(field), field.elements()
-
-
-# Set in each pool process by ``_init_chunk_worker``: the event the parent
-# sets once it holds the first hit, so running chunks stop early.
-_chunk_stop = None
-# Candidates a chunk tries between two looks at the event.
-_STOP_CHECK_EVERY = 256
-
-
-def _init_chunk_worker(stop) -> None:
-    global _chunk_stop
-    _chunk_stop = stop
-
-
-def _parametric_chunk(payload):
-    """First hit in one chunk, or None; None too once told to stop."""
-    desc_json, form, start, stop = payload
-    field, key, elems = _chunk_field(descriptor_from_json(desc_json))
-    for base in range(start, stop, _STOP_CHECK_EVERY):
-        if _chunk_stop is not None and _chunk_stop.is_set():
-            return None
-        for idx in range(base, min(base + _STOP_CHECK_EVERY, stop)):
-            if _try_form_candidate(field, key, form, elems[idx]) is not None:
-                return idx
-    return None
-
-
 def parametric_search(
     field: Group,
     form: str,
@@ -639,69 +581,18 @@ def parametric_search(
 
     Candidates run in canonical order, screened by the form's reduced
     line list and then confirmed in full. Returns none when no x works,
-    or when ``max_candidates`` runs out before one does. ``jobs`` above 1
-    is used unless ``serial_parametric_reason`` gives a reason not to;
-    even then the first chunk runs here, and a pool is started for the
-    other chunks only when the first one misses.
+    or when ``max_candidates`` runs out before one does.
     """
     if form not in _FORMS:
         raise MalformedInput(f"unknown form {form!r}")
-    budget = budget or SearchBudget()
     elems = field.elements()
-    total = len(elems)
-    if budget.max_candidates is not None:
-        total = min(total, budget.max_candidates)
-    serial = serial_parametric_reason(total, budget.chunk_size) is not None
-    parallel = budget.jobs > 1 and not serial
-    here = min(total, budget.chunk_size) if parallel else total
+    if budget is not None and budget.max_candidates is not None:
+        elems = elems[: budget.max_candidates]
     key = cubic_character(field)
-    hit = next(
-        (
-            idx
-            for idx in range(here)
-            if _try_form_candidate(field, key, form, elems[idx]) is not None
-        ),
-        None,
-    )
-    if hit is None and parallel:
-        hit = _parallel_first_index(field, form, here, total, budget)
-    if hit is None:
-        return None
-    x = elems[hit]
-    pts = _try_form_candidate(field, key, form, x)
-    return ParametricResult(x, pts, hit + 1)
-
-
-def _parallel_first_index(field, form, start, total, budget):
-    """The serial loop's first hit from ``start`` on, from chunks run
-    across the pool.
-
-    Chunk results are read in order, so every chunk before the first hit
-    has come back empty when it is read. Then the pending chunks are
-    cancelled, and the running ones, all later than the hit, stop at
-    their next look at the shared event.
-    """
-    desc_json = descriptor_to_json(field.descriptor)
-    chunks = [
-        (desc_json, form, lo, min(lo + budget.chunk_size, total))
-        for lo in range(start, total, budget.chunk_size)
-    ]
-    stop = multiprocessing.Event()
-    with ProcessPoolExecutor(
-        max_workers=budget.jobs,
-        initializer=_init_chunk_worker,
-        initargs=(stop,),
-    ) as pool:
-        futures = [pool.submit(_parametric_chunk, c) for c in chunks]
-        try:
-            for fut in futures:
-                idx = fut.result()
-                if idx is not None:
-                    return idx
-        finally:
-            stop.set()
-            for fut in futures:
-                fut.cancel()
+    for idx, x in enumerate(elems):
+        pts = _try_form_candidate(field, key, form, x)
+        if pts is not None:
+            return ParametricResult(x, pts, idx + 1)
     return None
 
 
@@ -951,16 +842,6 @@ def serial_sweep_reason(mode: str, max_nodes: Optional[int]) -> Optional[str]:
         return "exists mode stops at the first family in sweep order"
     if max_nodes is not None:
         return "a node budget is spent in sweep order"
-    return None
-
-
-def serial_parametric_reason(
-    candidates: int, chunk_size: int
-) -> Optional[str]:
-    """Why a parametric search runs in one process whatever jobs asks, or
-    None. A pool is started only for more than two chunks of candidates."""
-    if candidates <= 2 * chunk_size:
-        return f"{candidates} candidates fit in two chunks of {chunk_size}"
     return None
 
 

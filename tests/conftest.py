@@ -1,5 +1,7 @@
 """Helpers shared by the test modules."""
 
+import multiprocessing
+
 import pytest
 
 from kaleido.algebra import primitive_element
@@ -25,6 +27,20 @@ def _power_walk(field, e, steps=None):
 @pytest.fixture
 def power_walk():
     return _power_walk
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left():
+    """Fail a test that leaves a pool process running once it is done.
+
+    The leftovers are ended first, so that the next test starts clean.
+    """
+    yield
+    alive = multiprocessing.active_children()
+    for proc in alive:
+        proc.terminate()
+        proc.join()
+    assert not alive, f"worker processes left running: {alive}"
 
 
 def pytest_addoption(parser):

@@ -272,35 +272,6 @@ def test_search_parametric_full_run_is_exhausted(budget, capsys):
     assert "no parameter works" in captured.err
 
 
-def test_search_parametric_says_when_jobs_are_reduced(capsys):
-    rc = main(
-        ["search", "parametric", "--q", "37", "--form", "fano-affine",
-         "--jobs", "4"]
-    )
-    assert rc == 0
-    captured = capsys.readouterr()
-    out = json.loads(captured.out)
-    assert out["jobs"] == 1
-    assert out["x"] == 13
-    note = captured.err.splitlines()[0]
-    assert note.startswith("note: ran on 1 job instead of 4")
-    assert "37 candidates" in note
-
-
-def test_search_parametric_no_note_when_jobs_kept(capsys):
-    # 8209 candidates are more than two chunks, so the pool is used
-    rc = main(
-        ["search", "parametric", "--q", "8209", "--form", "fano-affine",
-         "--jobs", "2"]
-    )
-    assert rc == 0
-    captured = capsys.readouterr()
-    out = json.loads(captured.out)
-    assert out["jobs"] == 2
-    assert out["x"] == 47
-    assert "note:" not in captured.err
-
-
 def test_search_asymptotic(capsys):
     rc = main(["search", "asymptotic", "--q", "541", "--schema", "fano"])
     assert rc == 0
@@ -399,13 +370,17 @@ def test_search_constrained_no_inputs():
 
 
 def test_search_constrained_has_no_jobs_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(
-            ["search", "constrained", "--q", "19", "--prefix", "",
-             "--schema", "fano", "--jobs", "9"]
-        )
-    assert exc.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
+    # Only the exhaustive sweep runs on a pool; neither search takes --jobs.
+    for argv in (
+        ["search", "constrained", "--q", "19", "--prefix", "",
+         "--schema", "fano", "--jobs", "9"],
+        ["search", "parametric", "--q", "37", "--form", "fano-affine",
+         "--jobs", "2"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
 
 def test_search_constrained_budget_with_prefix(capsys):
@@ -485,6 +460,14 @@ def test_compose_dm(capsys):
     out = _out(capsys)
     assert len(out["rows"]) == 7
     assert all(len(row) == 7 for row in out["rows"])
+
+
+@pytest.mark.parametrize("k", ["-1", "0"])
+def test_compose_dm_needs_a_row(k, capsys):
+    assert main(["compose", "dm", "--q", "7", "--k", k]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_compose_kdf_default_dm(capsys, kdf7_file, kdf19_file, tmp_path):

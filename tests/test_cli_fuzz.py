@@ -1,9 +1,12 @@
-"""Malformed documents at the CLI boundary: an exit code, never a traceback.
+"""Malformed input at the CLI boundary: an exit code, never a traceback.
 
-Each example takes a valid document for ``verify df``, ``verify kdf``,
-``verify kaleidoscope`` or ``develop``, replaces or deletes one value
-anywhere in it, and runs the command in process. Any exception escaping
-``main`` fails the test, as would a traceback on stderr.
+Each document example takes the valid documents a command reads (``verify
+df``, ``verify kdf``, ``verify kaleidoscope``, ``verify dm``, ``develop``
+or ``compose kdf``), replaces or deletes one value anywhere in one of
+them, and runs the command in process. Each argument example runs
+``compose dm``, a ``search`` or ``verify block`` on random values of its
+flags. Any exception escaping ``main`` fails the test, as would a
+traceback on stderr.
 """
 
 import io
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 
 from kaleido.algebra import PrimeField, make_group
 from kaleido.cli import main
+from kaleido.compose import dm_to_json, field_dm
 from kaleido.designs import (
     DifferenceFamily,
     develop,
@@ -35,18 +39,25 @@ DOCUMENTS = {
     ),
     "kdf": kdf_to_json(KDF7),
     "kaleidoscope": kaleidoscope_to_json(develop(KDF7)),
+    "dm": dm_to_json(field_dm(F7, 7)),
 }
+# Each command with the flags that name its documents and their kinds.
 COMMANDS = [
-    (["verify", "df"], "df"),
-    (["verify", "kdf"], "kdf"),
-    (["verify", "kaleidoscope"], "kaleidoscope"),
-    (["develop"], "kdf"),
+    (["verify", "df"], [("--file", "df")]),
+    (["verify", "kdf"], [("--file", "kdf")]),
+    (["verify", "kaleidoscope"], [("--file", "kaleidoscope")]),
+    (["verify", "dm"], [("--file", "dm")]),
+    (["develop"], [("--file", "kdf")]),
+    (
+        ["compose", "kdf"],
+        [("--left", "kdf"), ("--right", "kdf"), ("--dm", "dm")],
+    ),
 ]
 # Keys the documents use, so that random objects sometimes look right.
 KEYS = [
     "group", "kind", "p", "v", "modulus", "left", "right", "k", "h",
     "lambda", "blocks", "schema", "name", "lines", "points", "planes",
-    "provenance",
+    "provenance", "rows", "shift", "class",
 ]
 
 scalars = (
@@ -94,23 +105,119 @@ def _spoil(doc, path, value, delete):
 
 @st.composite
 def spoiled(draw):
-    argv, kind = draw(st.sampled_from(COMMANDS))
-    doc = DOCUMENTS[kind]
-    path = draw(st.sampled_from(list(_paths(doc))))
-    return argv, _spoil(doc, path, draw(values), draw(st.booleans()))
+    argv, files = draw(st.sampled_from(COMMANDS))
+    docs = [DOCUMENTS[kind] for _, kind in files]
+    which = draw(st.integers(0, len(docs) - 1))
+    path = draw(st.sampled_from(list(_paths(docs[which]))))
+    docs[which] = _spoil(
+        docs[which], path, draw(values), draw(st.booleans())
+    )
+    return argv, [flag for flag, _ in files], docs
+
+
+def _run(argv):
+    """Run ``main`` on argv in process and hold it to the contract."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert err.getvalue().startswith("error:")
 
 
 @settings(max_examples=150, deadline=None)
 @given(spoiled())
 def test_malformed_documents_never_raise(case):
-    argv, doc = case
-    out, err = io.StringIO(), io.StringIO()
+    argv, flags, docs = case
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "doc.json"
-        path.write_text(json.dumps(doc))
-        with redirect_stdout(out), redirect_stderr(err):
-            rc = main(argv + ["--file", str(path)])
-    assert rc in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    if rc == 2:
-        assert err.getvalue().startswith("error:")
+        for flag, doc in zip(flags, docs):
+            path = Path(tmp) / f"{flag.strip('-')}.json"
+            path.write_text(json.dumps(doc))
+            argv = argv + [flag, str(path)]
+        _run(argv)
+
+
+# Argument values. The integer flags get integer text, which argparse
+# passes on, so each example reaches the command's own checks. Orders run
+# over primes, prime powers and non-powers, small enough that a full
+# search stays quick.
+ORDERS = st.sampled_from(
+    [-7, 0, 1, 2, 4, 6, 7, 8, 9, 12, 13, 16, 19, 25, 27, 31, 37, 49, 64]
+)
+NUMBERS = st.integers(-3, 12)
+TOKENS = st.sampled_from(
+    ["0", "1", "2", "3", "5", "-1", "40", "", " ", "x", "1.5", "1,2", "0,0"]
+)
+# Random tokens, or the 7 or 9 distinct residues a block needs.
+BLOCKS = st.builds(
+    lambda toks, sep: sep.join(toks),
+    st.lists(TOKENS, max_size=10),
+    st.sampled_from([",", ";"]),
+) | st.lists(
+    st.integers(0, 40), min_size=7, max_size=9, unique=True
+).map(lambda pts: ",".join(map(str, pts)))
+# Random JSON, random text, or chains that look right.
+LABELS = st.sampled_from([0, 1, 2, 5, "i", "2i", "j+1", "k", 1.5, None])
+CONSTRAINTS = (
+    values.map(json.dumps)
+    | st.text(max_size=12)
+    | st.lists(
+        st.fixed_dictionaries({"shift": values, "class": values})
+        | st.fixed_dictionaries(
+            {"shift": st.integers(-2, 40), "class": LABELS}
+        ),
+        max_size=3,
+    ).map(json.dumps)
+)
+
+
+def _given(name, strategy):
+    """The flag and its value, joined by "=" so that argparse reads a
+    value such as "-1,2" as the flag's and not as a flag."""
+    return strategy.map(lambda v: [f"{name}={v}"])
+
+
+def _flag(name, strategy):
+    """The flag and its value, or nothing."""
+    return st.one_of(st.just([]), _given(name, strategy))
+
+
+ARGUMENTS = st.one_of(
+    st.tuples(
+        st.just(["compose", "dm"]),
+        _flag("--q", ORDERS),
+        _given("--k", NUMBERS),
+    ),
+    st.tuples(
+        st.just(["search", "parametric", "--form", "fano-affine"]),
+        _flag("--q", ORDERS),
+        _flag("--budget", NUMBERS),
+    ),
+    st.tuples(
+        st.sampled_from(
+            [["search", "asymptotic"], ["search", "asymptotic", "--schema",
+                                        "hesse"]]
+        ),
+        _flag("--q", ORDERS),
+    ),
+    st.tuples(
+        st.sampled_from([["search", "constrained"],
+                         ["search", "constrained", "--schema", "fano"]]),
+        _flag("--q", ORDERS),
+        _flag("--prefix", BLOCKS),
+        _flag("--budget", NUMBERS),
+        _flag("--constraints", CONSTRAINTS),
+    ),
+    st.tuples(
+        st.just(["verify", "block"]),
+        _flag("--q", ORDERS),
+        _given("--block", BLOCKS),
+    ),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@settings(max_examples=200, deadline=None)
+@given(ARGUMENTS)
+def test_malformed_arguments_never_raise(argv):
+    _run(argv)

@@ -65,6 +65,12 @@ def test_field_dm_too_wide():
         field_dm(make_group(PrimeField(5)), 7)
 
 
+@pytest.mark.parametrize("k", [-1, 0])
+def test_field_dm_needs_a_row(k):
+    with pytest.raises(MalformedInput):
+        field_dm(F7, k)
+
+
 def test_verify_dm_negative():
     m = DifferenceMatrix(F7, ((0,) * 7, (0,) * 7))
     rep = verify_dm(m)

@@ -5,7 +5,6 @@ import json
 import random
 import subprocess
 import sys
-import threading
 from itertools import permutations
 
 import pytest
@@ -14,7 +13,6 @@ from kaleido.algebra import (
     CyclotomicTable,
     ExtensionField,
     PrimeField,
-    descriptor_to_json,
     make_group,
 )
 from kaleido.designs import verify_kdf
@@ -33,7 +31,6 @@ from kaleido.search import (
     CyclotomicConstraint,
     SearchBudget,
     asymptotic_initial_block,
-    evenly_distributed,
     exhaustive_nonexistence,
     find_constrained_element,
     form_block,
@@ -49,27 +46,7 @@ F19 = make_group(PrimeField(19))
 T19 = CyclotomicTable(F19, 3)
 
 
-# -- even distribution -------------------------------------------------------
-
-
-def test_evenly_distributed():
-    # differences 1, 4, 3 land in classes 0, 2, 1
-    assert evenly_distributed((0, 1, 4), T19)
-    # differences 1, 2, 1 repeat class 0
-    assert not evenly_distributed((0, 1, 2), T19)
-
-
-def test_evenly_distributed_rejects_six_classes():
-    t6 = CyclotomicTable(F19, 6)
-    with pytest.raises(MalformedInput):
-        evenly_distributed((0, 1, 4), t6)
-
-
-def test_evenly_distributed_rejects_repeats():
-    with pytest.raises(DuplicateElements):
-        evenly_distributed((0, 1, 1), T19)
-    with pytest.raises(DuplicateElements):
-        evenly_distributed((0, 1), T19)
+# -- listed blocks ------------------------------------------------------------
 
 
 def test_verify_listed_block():
@@ -331,78 +308,23 @@ def test_parametric_budget_cuts_off():
     assert res is None
 
 
-def test_parametric_parallel_agrees():
-    f37 = make_group(PrimeField(37))
-    res = parametric_search(
-        f37, FANO_AFFINE, budget=SearchBudget(chunk_size=8, jobs=2)
-    )
-    assert res.x == 13
-
-
 @pytest.mark.parametrize(
-    "desc, form, chunk_size",
+    "desc, form, x, checked",
     [
-        # above 2 * 4096 candidates, so jobs=2 really runs in parallel
-        (PrimeField(100003), HESSE_POWERS, 4096),
-        # the hit at checked = 271 lies in the fifth chunk of 64
-        (ExtensionField(7, (1, 0, 1, 1)), FANO_POWERS, 64),
+        (PrimeField(100003), HESSE_POWERS, 71, 72),
+        (ExtensionField(7, (1, 0, 1, 1)), FANO_POWERS, (5, 3, 4), 271),
+        (PrimeField(8209), FANO_AFFINE, 47, 48),
+        # the latest hit over the primes q = 1 (mod 6) up to 120,000
+        (PrimeField(64921), HESSE_POWERS, 3199, 3200),
     ],
-    ids=["q100003", "q343"],
+    ids=["q100003", "q343", "q8209", "q64921"],
 )
-def test_parametric_parallel_matches_serial(desc, form, chunk_size):
+def test_parametric_first_hit(desc, form, x, checked):
     field = make_group(desc)
-    assert field.order > 2 * chunk_size
-    results = [
-        parametric_search(
-            field, form, SearchBudget(chunk_size=chunk_size, jobs=jobs)
-        )
-        for jobs in (1, 2)
-    ]
-    assert results[0] is not None
-    assert results[0] == results[1]
-
-
-def test_parametric_first_chunk_hit_starts_no_pool(monkeypatch):
-    """The hit at q = 100,003 is candidate 72, in the first chunk, which
-    runs in this process; no pool may be started for the others."""
-    field = make_group(PrimeField(100003))
-    serial = parametric_search(field, HESSE_POWERS, SearchBudget(jobs=1))
-    assert serial.checked == 72
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(search_module, "ProcessPoolExecutor", no_pool)
-    parallel = parametric_search(
-        field, HESSE_POWERS, SearchBudget(chunk_size=4096, jobs=2)
-    )
-    assert parallel == serial
-
-
-def test_parametric_chunks_share_one_field_per_process():
-    search_module._chunk_field.cache_clear()
-    desc = descriptor_to_json(PrimeField(37))
-    hits = [
-        search_module._parametric_chunk((desc, FANO_AFFINE, start, start + 8))
-        for start in (0, 8)
-    ]
-    assert hits == [None, 13]
-    info = search_module._chunk_field.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-
-
-def test_parametric_chunk_stops_at_the_shared_event():
-    desc = descriptor_to_json(PrimeField(37))
-    chunk = (desc, FANO_AFFINE, 8, 16)  # holds the hit x = 13
-    # Same is_set() as the multiprocessing event a pool process is given.
-    stop = threading.Event()
-    search_module._init_chunk_worker(stop)
-    try:
-        assert search_module._parametric_chunk(chunk) == 13
-        stop.set()
-        assert search_module._parametric_chunk(chunk) is None
-    finally:
-        search_module._init_chunk_worker(None)
+    res = parametric_search(field, form)
+    assert (res.x, res.checked) == (x, checked)
+    assert res.block == form_block(field, form, x)
+    assert verify_listed_block(field, res.block)
 
 
 def test_parametric_unknown_form():
@@ -541,8 +463,8 @@ def test_sweep_rejects_bad_arguments():
 
 
 def test_search_budget_rejects_bad_arguments():
-    with pytest.raises(MalformedInput):
-        SearchBudget(jobs=0)
+    with pytest.raises(TypeError):
+        SearchBudget(jobs=2)
     with pytest.raises(MalformedInput):
         SearchBudget(max_candidates=-1)
     assert SearchBudget(max_candidates=0).max_candidates == 0
