@@ -29,7 +29,6 @@ from .algebra import (
 from .compose import (
     Catalog,
     DifferenceMatrix,
-    compose_df,
     compose_kdf,
     dm_from_json,
     dm_to_json,
@@ -47,7 +46,6 @@ from .designs import (
     develop,
     df_from_json,
     df_to_json,
-    is_linear_block,
     kaleidoscope_from_json,
     kaleidoscope_to_json,
     kdf_from_json,

@@ -43,6 +43,7 @@ __all__ = [
     "element_to_json",
     "element_from_json",
     "element_decoder",
+    "element_encoder",
     "is_prime",
     "prime_factors",
     "find_irreducible",
@@ -256,6 +257,21 @@ class Group:
     def sub(self, a: Element, b: Element) -> Element:
         raise NotImplementedError
 
+    # Whole-column kernels. Each is defined by the per-element method it
+    # maps, which subclasses may replace by a faster equivalent.
+
+    def translates(self, x: Element) -> list:
+        """x + g for every element g, in canonical order."""
+        return list(map(self.add, itertools.repeat(x), self.elements()))
+
+    def differences(self, a: Sequence, b: Sequence) -> list:
+        """a[i] - b[i] for each position i."""
+        return list(map(self.sub, a, b))
+
+    def times(self, x: Element, ys: Sequence) -> list:
+        """x * y for each y in ys; fields only."""
+        return list(map(self.mul, itertools.repeat(x), ys))
+
     def elements(self) -> Sequence[Element]:
         """All elements in canonical order, as a cached sequence.
 
@@ -298,11 +314,24 @@ class CyclicGroup(Group):
     def sub(self, a, b):
         return (a - b) % self.order
 
+    def translates(self, x):
+        # Adding x rotates the residues 0..n-1 left by x mod n.
+        n = self.order
+        x %= n
+        return [*range(x, n), *range(x)]
+
+    def differences(self, a, b):
+        n = self.order
+        return [(x - y) % n for x, y in zip(a, b)]
+
     def _build_elements(self):
         return range(self.order)
 
 
-class PrimeFieldGroup(Group):
+class PrimeFieldGroup(CyclicGroup):
+    """Integers mod a prime: the cyclic group of order p, with its
+    multiplication."""
+
     is_field = True
 
     def __init__(self, p: int):
@@ -312,15 +341,6 @@ class PrimeFieldGroup(Group):
         self.order = p
         self.zero = 0
         self.one = 1 % p
-
-    def add(self, a, b):
-        return (a + b) % self.order
-
-    def neg(self, a):
-        return (-a) % self.order
-
-    def sub(self, a, b):
-        return (a - b) % self.order
 
     def mul(self, a, b):
         return (a * b) % self.order
@@ -337,8 +357,9 @@ class PrimeFieldGroup(Group):
         """True when x is a residue in canonical form, 0 <= x < p."""
         return isinstance(x, int) and 0 <= x < self.order
 
-    def _build_elements(self):
-        return range(self.order)
+    def times(self, x, ys):
+        p = self.order
+        return [x * y % p for y in ys]
 
 
 class ExtensionFieldGroup(Group):
@@ -382,6 +403,15 @@ class ExtensionFieldGroup(Group):
     def sub(self, a, b):
         p = self.p
         return tuple((x - y) % p for x, y in zip(a, b))
+
+    def translates(self, x):
+        # Coefficient i of x + g runs over the residues rotated by x[i] as
+        # g runs over its coefficients in order, so the translates are the
+        # lexicographic product of the rotated ranges.
+        p = self.p
+        return list(
+            itertools.product(*([*range(c % p, p), *range(c % p)] for c in x))
+        )
 
     def mul(self, a, b):
         p = self.p
@@ -445,6 +475,19 @@ class ProductGroup(Group):
     def sub(self, a, b):
         return (self.left.sub(a[0], b[0]), self.right.sub(a[1], b[1]))
 
+    def translates(self, x):
+        # elements() is the lexicographic product of the factors' orders.
+        return list(
+            itertools.product(
+                self.left.translates(x[0]), self.right.translates(x[1])
+            )
+        )
+
+    def differences(self, a, b):
+        left = self.left.differences([x for x, _ in a], [y for y, _ in b])
+        right = self.right.differences([x for _, x in a], [y for _, y in b])
+        return list(zip(left, right))
+
     def _build_elements(self):
         return [
             (x, y) for x in self.left.elements() for y in self.right.elements()
@@ -468,17 +511,24 @@ def make_group(desc: GroupDescriptor) -> Group:
 # element serialization
 
 
-def element_to_json(group: Group, x: Element):
-    if isinstance(group, (CyclicGroup, PrimeFieldGroup)):
-        return int(x)
+def element_encoder(group: Group):
+    """The JSON encoder of one group's elements, resolved once.
+
+    It mirrors ``element_decoder``: encoding a family or a plane list
+    calls it once per element, so the type dispatch happens here.
+    """
+    if isinstance(group, CyclicGroup):
+        return int
     if isinstance(group, ExtensionFieldGroup):
-        return [int(c) for c in x]
+        return lambda x: list(map(int, x))
     if isinstance(group, ProductGroup):
-        return [
-            element_to_json(group.left, x[0]),
-            element_to_json(group.right, x[1]),
-        ]
+        left, right = element_encoder(group.left), element_encoder(group.right)
+        return lambda x: [left(x[0]), right(x[1])]
     raise MalformedInput(f"unknown group type: {group!r}")
+
+
+def element_to_json(group: Group, x: Element):
+    return element_encoder(group)(x)
 
 
 def element_decoder(group: Group):
@@ -487,7 +537,7 @@ def element_decoder(group: Group):
     Decoding a family or a plane list calls it once per element, so the
     type dispatch on the group happens here rather than per element.
     """
-    if isinstance(group, (CyclicGroup, PrimeFieldGroup)):
+    if isinstance(group, CyclicGroup):
         order = group.order
 
         def dec(obj):
@@ -517,8 +567,31 @@ def element_decoder(group: Group):
                 raise MalformedInput(f"expected a pair, got {obj!r}")
             return (left(obj[0]), right(obj[1]))
 
+        if isinstance(group.left, CyclicGroup) and isinstance(
+            group.right, CyclicGroup
+        ):
+            dec = _int_pair_decoder(group.left.order, group.right.order, dec)
+
     else:
         raise MalformedInput(f"unknown group type: {group!r}")
+    return dec
+
+
+def _int_pair_decoder(n1: int, n2: int, general):
+    """Decode a JSON pair of ints at once; leave all else to ``general``.
+
+    ``type(...) is int`` turns away bools as well as every other type, so
+    any input the fast path does not take gets the general decoder's
+    result or its error.
+    """
+
+    def dec(obj):
+        if type(obj) is list and len(obj) == 2:
+            a, b = obj
+            if type(a) is int and type(b) is int:
+                return (a % n1, b % n2)
+        return general(obj)
+
     return dec
 
 
@@ -668,21 +741,22 @@ def transversal(field: Group, mode: str = "canonical") -> list[Element]:
             raise BadCongruence(
                 f"sixth powers split the cubes only for q = 3 mod 4, got {q}"
             )
-        powers = {
-            field.pow_(x, 6) for x in field.elements() if x != field.zero
-        }
-        return sorted(powers)
-    if mode != "canonical":
+        e = 6
+    elif mode == "canonical":
+        e = 3
+    else:
         raise MalformedInput(f"unknown transversal mode: {mode!r}")
-    cubes = set()
-    for x in field.elements():
-        if x != field.zero:
-            cubes.add(field.mul(x, field.mul(x, x)))
-    out = []
-    taken = set()
-    for x in field.elements():
-        if x in cubes and x not in taken:
-            out.append(x)
-            taken.add(x)
-            taken.add(field.neg(x))
-    return out
+    # The e-th powers of nonzero elements are the powers of g^e, for a
+    # primitive g: one product per element of the subgroup.
+    step = field.pow_(primitive_element(field), e)
+    powers = itertools.accumulate(
+        itertools.repeat(step, (q - 1) // e - 1),
+        field.mul,
+        initial=field.one,
+    )
+    if mode == "sixth_powers":
+        return sorted(powers)
+    # The cubes are closed under negation, since -1 = (-1)^3, so each
+    # plus-minus orbit is kept by its canonically smaller member.
+    neg = field.neg
+    return sorted(x for x in powers if x < neg(x))

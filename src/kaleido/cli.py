@@ -560,8 +560,18 @@ def _add_field_flags(sub) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors reach ``main`` as malformed input.
+
+    ``add_subparsers`` builds every subcommand parser with this class too.
+    """
+
+    def error(self, message):
+        raise MalformedInput(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kaleido",
         description="colored block designs from difference families",
     )
@@ -684,9 +694,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except KaleidoError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -22,11 +22,10 @@ from .algebra import (
     descriptor_from_json,
     descriptor_to_json,
     element_decoder,
-    element_to_json,
+    element_encoder,
     make_group,
 )
 from .designs import (
-    DifferenceFamily,
     Kaleidoscope,
     KaleidoscopicDifferenceFamily,
     PairwiseBalancedDesign,
@@ -34,7 +33,6 @@ from .designs import (
     dumps,
     kaleidoscope_from_json,
     kdf_from_json,
-    verify_df,
     verify_kaleidoscope,
     verify_kdf,
     verify_pbd,
@@ -54,7 +52,6 @@ __all__ = [
     "field_dm",
     "DMReport",
     "verify_dm",
-    "compose_df",
     "compose_kdf",
     "pbd_compose",
     "Catalog",
@@ -92,9 +89,7 @@ def field_dm(field: Group, k: int) -> DifferenceMatrix:
             f" {field.order}"
         )
     sweep = field.elements()
-    rows = tuple(
-        tuple(field.mul(a, x) for x in sweep) for a in sweep[:k]
-    )
+    rows = tuple(tuple(field.times(a, sweep)) for a in sweep[:k])
     return DifferenceMatrix(field, rows)
 
 
@@ -146,38 +141,6 @@ def _check_dm_ingredient(m: DifferenceMatrix, k: int, group: Group):
     rep = verify_dm(m)
     if not rep.valid:
         raise IngredientInvalid("difference matrix: " + rep.summary())
-
-
-def compose_df(
-    df: DifferenceFamily, dfp: DifferenceFamily, m: DifferenceMatrix
-) -> DifferenceFamily:
-    """Product of two (*, k, lam) families through a difference matrix.
-
-    Output blocks pair the i-th point of each first-family block with the
-    i-th row of the matrix, one block per column, plus the second family
-    lifted onto the zero fiber. The result lives over the direct product.
-    """
-    if df.k != dfp.k or df.lam != dfp.lam:
-        raise IngredientInvalid("families must share k and lambda")
-    for name, ingredient in (("first", df), ("second", dfp)):
-        rep = ingredient.report()
-        if not rep.valid:
-            raise IngredientInvalid(f"{name} family: {rep.summary()}")
-    _check_dm_ingredient(m, df.k, dfp.group)
-    product = ProductGroup(df.group, dfp.group)
-    blocks = []
-    for block in df.blocks:
-        ordered = sorted(block)
-        for col in range(dfp.group.order):
-            blocks.append(
-                frozenset(
-                    (pt, m.rows[i][col]) for i, pt in enumerate(ordered)
-                )
-            )
-    zero = df.group.zero
-    for block in dfp.blocks:
-        blocks.append(frozenset((zero, y) for y in block))
-    return DifferenceFamily(product, df.k, df.lam, tuple(blocks))
 
 
 def compose_kdf(
@@ -280,11 +243,10 @@ def pbd_compose(
 
 
 def dm_to_json(m: DifferenceMatrix) -> dict:
+    enc = element_encoder(m.group)
     return {
         "group": descriptor_to_json(m.group.descriptor),
-        "rows": [
-            [element_to_json(m.group, x) for x in row] for row in m.rows
-        ],
+        "rows": [list(map(enc, row)) for row in m.rows],
     }
 
 

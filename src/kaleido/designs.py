@@ -11,8 +11,7 @@ from __future__ import annotations
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache, partial
-from itertools import chain, combinations, permutations, repeat
+from itertools import chain, combinations, permutations
 from json.encoder import encode_basestring_ascii as _quote
 from operator import add, itemgetter
 from typing import Iterable, Optional, Sequence
@@ -23,12 +22,11 @@ from .algebra import (
     descriptor_from_json,
     descriptor_to_json,
     element_decoder,
-    element_to_json,
+    element_encoder,
     is_prime,
     make_group,
 )
 from .errors import (
-    BadVectorLength,
     DuplicateElements,
     InvalidKDF,
     InvalidPBD,
@@ -57,12 +55,9 @@ __all__ = [
     "KaleidoscopeReport",
     "verify_kaleidoscope",
     "replicate",
-    "is_linear_block",
     "PairwiseBalancedDesign",
     "PBDReport",
     "verify_pbd",
-    "translate_block",
-    "scale_block",
     "kdf_to_json",
     "kdf_from_json",
     "kaleidoscope_to_json",
@@ -114,7 +109,7 @@ class DFReport:
         return "; ".join(parts) or "invalid"
 
 
-def _position_differences(rows: Sequence, k: int, sub) -> dict:
+def _position_differences(rows: Sequence, k: int, group: Group) -> dict:
     """Differences of equal-length point rows, position pair by pair.
 
     Maps each ordered pair (i, j) of distinct positions to the list of
@@ -123,7 +118,7 @@ def _position_differences(rows: Sequence, k: int, sub) -> dict:
     """
     cols = [list(map(itemgetter(i), rows)) for i in range(k)]
     return {
-        (i, j): list(map(sub, cols[i], cols[j]))
+        (i, j): group.differences(cols[i], cols[j])
         for i, j in permutations(range(k), 2)
     }
 
@@ -164,7 +159,7 @@ def verify_df(blocks: Sequence, group: Group, k: int, lam: int) -> DFReport:
         else:
             good.append(pts)
     coverage = Counter()
-    for diffs in _position_differences(good, k, group.sub).values():
+    for diffs in _position_differences(good, k, group).values():
         coverage.update(diffs)
     return _df_report(coverage, group, lam, bad_blocks)
 
@@ -230,7 +225,7 @@ def verify_kdf(kdf: KaleidoscopicDifferenceFamily) -> KDFReport:
     group = kdf.group
     schema = kdf.schema
     diffs = _position_differences(
-        [b.points for b in kdf.blocks], schema.k, group.sub
+        [b.points for b in kdf.blocks], schema.k, group
     )
     family = Counter()
     for column in diffs.values():
@@ -248,18 +243,6 @@ def verify_kdf(kdf: KaleidoscopicDifferenceFamily) -> KDFReport:
             failing.append(color)
     valid = family_report.valid and not failing
     return KDFReport(valid, family_report, color_reports, failing)
-
-
-def translate_block(block: OrderedBlock, g, group: Group) -> OrderedBlock:
-    return OrderedBlock(
-        block.schema, tuple(group.add(x, g) for x in block.points)
-    )
-
-
-def scale_block(block: OrderedBlock, u, field: Group) -> OrderedBlock:
-    return OrderedBlock(
-        block.schema, tuple(field.mul(u, x) for x in block.points)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +311,12 @@ def develop(kdf: KaleidoscopicDifferenceFamily) -> Kaleidoscope:
         raise InvalidKDF(report.summary())
     group = kdf.group
     schema = kdf.schema
-    elements = group.elements()
     planes = []
     for block in kdf.blocks:
         # Column i holds position i of every translate, in element order.
-        cols = [
-            list(map(group.add, repeat(x), elements)) for x in block.points
-        ]
+        cols = map(group.translates, block.points)
         planes.extend(Plane(None, row, schema) for row in zip(*cols))
-    return Kaleidoscope(tuple(elements), schema, tuple(planes), group)
+    return Kaleidoscope(tuple(group.elements()), schema, tuple(planes), group)
 
 
 @dataclass
@@ -556,41 +536,16 @@ def replicate(
 
 
 # ---------------------------------------------------------------------------
-# linear blocks over the two-element field
-
-
-def is_linear_block(vectors: Iterable[int], n: int) -> bool:
-    """True when the seven vectors plus zero close under bitwise addition.
-
-    The vectors must be distinct, nonzero and fit in n bits. Closure makes
-    them the nonzero members of a three-dimensional subspace.
-    """
-    vs = list(vectors)
-    if len(vs) != 7:
-        raise MalformedInput(f"need exactly 7 vectors, got {len(vs)}")
-    limit = 1 << n
-    for v in vs:
-        if not isinstance(v, int) or not 0 < v < limit:
-            raise BadVectorLength(f"{v!r} is not a nonzero {n}-bit vector")
-    group = set(vs)
-    if len(group) != 7:
-        raise DuplicateElements("vectors must be distinct")
-    return all(x ^ y in group for x, y in combinations(vs, 2))
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 
 def df_to_json(df: DifferenceFamily) -> dict:
+    enc = element_encoder(df.group)
     return {
         "group": descriptor_to_json(df.group.descriptor),
         "k": df.k,
         "lambda": df.lam,
-        "blocks": [
-            sorted(element_to_json(df.group, x) for x in block)
-            for block in df.blocks
-        ],
+        "blocks": [sorted(map(enc, block)) for block in df.blocks],
     }
 
 
@@ -621,13 +576,11 @@ def df_from_json(obj) -> DifferenceFamily:
 
 
 def kdf_to_json(kdf: KaleidoscopicDifferenceFamily) -> dict:
+    enc = element_encoder(kdf.group)
     return {
         "group": descriptor_to_json(kdf.group.descriptor),
         "schema": schema_to_json(kdf.schema),
-        "blocks": [
-            [element_to_json(kdf.group, x) for x in block.points]
-            for block in kdf.blocks
-        ],
+        "blocks": [list(map(enc, block.points)) for block in kdf.blocks],
         "provenance": kdf.provenance,
     }
 
@@ -653,12 +606,24 @@ def kdf_from_json(obj) -> KaleidoscopicDifferenceFamily:
     return KaleidoscopicDifferenceFamily(group, schema, blocks, provenance)
 
 
+class _Codes(dict):
+    """Element -> JSON value, encoded on the first lookup and kept."""
+
+    def __init__(self, encode):
+        super().__init__()
+        self._encode = encode
+
+    def __missing__(self, x):
+        code = self[x] = self._encode(x)
+        return code
+
+
 def kaleidoscope_to_json(k: Kaleidoscope) -> dict:
     if k.group is not None:
         points = descriptor_to_json(k.group.descriptor)
         # Each element is encoded once, and its JSON value is shared by
         # every plane, so ``dumps`` writes a list-valued one once per depth.
-        enc = lru_cache(maxsize=None)(partial(element_to_json, k.group))
+        enc = _Codes(element_encoder(k.group)).__getitem__
     else:
         points = len(k.points)
         if tuple(k.points) != tuple(range(points)):

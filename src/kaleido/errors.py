@@ -49,10 +49,6 @@ class NotAUnitalDesign(KaleidoError):
     and every point pair covered exactly once."""
 
 
-class BadVectorLength(KaleidoError):
-    """A bit vector does not fit the stated length."""
-
-
 class IngredientInvalid(KaleidoError):
     """A composition ingredient failed its own verification."""
 

@@ -30,13 +30,13 @@ from .algebra import (
     Group,
     PrimeField,
     cubic_character,
-    element_to_json,
+    element_encoder,
     is_prime,
     make_group,
     primitive_element,
     transversal,
 )
-from .designs import KaleidoscopicDifferenceFamily, scale_block
+from .designs import KaleidoscopicDifferenceFamily
 from .errors import (
     DuplicateElements,
     MalformedInput,
@@ -184,12 +184,15 @@ def generate_kdf_from_initial_block(
                 " three classes"
             )
     scalars = transversal(field, mode)
-    blocks = tuple(scale_block(block, s, field) for s in scalars)
+    # Column i holds point i of every scaled copy, in transversal order.
+    cols = [field.times(x, scalars) for x in block.points]
+    blocks = tuple(OrderedBlock(schema, row) for row in zip(*cols))
+    enc = element_encoder(field)
     provenance = {
-        "initial_block": [element_to_json(field, x) for x in block.points],
+        "initial_block": list(map(enc, block.points)),
         "transversal_mode": mode,
-        "transversal": [element_to_json(field, s) for s in scalars],
-        "primitive": element_to_json(field, primitive_element(field)),
+        "transversal": list(map(enc, scalars)),
+        "primitive": enc(primitive_element(field)),
     }
     return KaleidoscopicDifferenceFamily(field, schema, blocks, provenance)
 

@@ -23,7 +23,6 @@ from kaleido.designs import (
     delta,
     develop,
     replicate,
-    scale_block,
     verify_df,
     verify_kaleidoscope,
     verify_kdf,
@@ -92,7 +91,10 @@ def test_criterion_02_order19_nine_point_family(capsys):
     """B, 7B, 11B with the listed nine-point B is a valid family."""
     t0 = time.perf_counter()
     base = OrderedBlock(HESSE, (0, 1, 2, 3, 7, 16, 8, 4, 10))
-    blocks = tuple(scale_block(base, s, F19) for s in (1, 7, 11))
+    blocks = tuple(
+        OrderedBlock(HESSE, tuple(F19.mul(s, x) for x in base.points))
+        for s in (1, 7, 11)
+    )
     kdf = KaleidoscopicDifferenceFamily(F19, HESSE, blocks, {})
     assert verify_kdf(kdf).valid
     made = generate_kdf_from_initial_block(

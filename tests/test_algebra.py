@@ -379,3 +379,60 @@ def test_extension_field_axioms(a, b, c):
     assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
     if a != f.zero:
         assert f.mul(a, f.inv(a)) == f.one
+
+
+# --- whole-column kernels against their per-element definitions ---
+
+
+def _raw(desc):
+    """Element representatives of a group, canonical or not.
+
+    Residues run over a few multiples of the modulus either side of
+    zero, and always include p + 3 and -2.
+    """
+    if isinstance(desc, Product):
+        return st.tuples(_raw(desc.left), _raw(desc.right))
+    n = getattr(desc, "v", None) or desc.p
+    ints = st.integers(-2 * n, 3 * n) | st.sampled_from([n + 3, -2])
+    if isinstance(desc, ExtensionField):
+        return st.tuples(*[ints] * (len(desc.modulus) - 1))
+    return ints
+
+
+F5_2 = ExtensionField(5, (2, 0, 1))
+KERNEL_GROUPS = [
+    Cyclic(12),
+    PrimeField(7),
+    F5_2,
+    ExtensionField(3, find_irreducible(3, 3)),
+    Product(PrimeField(5), F5_2),
+    Product(Product(Cyclic(4), PrimeField(3)), ExtensionField(2, (1, 1, 1))),
+]
+
+
+@st.composite
+def _kernel_case(draw):
+    desc = draw(st.sampled_from(KERNEL_GROUPS))
+    raw = _raw(desc)
+    x = draw(raw)
+    a = draw(st.lists(raw, max_size=6))
+    b = draw(st.lists(raw, min_size=len(a), max_size=len(a)))
+    return desc, x, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_case())
+def test_kernels_match_their_definitions(case):
+    desc, x, a, b = case
+    g = make_group(desc)
+    assert g.translates(x) == [g.add(x, y) for y in g.elements()]
+    assert g.differences(a, b) == list(map(g.sub, a, b))
+    if g.is_field:
+        assert g.times(x, a) == [g.mul(x, y) for y in a]
+
+
+def test_prime_translates_reduce_first():
+    f = make_group(PrimeField(7))
+    assert f.translates(10) == [3, 4, 5, 6, 0, 1, 2]
+    assert f.translates(-2) == [5, 6, 0, 1, 2, 3, 4]
+    assert f.times(-2, [1, 10]) == [5, 1]

@@ -8,7 +8,7 @@ import pytest
 
 from kaleido.algebra import PrimeField, make_group
 from kaleido.cli import main
-from kaleido.compose import dm_to_json, field_dm
+from kaleido.compose import compose_kdf, dm_to_json, field_dm
 from kaleido.designs import (
     DifferenceFamily,
     PairwiseBalancedDesign,
@@ -188,6 +188,42 @@ def test_verify_malformed_documents(target, make, spoil, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def _scope49_obj():
+    """A developed family over F_7 x F_7, whose points are int pairs."""
+    kdf = generate_kdf_from_initial_block(F7, (0, 1, 2, 3, 4, 5, 6))
+    scope = develop(compose_kdf(kdf, kdf, field_dm(F7, 7)))
+    return json.loads(json.dumps(kaleidoscope_to_json(scope)))
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [
+        ([True, 0], "expected an integer element, got True"),
+        ([1.0, 0], "expected an integer element, got 1.0"),
+        ([1], "expected a pair, got [1]"),
+        ([[1], 0], "expected an integer element, got [1]"),
+    ],
+)
+def test_product_points_that_are_no_int_pair(point, message, tmp_path, capsys):
+    obj = _scope49_obj()
+    obj["planes"][0][0] = point
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", "kaleidoscope", "--file", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_product_points_reduce_mod_each_factor(tmp_path, capsys):
+    obj = _scope49_obj()
+    obj["planes"] = [
+        [[a + 7, b - 14] for a, b in row] for row in obj["planes"]
+    ]
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", "kaleidoscope", "--file", str(path)]) == 0
+    assert _out(capsys)["valid"] is True
 
 
 def test_verify_missing_file():
@@ -377,10 +413,10 @@ def test_search_constrained_has_no_jobs_flag(capsys):
         ["search", "parametric", "--q", "37", "--form", "fano-affine",
          "--jobs", "2"],
     ):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unrecognized arguments: ")
+        assert "--jobs" in err
 
 
 def test_search_constrained_budget_with_prefix(capsys):
@@ -622,9 +658,10 @@ def test_reproduce_fast_table(capsys):
     ]
 
 
-def test_reproduce_unknown_table():
-    with pytest.raises(SystemExit):
-        main(["reproduce", "no-such-table"])
+def test_reproduce_unknown_table(capsys):
+    assert main(["reproduce", "no-such-table"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument table: invalid choice")
 
 
 # -- catalog ------------------------------------------------------------------

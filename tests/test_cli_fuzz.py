@@ -5,8 +5,8 @@ df``, ``verify kdf``, ``verify kaleidoscope``, ``verify dm``, ``develop``
 or ``compose kdf``), replaces or deletes one value anywhere in one of
 them, and runs the command in process. Each argument example runs
 ``compose dm``, a ``search`` or ``verify block`` on random values of its
-flags. Any exception escaping ``main`` fails the test, as would a
-traceback on stderr.
+flags, integer flags included. Any exception escaping ``main`` fails the
+test, as would a traceback on stderr.
 """
 
 import io
@@ -138,14 +138,16 @@ def test_malformed_documents_never_raise(case):
         _run(argv)
 
 
-# Argument values. The integer flags get integer text, which argparse
-# passes on, so each example reaches the command's own checks. Orders run
-# over primes, prime powers and non-powers, small enough that a full
-# search stays quick.
+# Argument values. The integer flags mostly get integer text, which
+# argparse passes on, so the example reaches the command's own checks;
+# sometimes they get text that is no integer, which argparse refuses and
+# ``main`` must report as malformed. Orders run over primes, prime powers
+# and non-powers, small enough that a full search stays quick.
+NOT_INTS = st.sampled_from(["x", "1.5", ""])
 ORDERS = st.sampled_from(
     [-7, 0, 1, 2, 4, 6, 7, 8, 9, 12, 13, 16, 19, 25, 27, 31, 37, 49, 64]
-)
-NUMBERS = st.integers(-3, 12)
+) | NOT_INTS
+NUMBERS = st.integers(-3, 12) | NOT_INTS
 TOKENS = st.sampled_from(
     ["0", "1", "2", "3", "5", "-1", "40", "", " ", "x", "1.5", "1,2", "0,0"]
 )

@@ -6,7 +6,6 @@ from kaleido.algebra import PrimeField, make_group
 from kaleido.compose import (
     Catalog,
     DifferenceMatrix,
-    compose_df,
     compose_kdf,
     dm_from_json,
     dm_to_json,
@@ -88,14 +87,6 @@ def test_dm_json_round_trip():
     back = dm_from_json(dm_to_json(m))
     assert back.group == m.group
     assert back.rows == m.rows
-
-
-def test_compose_df():
-    df = DifferenceFamily(F7, 3, 1, (frozenset({0, 1, 3}),))
-    m = field_dm(F7, 3)
-    out = compose_df(df, df, m)
-    assert out.group.order == 49
-    assert out.report().valid
 
 
 def test_compose_kdf_7x7():

@@ -17,7 +17,6 @@ from kaleido.designs import (
     develop,
     df_from_json,
     df_to_json,
-    is_linear_block,
     kaleidoscope_from_json,
     kaleidoscope_to_json,
     kdf_from_json,
@@ -25,15 +24,12 @@ from kaleido.designs import (
     pbd_from_text,
     pbd_to_text,
     replicate,
-    scale_block,
-    translate_block,
     verify_df,
     verify_kaleidoscope,
     verify_kdf,
     verify_pbd,
 )
 from kaleido.errors import (
-    BadVectorLength,
     DuplicateElements,
     MalformedInput,
     NotAUnitalDesign,
@@ -59,7 +55,10 @@ def _fkdf19():
 
 def _hkdf19():
     base = OrderedBlock(HESSE, (0, 1, 2, 3, 7, 16, 8, 4, 10))
-    blocks = tuple(scale_block(base, s, Z19) for s in (1, 7, 11))
+    blocks = tuple(
+        OrderedBlock(HESSE, tuple(Z19.mul(s, x) for x in base.points))
+        for s in (1, 7, 11)
+    )
     return KaleidoscopicDifferenceFamily(Z19, HESSE, blocks, {})
 
 
@@ -127,9 +126,9 @@ def test_verify_kdf_catches_mutation():
 
 
 def test_translate_and_scale():
-    b = OrderedBlock(FANO, (0, 1, 2, 4, 5, 11, 8))
-    assert translate_block(b, 1, Z19).points == (1, 2, 3, 5, 6, 12, 9)
-    assert scale_block(b, 7, Z19).points == (0, 7, 14, 9, 16, 1, 18)
+    points = (0, 1, 2, 4, 5, 11, 8)
+    assert [Z19.translates(x)[1] for x in points] == [1, 2, 3, 5, 6, 12, 9]
+    assert Z19.times(7, points) == [0, 7, 14, 9, 16, 1, 18]
 
 
 def test_develop_counts():
@@ -247,19 +246,6 @@ def test_pbd_text_ignores_comments():
     pbd = pbd_from_text("# header\nv=3\n\n0 1 2\n")
     assert pbd.v == 3
     assert len(pbd.blocks) == 1
-
-
-def test_is_linear_block():
-    # the nonzero vectors of a 3-dimensional space over GF(2)
-    vecs = [1, 2, 3, 4, 5, 6, 7]
-    assert is_linear_block(vecs, 3)
-    assert not is_linear_block([1, 2, 3, 4, 5, 6, 8], 4)
-    with pytest.raises(MalformedInput):
-        is_linear_block([1, 2, 3], 3)
-    with pytest.raises(DuplicateElements):
-        is_linear_block([1, 1, 2, 3, 4, 5, 6], 3)
-    with pytest.raises(BadVectorLength):
-        is_linear_block([1, 2, 3, 4, 5, 6, 8], 3)
 
 
 def test_df_json_round_trip():

@@ -2,8 +2,9 @@
 
 ``designs.dumps`` replaces ``json.dumps(obj, sort_keys=True, indent=1)``
 on every path that writes JSON, so any document must come out with the
-same bytes. The order-133 kaleidoscope text is pinned by its digest in
-``bench/pinned.json`` (read here, never written).
+same bytes. The order-133 kaleidoscope text and the q = 100,003 family
+text are pinned by their digests in ``bench/pinned.json`` (read here,
+never written).
 """
 
 import hashlib
@@ -16,8 +17,11 @@ from hypothesis import strategies as st
 
 from kaleido.algebra import PrimeField, make_group
 from kaleido.compose import compose_kdf, field_dm
-from kaleido.designs import develop, dumps, kaleidoscope_to_json
-from kaleido.search import generate_kdf_from_initial_block
+from kaleido.designs import develop, dumps, kaleidoscope_to_json, kdf_to_json
+from kaleido.search import (
+    asymptotic_initial_block,
+    generate_kdf_from_initial_block,
+)
 
 PINNED = Path(__file__).resolve().parent.parent / "bench" / "pinned.json"
 
@@ -98,3 +102,13 @@ def test_order_133_kaleidoscope_text_is_pinned():
     assert len(scope.planes) == spec["planes"]
     text = dumps(kaleidoscope_to_json(scope))
     assert hashlib.sha256(text.encode()).hexdigest() == spec["sha256"]
+
+
+def test_family_text_at_100003_is_pinned():
+    spec = json.loads(PINNED.read_text())["family"]
+    field = make_group(PrimeField(100003))
+    block = asymptotic_initial_block(field, spec["schema"])
+    kdf = generate_kdf_from_initial_block(field, block.points)
+    text = dumps(kdf_to_json(kdf))
+    want = spec["sha256"]["100003"]
+    assert hashlib.sha256(text.encode()).hexdigest() == want

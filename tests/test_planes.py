@@ -13,9 +13,10 @@ import json
 import pytest
 
 from kaleido import designs
-from kaleido.algebra import PrimeField, make_group
+from kaleido import tables
+from kaleido.algebra import ExtensionField, PrimeField, make_group
 from kaleido.cli import main
-from kaleido.compose import Catalog, pbd_compose
+from kaleido.compose import Catalog, compose_kdf, field_dm, pbd_compose
 from kaleido.designs import (
     Kaleidoscope,
     PairwiseBalancedDesign,
@@ -78,6 +79,22 @@ def test_developed_planes_are_rows_cut_by_the_layout(make):
         assert plane.lines == tuple(
             frozenset(row[i] for i in line) for line in schema.lines
         )
+
+
+def test_develop_over_an_extension_factor_matches_the_element_loop():
+    """Rows built from whole translate columns are the rows x + g, block
+    by block and g in canonical order, over F_19 x F_25."""
+    rec = tables.HESSE_SQUARE_BLOCKS[5]
+    f25 = make_group(ExtensionField(5, rec["modulus"]))
+    right = generate_kdf_from_initial_block(f25, rec["block"])
+    kdf = compose_kdf(_hesse19(), right, field_dm(f25, HESSE.k))
+    group = kdf.group
+    want = [
+        tuple(group.add(x, g) for x in block.points)
+        for block in kdf.blocks
+        for g in group.elements()
+    ]
+    assert [plane.block for plane in develop(kdf).planes] == want
 
 
 def test_decoded_rows_are_rows_cut_by_the_layout():

@@ -34,7 +34,6 @@ from kaleido.designs import (
     kaleidoscope_from_json,
     kaleidoscope_to_json,
     replicate,
-    scale_block,
     verify_df,
     verify_kaleidoscope,
     verify_kdf,
@@ -279,7 +278,10 @@ def test_order_13_fano_candidate_matches():
     # no seven-point family exists at order 13, so this one must fail
     z13 = _prime(13)
     base = OrderedBlock(FANO, (0, 1, 2, 4, 5, 11, 8))
-    blocks = tuple(scale_block(base, s, z13) for s in (1, 2))
+    blocks = tuple(
+        OrderedBlock(FANO, tuple(z13.mul(s, x) for x in base.points))
+        for s in (1, 2)
+    )
     rep = check_kdf(KaleidoscopicDifferenceFamily(z13, FANO, blocks, {}))
     assert not rep.valid
 
