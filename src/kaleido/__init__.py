@@ -71,7 +71,6 @@ from .search import (
     CyclotomicConstraint,
     NonexistenceCertificate,
     Q_BOUNDS,
-    SearchBudget,
     asymptotic_initial_block,
     exhaustive_nonexistence,
     find_constrained_element,

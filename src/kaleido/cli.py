@@ -64,7 +64,6 @@ from .schema import (
 from . import search, tables
 from .search import (
     CyclotomicConstraint,
-    SearchBudget,
     asymptotic_initial_block,
     exhaustive_nonexistence,
     find_constrained_element,
@@ -282,9 +281,7 @@ def _cmd_verify_pbd(args) -> int:
 
 def _cmd_search_parametric(args) -> int:
     field = _field_from_args(args)
-    res = parametric_search(
-        field, args.form, SearchBudget(max_candidates=args.budget)
-    )
+    res = parametric_search(field, args.form, args.budget)
     candidates = field.order
     if args.budget is not None:
         candidates = min(candidates, args.budget)
@@ -387,7 +384,7 @@ def _cmd_search_constrained(args) -> int:
     res = find_constrained_element(
         field,
         _constraints_from_json(field, raw),
-        SearchBudget(max_candidates=args.budget),
+        args.budget,
     )
     out = {
         "found": res.element is not None,

@@ -39,6 +39,7 @@ from .schema import (
     _check_row,
     schema_from_json,
     schema_to_json,
+    validate_schema,
 )
 
 __all__ = [
@@ -218,19 +219,17 @@ def verify_kdf(kdf: KaleidoscopicDifferenceFamily) -> KDFReport:
 
     The blocks, as point sets, must form a (v, k, b) difference family.
     For every color, the lines of that color across all blocks must form a
-    (v, h, 1) difference family. The first condition follows from the
-    second whenever the layout tiles its position pairs; both are checked,
-    from one list of differences per position pair.
+    (v, h, 1) difference family. The colors are counted from one list of
+    differences per position pair. When they all pass and the layout
+    tiles its position pairs, every nonzero element is covered once per
+    color, b times in all, so the family is not counted again; otherwise
+    it is counted from the same lists.
     """
     group = kdf.group
     schema = kdf.schema
     diffs = _position_differences(
         [b.points for b in kdf.blocks], schema.k, group
     )
-    family = Counter()
-    for column in diffs.values():
-        family.update(column)
-    family_report = _df_report(family, group, schema.lambda_underlying, [])
     color_reports = []
     failing = []
     for color, line in enumerate(schema.lines):
@@ -241,6 +240,14 @@ def verify_kdf(kdf: KaleidoscopicDifferenceFamily) -> KDFReport:
         color_reports.append(rep)
         if not rep.valid:
             failing.append(color)
+    lam = schema.lambda_underlying
+    if not failing and validate_schema(schema).valid:
+        family = dict.fromkeys(color_reports[0].coverage, lam)
+    else:
+        family = Counter()
+        for column in diffs.values():
+            family.update(column)
+    family_report = _df_report(family, group, lam, [])
     valid = family_report.valid and not failing
     return KDFReport(valid, family_report, color_reports, failing)
 

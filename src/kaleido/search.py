@@ -22,6 +22,7 @@ import functools
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .algebra import (
@@ -38,16 +39,17 @@ from .algebra import (
 )
 from .designs import KaleidoscopicDifferenceFamily
 from .errors import (
+    BadCongruence,
     DuplicateElements,
     MalformedInput,
     NotAnInitialBlock,
     UnsupportedOrder,
+    ZeroElement,
 )
 from .schema import KaleidoscopeSchema, OrderedBlock, builtin_schema
 
 __all__ = [
     "Q_BOUNDS",
-    "SearchBudget",
     "CyclotomicConstraint",
     "ConstrainedSearchResult",
     "verify_listed_block",
@@ -91,14 +93,6 @@ def _check_jobs(jobs: int) -> None:
 def _check_limit(name: str, limit: Optional[int]) -> None:
     if limit is not None and limit < 0:
         raise MalformedInput(f"{name} must not be negative, got {limit}")
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    max_candidates: Optional[int] = None
-
-    def __post_init__(self):
-        _check_limit("max_candidates", self.max_candidates)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +223,14 @@ def _resolve_class(klass, table: CyclotomicTable) -> int:
     if not match:
         raise MalformedInput(f"bad class label {klass!r}")
     coef = int(match.group(1)) if match.group(1) else 1
-    base = table.class_of_int(2 if match.group(2) == "i" else 3)
+    n = 2 if match.group(2) == "i" else 3
+    try:
+        base = table.class_of_int(n)
+    except ZeroElement:
+        raise MalformedInput(
+            f"class label {klass!r} names the class of {n}, which is zero"
+            " in this field"
+        ) from None
     const = int(match.group(3)) if match.group(3) else 0
     return (coef * base + const) % 3
 
@@ -266,7 +267,7 @@ def _iter_constrained(
 def find_constrained_element(
     field: Group,
     constraints: Sequence[CyclotomicConstraint],
-    budget: Optional[SearchBudget] = None,
+    max_candidates: Optional[int] = None,
 ) -> ConstrainedSearchResult:
     """Canonically smallest element satisfying every class constraint.
 
@@ -276,12 +277,12 @@ def find_constrained_element(
     empty, so either the constraints are mutually inconsistent or
     something upstream is wrong.
     """
+    _check_limit("max_candidates", max_candidates)
     table = CyclotomicTable(field, 3)
     resolved = [(c.shift, _resolve_class(c.klass, table)) for c in constraints]
-    limit = budget.max_candidates if budget else None
     checked = 0
     for x in field.elements():
-        if limit is not None and checked >= limit:
+        if max_candidates is not None and checked >= max_candidates:
             return ConstrainedSearchResult(None, checked, False, False, None)
         checked += 1
         if _meets(field, table, resolved, x):
@@ -303,6 +304,74 @@ def _small_ints(field: Group, n: int) -> list:
     return out
 
 
+def _first_block(field, schema, key, levels, assemble, backtrack, picked=()):
+    """First initial block of a depth-first descent below ``picked``.
+
+    ``levels[m](picked)`` yields the candidates of level m in canonical
+    order, given the tuple of earlier picks. At full depth
+    ``assemble(picked)`` gives the block's point tuple, which is returned
+    as a block if every line spreads. Greedy mode follows the first
+    candidate at every level; backtracking mode tries them all. Returns
+    None when no branch gives a block.
+    """
+    if len(picked) == len(levels):
+        block = OrderedBlock(schema, assemble(picked))
+        return block if _block_is_initial(block, field, key) else None
+    for cand in levels[len(picked)](picked):
+        found = _first_block(field, schema, key, levels, assemble, backtrack,
+                             picked + (cand,))
+        if found is not None or not backtrack:
+            return found
+    return None
+
+
+def _fano_chains(field, table):
+    """Chains for x and y of the block (0, 1, -1, x, -x, y, -y)."""
+    zero, one = field.zero, field.one
+    neg_one = field.neg(one)
+    i = table.class_of_int(2)
+    if i == 0:
+        chains = [
+            lambda _: [(zero, 1), (neg_one, 1), (one, 2)],
+            lambda p: [(neg_one, 0), (field.neg(p[0]), 0), (one, 1),
+                       (zero, 2), (p[0], 2)],
+        ]
+    else:
+        i2 = (2 * i) % 3
+        chains = [
+            lambda _: [(neg_one, 0), (zero, i), (one, i2)],
+            lambda p: [(field.neg(p[0]), 0), (one, i), (p[0], i),
+                       (zero, i2), (neg_one, i2)],
+        ]
+
+    def assemble(p):
+        x, y = p
+        return (zero, one, neg_one, x, field.neg(x), y, field.neg(y))
+
+    return chains, assemble
+
+
+def _hesse_chains(field, table):
+    """Chains for c3..c7 of the block (0, 1, 2, 3, c3, ..., c7)."""
+    small = zero, one, two, three = tuple(_small_ints(field, 3))
+    i, j = table.class_of_int(2), table.class_of_int(3)
+    i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+    chains = [
+        lambda _: [(zero, 0), (three, 0), (one, 1), (two, 2)],
+        lambda c: [(c[0], 0), (zero, 1), (two, 1), (one, 2), (three, 2)],
+        lambda c: [(c[1], 0), (one, 1), (three, 1), (c[0], 2),
+                   (zero, i1), (two, i2)],
+        lambda c: [(c[2], 0), (two, 1), (c[0], 1), (one, 2), (c[1], 2),
+                   (zero, j1), (three, j2)],
+        lambda c: [(c[3], 0), (zero, 1), (c[1], 1), (two, 2), (c[0], 2),
+                   (c[2], 2), (one, i1), (three, i2)],
+    ]
+    return chains, lambda c: small + c
+
+
+_CHAINS = {"fano": _fano_chains, "hesse": _hesse_chains}
+
+
 def asymptotic_initial_block(
     field: Group,
     schema_name: str = "fano",
@@ -312,125 +381,23 @@ def asymptotic_initial_block(
 
     The chains force every line of the assembled block to spread over the
     three classes, so success implies validity. Greedy mode takes the
-    smallest element of each chain and gives up when a chain is empty,
-    which can happen over small fields. Backtracking mode explores all
-    chain members.
+    smallest member of each chain in turn, given the earlier picks, in
+    both layouts, and gives up when a chain is empty, which can happen
+    over small fields. Backtracking mode explores all chain members.
     """
     table = CyclotomicTable(field, 3)
-    if schema_name == "fano":
-        return _asymptotic_fano(field, table, backtrack)
-    if schema_name == "hesse":
-        return _asymptotic_hesse(field, table, backtrack)
-    raise MalformedInput(f"no chain construction for layout {schema_name!r}")
-
-
-def _asymptotic_fano(field, table, backtrack):
-    zero = field.zero
-    one = field.one
-    neg_one = field.neg(one)
-    i = table.class_of_int(2)
-    if i == 0:
-        x_chain = [(zero, 1), (neg_one, 1), (one, 2)]
-
-        def y_chain(xb):
-            return [
-                (neg_one, 0),
-                (field.neg(xb), 0),
-                (one, 1),
-                (zero, 2),
-                (xb, 2),
-            ]
-
-    else:
-        i2 = (2 * i) % 3
-        x_chain = [(neg_one, 0), (zero, i), (one, i2)]
-
-        def y_chain(xb):
-            return [
-                (field.neg(xb), 0),
-                (one, i),
-                (xb, i),
-                (zero, i2),
-                (neg_one, i2),
-            ]
-
-    schema = builtin_schema("fano")
-    for xb in _iter_constrained(field, table, x_chain):
-        for yb in _iter_constrained(field, table, y_chain(xb)):
-            block = OrderedBlock(
-                schema,
-                (zero, one, neg_one, xb, field.neg(xb), yb, field.neg(yb)),
-            )
-            if _block_is_initial(block, field, table.index):
-                return block
-        if not backtrack:
-            return None
-    return None
-
-
-def _asymptotic_hesse(field, table, backtrack):
-    zero, one, two, three = _small_ints(field, 3)
-    i = table.class_of_int(2)
-    j = table.class_of_int(3)
-
-    def c3(_):
-        return [(zero, 0), (three, 0), (one, 1), (two, 2)]
-
-    def c4(bs):
-        return [(bs[0], 0), (zero, 1), (two, 1), (one, 2), (three, 2)]
-
-    def c5(bs):
-        return [
-            (bs[1], 0),
-            (one, 1),
-            (three, 1),
-            (bs[0], 2),
-            (zero, (i + 1) % 3),
-            (two, (i + 2) % 3),
-        ]
-
-    def c6(bs):
-        return [
-            (bs[2], 0),
-            (two, 1),
-            (bs[0], 1),
-            (one, 2),
-            (bs[1], 2),
-            (zero, (j + 1) % 3),
-            (three, (j + 2) % 3),
-        ]
-
-    def c7(bs):
-        return [
-            (bs[3], 0),
-            (zero, 1),
-            (bs[1], 1),
-            (two, 2),
-            (bs[0], 2),
-            (bs[2], 2),
-            (one, (i + 1) % 3),
-            (three, (i + 2) % 3),
-        ]
-
-    chains = [c3, c4, c5, c6, c7]
-    schema = builtin_schema("hesse")
-
-    def descend(bs: tuple) -> Optional[OrderedBlock]:
-        if len(bs) == 5:
-            block = OrderedBlock(schema, (zero, one, two, three) + bs)
-            if _block_is_initial(block, field, table.index):
-                return block
-            return None
-        chain = chains[len(bs)](bs)
-        for cand in _iter_constrained(field, table, chain):
-            found = descend(bs + (cand,))
-            if found is not None:
-                return found
-            if not backtrack:
-                return None
-        return None
-
-    return descend(())
+    if field.order % 6 != 1:
+        # In characteristic 2 the chains name the class of 2, which is 0.
+        raise BadCongruence(f"field order {field.order} is not 1 mod 6")
+    if schema_name not in _CHAINS:
+        raise MalformedInput(
+            f"no chain construction for layout {schema_name!r}"
+        )
+    chains, assemble = _CHAINS[schema_name](field, table)
+    levels = [lambda p, c=c: _iter_constrained(field, table, c(p))
+              for c in chains]
+    return _first_block(field, builtin_schema(schema_name), table.index,
+                        levels, assemble, backtrack)
 
 
 def prefix_block_search(
@@ -455,39 +422,35 @@ def prefix_block_search(
         raise DuplicateElements("prefix has a repeated point")
     if len(pts) >= schema.k:
         raise MalformedInput("prefix fills the whole block")
+    # per position: a getter of the points of each line ending there
     checks_at = [
-        [line for line in schema.lines if max(line) == m]
+        [itemgetter(*line) for line in schema.lines if max(line) == m]
         for m in range(schema.k)
     ]
     for m in range(len(pts)):
         for line in checks_at[m]:
-            if not _line_spreads(tuple(pts[q] for q in line), field, key):
+            if not _line_spreads(line(pts), field, key):
                 return None
+    start = tuple(pts)
     used = set(pts)
     elems = field.elements()
 
-    def descend(m: int) -> bool:
-        if m == schema.k:
-            return True
+    def extend(_picked):
+        # ``pts`` and ``used`` hold the branch: the descent resumes the
+        # innermost level first, so each level undoes its own pick.
+        lines = checks_at[len(pts)]
         for cand in elems:
             if cand in used:
                 continue
             pts.append(cand)
-            ok = all(
-                _line_spreads(tuple(pts[q] for q in line), field, key)
-                for line in checks_at[m]
-            )
-            if ok:
+            if all(_line_spreads(line(pts), field, key) for line in lines):
                 used.add(cand)
-                if descend(m + 1):
-                    return True
+                yield cand
                 used.discard(cand)
             pts.pop()
-        return False
 
-    if descend(len(pts)):
-        return OrderedBlock(schema, tuple(pts))
-    return None
+    levels = [extend] * (schema.k - len(start))
+    return _first_block(field, schema, key, levels, start.__add__, True)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +541,7 @@ def _try_form_candidate(field, key, form, x):
 def parametric_search(
     field: Group,
     form: str,
-    budget: Optional[SearchBudget] = None,
+    max_candidates: Optional[int] = None,
 ) -> Optional[ParametricResult]:
     """Smallest parameter x whose block form is a valid initial block.
 
@@ -586,11 +549,12 @@ def parametric_search(
     line list and then confirmed in full. Returns none when no x works,
     or when ``max_candidates`` runs out before one does.
     """
+    _check_limit("max_candidates", max_candidates)
     if form not in _FORMS:
         raise MalformedInput(f"unknown form {form!r}")
     elems = field.elements()
-    if budget is not None and budget.max_candidates is not None:
-        elems = elems[: budget.max_candidates]
+    if max_candidates is not None:
+        elems = elems[:max_candidates]
     key = cubic_character(field)
     for idx, x in enumerate(elems):
         pts = _try_form_candidate(field, key, form, x)
@@ -848,11 +812,12 @@ def serial_sweep_reason(mode: str, max_nodes: Optional[int]) -> Optional[str]:
     return None
 
 
-def _sweep_worker(payload):
-    v, schema_name, prefix = payload
-    sweep = _Sweep(v, builtin_schema(schema_name), "count")
+def _sweep_subtree(payload):
+    """Sweep one subtree: (nodes, solutions, first, budget_hit)."""
+    v, schema_name, mode, prefix, max_nodes = payload
+    sweep = _Sweep(v, builtin_schema(schema_name), mode, max_nodes)
     sweep.run(prefix=prefix)
-    return sweep.nodes, sweep.solutions, sweep.first
+    return sweep.nodes, sweep.solutions, sweep.first, sweep.budget_hit
 
 
 def exhaustive_nonexistence(
@@ -903,39 +868,36 @@ def exhaustive_nonexistence(
     total_nodes = sweep.nodes
     solutions = 0
     first = None
-    exhausted = not sweep.budget_hit
-    if exhausted and jobs > 1 and len(prefixes) > 1:
-        payloads = [(v, schema_name, p) for p in prefixes]
+
+    def payloads():
+        # Read lazily by the serial map, so each subtree gets the budget
+        # the earlier ones left; a spent budget stops the sweep.
+        for prefix in prefixes:
+            remaining = None if max_nodes is None else max_nodes - total_nodes
+            if remaining is not None and remaining <= 0:
+                return
+            yield v, schema_name, mode, prefix, remaining
+
+    if jobs > 1 and len(prefixes) > 1:
         # About four batches per process: few round trips, yet a process
         # that drew small subtrees still takes another batch.
-        chunksize = -(-len(payloads) // (4 * jobs))
+        chunksize = -(-len(prefixes) // (4 * jobs))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(_sweep_worker, payloads, chunksize=chunksize)
-            for nodes, sols, fst in results:
-                total_nodes += nodes
-                solutions += sols
-                if first is None and fst is not None:
-                    first = fst
-    elif exhausted:
-        for prefix in prefixes:
-            remaining = None
-            if max_nodes is not None:
-                remaining = max_nodes - total_nodes
-                if remaining <= 0:
-                    exhausted = False
-                    break
-            cont = _Sweep(v, schema, mode, remaining)
-            cont.run(prefix=prefix)
-            total_nodes += cont.nodes
-            solutions += cont.solutions
-            if first is None and cont.first is not None:
-                first = cont.first
-            if cont.budget_hit:
-                exhausted = False
-                break
-            if mode == "exists" and cont.solutions:
-                exhausted = False
-                break
+            results = list(
+                pool.map(_sweep_subtree, payloads(), chunksize=chunksize)
+            )
+    else:
+        results = map(_sweep_subtree, payloads())
+    finished = 0
+    for nodes, sols, fst, budget_hit in results:
+        total_nodes += nodes
+        solutions += sols
+        if first is None:
+            first = fst
+        if budget_hit or (mode == "exists" and sols):
+            break
+        finished += 1
+    exhausted = not sweep.budget_hit and finished == len(prefixes)
     return NonexistenceCertificate(
         v=v,
         schema=schema_name,

@@ -14,8 +14,9 @@ from . import search
 from .algebra import ExtensionField, PrimeField, make_group
 
 # Smallest x for which (0, 1, 2, x, x+1, x^2+x, 2x) is an initial block
-# over the prime field of that order. Covers every prime = 1 (mod 6)
-# from 37 through 577 that has one.
+# over the prime field of that order, for primes = 1 (mod 6) from 37
+# through 577. Six primes in that range have a witness that is not
+# stored: 211, 337, 379, 421, 463 and 547 (x = 173, 51, 16, 21, 37, 118).
 FANO_AFFINE_PRIMES = {
     37: 13,
     67: 61,
@@ -154,7 +155,7 @@ HESSE_PRIME_X = {
 
 # Primes = 1 (mod 6) up to 1000 where the power form has no witness.
 HESSE_EXCEPTIONAL_PRIMES = (
-    13, 31, 37, 43, 61, 67, 73, 79, 109, 127, 151, 157, 193, 199,
+    7, 13, 19, 31, 37, 43, 61, 67, 73, 79, 109, 127, 151, 157, 193, 199,
     211, 241, 271, 283, 337, 349, 367, 463, 733, 751, 811, 937,
 )
 

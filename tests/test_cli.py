@@ -623,6 +623,26 @@ def test_search_negative_budget(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["asymptotic", "--q", "64"], "field order 64 is not 1 mod 6"),
+        (["asymptotic", "--q", "16"], "field order 16 is not 1 mod 6"),
+        (["asymptotic", "--q", "16", "--schema", "hesse"],
+         "field order 16 is not 1 mod 6"),
+        (["constrained", "--q", "16", "--constraints",
+          '[{"shift": [0, 0, 0, 0], "class": "i"}]'],
+         "class label 'i' names the class of 2, which is zero"),
+    ],
+)
+def test_search_in_characteristic_two_names_the_cause(argv, message, capsys):
+    # 2 = 0 here, so the chains' "class of 2" does not exist
+    assert main(["search", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
     "extra,rc,reason",
     [
         (["--v", "13", "--max-nodes", "1000"], 1, "node budget"),

@@ -13,6 +13,9 @@ from kaleido.algebra import (
     CyclotomicTable,
     ExtensionField,
     PrimeField,
+    element_encoder,
+    find_irreducible,
+    is_prime,
     make_group,
 )
 from kaleido.designs import verify_kdf
@@ -29,7 +32,6 @@ from kaleido.search import (
     HESSE_POWERS,
     Q_BOUNDS,
     CyclotomicConstraint,
-    SearchBudget,
     asymptotic_initial_block,
     exhaustive_nonexistence,
     find_constrained_element,
@@ -157,7 +159,7 @@ def test_find_constrained_budget():
     res = find_constrained_element(
         F19,
         [CyclotomicConstraint(0, 2)],
-        budget=SearchBudget(max_candidates=1),
+        max_candidates=1,
     )
     assert res.element is None
     assert res.checked == 1
@@ -276,6 +278,39 @@ def test_prefix_search_dead_prefix():
     assert prefix_block_search(F19, "fano", prefix=(0, 1, 2, 3)) is None
 
 
+def _block_searches(field) -> list:
+    """Both chain layouts in both modes, then both prefix searches."""
+    enc = element_encoder(field)
+
+    def points(block):
+        return None if block is None else [enc(x) for x in block.points]
+
+    return [
+        [points(asymptotic_initial_block(field, name, backtrack))
+         for name in ("fano", "hesse") for backtrack in (False, True)],
+        [points(prefix_block_search(field, name))
+         for name in ("fano", "hesse")],
+    ]
+
+
+def test_block_searches_pinned():
+    """Every chain and prefix search over 90 fields, as one digest.
+
+    The digest was taken before the searches shared one descent: the 80
+    primes = 1 (mod 6) below 1000, then eight prime squares and two prime
+    cubes on their canonical moduli.
+    """
+    fields = [make_group(PrimeField(p)) for p in range(7, 1000, 6)
+              if is_prime(p)]
+    for p, d in ((5, 2), (11, 2), (17, 2), (7, 2), (13, 2), (23, 2),
+                 (29, 2), (7, 3), (13, 3), (41, 2)):
+        fields.append(make_group(ExtensionField(p, find_irreducible(p, d))))
+    assert len(fields) == 90
+    assert _digest([_block_searches(f) for f in fields]) == (
+        "bd5b019af42ba6a23f933614e930a120f878438618b032ff2f957809fb49a20f"
+    )
+
+
 # -- parametric forms ---------------------------------------------------------
 
 
@@ -302,9 +337,7 @@ def test_parametric_misses_small_primes(p):
 
 def test_parametric_budget_cuts_off():
     f37 = make_group(PrimeField(37))
-    res = parametric_search(
-        f37, FANO_AFFINE, budget=SearchBudget(max_candidates=5)
-    )
+    res = parametric_search(f37, FANO_AFFINE, max_candidates=5)
     assert res is None
 
 
@@ -463,11 +496,17 @@ def test_sweep_rejects_bad_arguments():
 
 
 def test_search_budget_rejects_bad_arguments():
+    f37 = make_group(PrimeField(37))
+    chain = [CyclotomicConstraint(0, 2)]
     with pytest.raises(TypeError):
-        SearchBudget(jobs=2)
+        parametric_search(f37, FANO_AFFINE, jobs=2)
     with pytest.raises(MalformedInput):
-        SearchBudget(max_candidates=-1)
-    assert SearchBudget(max_candidates=0).max_candidates == 0
+        parametric_search(f37, FANO_AFFINE, max_candidates=-1)
+    with pytest.raises(MalformedInput):
+        find_constrained_element(f37, chain, max_candidates=-1)
+    assert parametric_search(f37, FANO_AFFINE, max_candidates=0) is None
+    res = find_constrained_element(f37, chain, max_candidates=0)
+    assert res.element is None and res.checked == 0 and not res.exhausted
 
 
 def test_serial_sweep_reason():

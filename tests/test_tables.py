@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 
 from kaleido import tables
+from kaleido.algebra import PrimeField, is_prime, make_group
 from kaleido.cli import main
+from kaleido.search import FANO_AFFINE, HESSE_POWERS, parametric_search
 
 PINNED = Path(__file__).resolve().parent.parent / "bench" / "pinned.json"
 
@@ -124,3 +126,27 @@ def test_a_record_off_by_one_is_caught(table_id, kind, spoil, monkeypatch,
     captured = capsys.readouterr()
     assert json.loads(captured.out)["all_valid"] is False
     assert "MISMATCH" in captured.err
+
+
+def _smallest_x(p: int, form: str):
+    res = parametric_search(make_group(PrimeField(p)), form)
+    return None if res is None else res.x
+
+
+def test_witness_table_comments_match_a_rescan():
+    primes = [p for p in range(7, 1000, 6) if is_prime(p)]
+    affine = {
+        p: _smallest_x(p, FANO_AFFINE) for p in primes if 37 <= p <= 577
+    }
+    found = {p: x for p, x in affine.items() if x is not None}
+    stored = tables.FANO_AFFINE_PRIMES
+    assert {p: x for p, x in found.items() if p in stored} == stored
+    assert {p: x for p, x in found.items() if p not in stored} == {
+        211: 173, 337: 51, 379: 16, 421: 21, 463: 37, 547: 118,
+    }
+    assert [p for p in affine if p not in found] == [
+        p for p in tables.FANO_AFFINE_EXCEPTIONS if p >= 37
+    ]
+    assert tuple(
+        p for p in primes if _smallest_x(p, HESSE_POWERS) is None
+    ) == tables.HESSE_EXCEPTIONAL_PRIMES
