@@ -95,6 +95,15 @@ def _check_limit(name: str, limit: Optional[int]) -> None:
         raise MalformedInput(f"{name} must not be negative, got {limit}")
 
 
+def _check_block_field(field: Group) -> None:
+    # A block scales into a family only when q = 1 (mod 6): 3 must divide
+    # q - 1 for the cube classes, and q must be odd for the plus-minus
+    # cosets the transversal tiles. In characteristic 2 the chains would
+    # also name the class of 2, which is 0.
+    if field.order % 6 != 1:
+        raise BadCongruence(f"field order {field.order} is not 1 mod 6")
+
+
 # ---------------------------------------------------------------------------
 # the core predicate
 
@@ -385,10 +394,8 @@ def asymptotic_initial_block(
     both layouts, and gives up when a chain is empty, which can happen
     over small fields. Backtracking mode explores all chain members.
     """
+    _check_block_field(field)
     table = CyclotomicTable(field, 3)
-    if field.order % 6 != 1:
-        # In characteristic 2 the chains name the class of 2, which is 0.
-        raise BadCongruence(f"field order {field.order} is not 1 mod 6")
     if schema_name not in _CHAINS:
         raise MalformedInput(
             f"no chain construction for layout {schema_name!r}"
@@ -411,7 +418,11 @@ def prefix_block_search(
     canonical order; each line is tested the moment its last position is
     placed. The default prefix pins the first small elements, which costs
     generality but finds blocks quickly wherever they are plentiful.
+    Fields of order other than 1 (mod 6) are refused, as by
+    ``asymptotic_initial_block``: no block over them scales into a
+    family.
     """
+    _check_block_field(field)
     schema = builtin_schema(schema_name) if isinstance(schema_name, str) else schema_name
     key = CyclotomicTable(field, 3).index
     if prefix is None:
@@ -695,6 +706,18 @@ class _Sweep:
     time, so the same candidates pass in the same order and the tree, its
     node count and its solution order are those of the direct
     computation.
+
+    A node also looks one position ahead (forward checking) where the
+    next position is in the same block, is neither the end nor the
+    collecting depth, and has no line reading this position. Each color
+    has one line per block, so the pick here changes neither the masks
+    nor the row entries those lines read: every child's candidate set is
+    one value ``nxt``, computed once per node, less the child's own bit.
+    A sibling whose set is empty is counted as a node and not entered;
+    when ``nxt`` is 0 all siblings are counted at once, the count cut at
+    the node budget. Those children would have found no candidate, so
+    the tree, its node count, its solutions and the budget's cut point
+    are the same.
     """
 
     def __init__(self, v: int, schema: KaleidoscopeSchema, mode: str,
@@ -749,6 +772,18 @@ class _Sweep:
             else every
             for depth, slot in enumerate(self.slots)
         ]
+        # per depth: the checks of the next position when the pick here
+        # cannot change them, else None
+        self._ahead = []
+        for depth, (r, pos) in enumerate(self.slots):
+            child = depth + 1
+            ahead = None
+            if child not in (stop_depth, len(self.slots)):
+                r2, pos2 = self.slots[child]
+                checks = self.checks_at[pos2]
+                if r2 == r and all(pos not in qs for _, *qs in checks):
+                    ahead = checks
+            self._ahead.append(ahead)
         self._descend(0)
 
     def _descend(self, depth: int):
@@ -778,18 +813,34 @@ class _Sweep:
             mask = masks[color]
             free &= cands[mask]
             checks.append((color, classes, mask))
+        # every child's candidates, less its own bit; -1 when not known
+        nxt = -1
+        ahead = self._ahead[depth]
+        if ahead is not None:
+            nxt = self._allowed[depth + 1] & ~used
+            for color, q1, q2 in ahead:
+                nxt &= table[row[q1] * v + row[q2]][0][masks[color]]
         counted = depth >= self._replay
         limit = self.max_nodes
+        if not nxt and counted:
+            self.nodes += free.bit_count()
+            if limit is not None and self.nodes > limit:
+                self.nodes = limit
+                self.stopped = True
+                self.budget_hit = True
+            return
         while free:
             bit = free & -free
             free ^= bit
-            val = bit.bit_length() - 1
             if counted:
                 if limit is not None and self.nodes >= limit:
                     self.stopped = True
                     self.budget_hit = True
                     return
                 self.nodes += 1
+            if not nxt & ~bit:
+                continue
+            val = bit.bit_length() - 1
             # entries past this position are stale and never read
             row[pos] = val
             self.used[r] = used | bit
@@ -836,7 +887,7 @@ def exhaustive_nonexistence(
     certificate. Exists mode stops at the first family. The heavier
     combinations, the nine-point layout at v >= 13 and anything at
     v = 19, must be opted into or given a node budget: nine points at
-    v = 13 visit 96,605,589 nodes (about 64 s on two cores), and seven
+    v = 13 visit 96,605,589 nodes (about 15 s on two cores), and seven
     points at v = 19 an estimated 6.6e9. Exists mode and a node budget
     run in one process (see ``serial_sweep_reason``).
     """

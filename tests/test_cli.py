@@ -632,14 +632,37 @@ def test_search_negative_budget(capsys):
         (["constrained", "--q", "16", "--constraints",
           '[{"shift": [0, 0, 0, 0], "class": "i"}]'],
          "class label 'i' names the class of 2, which is zero"),
+        (["constrained", "--q", "64", "--schema", "fano", "--prefix", ""],
+         "field order 64 is not 1 mod 6"),
+        (["constrained", "--q", "16", "--schema", "hesse", "--prefix", ""],
+         "field order 16 is not 1 mod 6"),
     ],
 )
 def test_search_in_characteristic_two_names_the_cause(argv, message, capsys):
-    # 2 = 0 here, so the chains' "class of 2" does not exist
+    # 2 = 0 here, so the chains' "class of 2" does not exist, and no
+    # block scales into a family
     assert main(["search", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["asymptotic", "--q", "5"],
+        ["asymptotic", "--q", "5", "--schema", "hesse", "--backtrack"],
+        ["constrained", "--q", "5", "--schema", "fano", "--prefix", ""],
+        ["constrained", "--q", "11", "--prefix", ""],
+    ],
+)
+def test_block_search_names_the_missing_congruence(argv, capsys):
+    """One wording whether 3 fails to divide q - 1 or q is even."""
+    assert main(["search", *argv]) == 2
+    captured = capsys.readouterr()
+    q = argv[argv.index("--q") + 1]
+    assert captured.out == ""
+    assert captured.err == f"error: field order {q} is not 1 mod 6\n"
 
 
 @pytest.mark.parametrize(

@@ -673,8 +673,8 @@ _NORMS = [
 
 @pytest.mark.slow
 def test_sweep_v13_nine_points_exhausted():
-    """The nine-point tree at order 13 in full: no cyclic family. About a
-    minute on two cores; run with --run-slow."""
+    """The nine-point tree at order 13 in full: no cyclic family. About
+    15 s on two cores; run with --run-slow."""
     cert = exhaustive_nonexistence(13, "hesse", jobs=2, allow_long=True)
     assert cert.to_json() == {
         "v": 13, "schema": "hesse", "blocks": 2, "normalizations": _NORMS,
@@ -706,3 +706,155 @@ def test_sweep_v13_nine_points_exhausted():
 )
 def test_budgeted_sweep_certificates_pinned(kwargs, want):
     assert exhaustive_nonexistence(**kwargs).to_json() == want
+
+
+# -- the sweep against a plain descent ---------------------------------------
+
+
+def _plain_sweep(v, schema_name, prefix=(), max_nodes=None, stop_depth=None):
+    """The sweep straight from the differences, with no candidate table
+    and no lookahead.
+
+    Entries are tried in ascending order, each unlike its block's earlier
+    ones, and a line is checked at its last position: its three
+    differences must be nonzero, lie in three distinct classes {d, v - d}
+    and miss every class its color already holds. Every block starts with
+    0 and the first block's second entry is 1. ``prefix`` entries are
+    replayed and not counted. Returns (nodes, solutions, first,
+    budget_hit, the entries of every path reaching ``stop_depth``).
+    """
+    schema = builtin_schema(schema_name)
+    k = schema.k
+    t = (v - 1) // (schema.h * (schema.h - 1))
+    slots = [(r, pos) for r in range(t) for pos in range(k)]
+    fixed = {(r, 0): 0 for r in range(t)}
+    fixed[(0, 1)] = 1
+    ending = [
+        [(c, line) for c, line in enumerate(schema.lines) if max(line) == pos]
+        for pos in range(k)
+    ]
+    rows = [[None] * k for _ in range(t)]
+    held = [set() for _ in schema.lines]
+    out = {"nodes": 0, "solutions": 0, "first": None, "hit": False}
+    paths = []
+
+    def descend(depth):
+        """True when the budget stops the sweep."""
+        if depth == stop_depth:
+            paths.append(tuple(rows[r][pos] for r, pos in slots[:depth]))
+            return False
+        if depth == len(slots):
+            out["solutions"] += 1
+            if out["first"] is None:
+                out["first"] = tuple(map(tuple, rows))
+            return False
+        r, pos = slots[depth]
+        row = rows[r]
+        if depth < len(prefix):
+            values = [prefix[depth]]
+        elif (r, pos) in fixed:
+            values = [fixed[r, pos]]
+        else:
+            values = range(v)
+        for val in values:
+            if val in row[:pos]:
+                continue
+            row[pos] = val
+            new = []
+            for color, (a, b, c) in ending[pos]:
+                diffs = [(row[a] - row[b]) % v, (row[a] - row[c]) % v,
+                         (row[b] - row[c]) % v]
+                classes = {min(d, v - d) for d in diffs}
+                if 0 in diffs or len(classes) < 3 or classes & held[color]:
+                    break
+                new.append((color, classes))
+            else:
+                if depth >= len(prefix):
+                    if max_nodes is not None and out["nodes"] >= max_nodes:
+                        out["hit"] = True
+                        return True
+                    out["nodes"] += 1
+                for color, classes in new:
+                    held[color] |= classes
+                stop = descend(depth + 1)
+                for color, classes in new:
+                    held[color] -= classes
+                if stop:
+                    return True
+        return False
+
+    descend(0)
+    return out["nodes"], out["solutions"], out["first"], out["hit"], paths
+
+
+def _swept(v, schema_name, prefix=(), max_nodes=None, stop_depth=None):
+    """``_plain_sweep``'s answer from the sweep."""
+    sweep = search_module._Sweep(v, builtin_schema(schema_name), "count",
+                                 max_nodes)
+    paths = []
+    sweep.run(prefix=prefix, stop_depth=stop_depth, collect=paths)
+    return sweep.nodes, sweep.solutions, sweep.first, sweep.budget_hit, paths
+
+
+def test_plain_sweep_matches_the_sweep_at_v7():
+    """The plain descent gives the brute-force figures of
+    ``test_sweep_v7_matches_brute_force``, and the sweep agrees with it
+    under every budget, which also cuts the solutions found."""
+    first = ((0, 1, 2, 3, 4, 5, 6),)
+    assert _plain_sweep(7, "fano") == (43, 8, first, False, [])
+    assert _plain_sweep(7, "fano", max_nodes=20)[:4] == (20, 3, first, True)
+    for budget in range(45):
+        want = _plain_sweep(7, "fano", max_nodes=budget)
+        assert _swept(7, "fano", max_nodes=budget) == want, budget
+
+
+@pytest.mark.parametrize(
+    "v,schema_name", [(7, "fano"), (13, "fano"), (13, "hesse"), (19, "fano")]
+)
+def test_sweep_top_levels_match_plain_descent(v, schema_name):
+    """The paths to every depth down to the subtree split."""
+    top = search_module._Sweep(v, builtin_schema(schema_name), "count")
+    for depth in range(1, top.split_depth() + 1):
+        want = _plain_sweep(v, schema_name, stop_depth=depth)
+        assert _swept(v, schema_name, stop_depth=depth) == want, depth
+
+
+def _subtrees(v, schema_name, count, seed):
+    top = search_module._Sweep(v, builtin_schema(schema_name), "count")
+    prefixes = []
+    top.run(stop_depth=top.split_depth(), collect=prefixes)
+    return random.Random(seed).sample(prefixes, count)
+
+
+def test_sweep_v13_subtrees_match_plain_descent():
+    """Both the lookahead's skipped calls and its counts taken at once
+    happen at order 13 (not at 7): whole subtrees, budgets around their
+    ends, seeded budgets inside, and paths collected in the second block,
+    where the lookahead must not skip the collecting depth."""
+    rng = random.Random(1301)
+    for prefix in _subtrees(13, "fano", 16, 13):
+        whole = _plain_sweep(13, "fano", prefix)
+        assert _swept(13, "fano", prefix) == whole, prefix
+        for depth in (9, 10, 11):
+            want = _plain_sweep(13, "fano", prefix, stop_depth=depth)
+            assert _swept(13, "fano", prefix, stop_depth=depth) == want
+        size = whole[0]
+        budgets = {0, 1, size - 1, size}
+        budgets.update(rng.randrange(size) for _ in range(3))
+        for budget in budgets:
+            want = _plain_sweep(13, "fano", prefix, budget)
+            assert _swept(13, "fano", prefix, budget) == want, (prefix, budget)
+
+
+@pytest.mark.parametrize(
+    "v,schema_name,count", [(19, "fano", 5), (13, "hesse", 3)]
+)
+def test_deep_subtrees_match_plain_descent(v, schema_name, count):
+    """Subtrees too large to sweep here in full, under seeded budgets."""
+    rng = random.Random(v)
+    for prefix in _subtrees(v, schema_name, count, v):
+        for budget in (rng.randrange(20_000), rng.randrange(20_000)):
+            want = _plain_sweep(v, schema_name, prefix, budget)
+            assert want[3], (prefix, budget)
+            got = _swept(v, schema_name, prefix, budget)
+            assert got == want, (prefix, budget)
