@@ -3,6 +3,13 @@
 Results go to stdout as JSON with sorted keys; one human-readable status
 line goes to stderr. Exit status is 0 for valid or found, 1 for invalid
 or not found, 2 for malformed input.
+
+Every ``_cmd_*`` handler returns ``(result, note, ok)``: the JSON result,
+the stderr note ("" for none) and whether the outcome is valid or found.
+Only ``main`` turns that triple into output and an exit code, and a
+``KaleidoError`` or ``ValueError`` into an ``error:`` line and exit 2.
+The one line a handler writes itself is the note of ``nonexistence``,
+before its result, that the sweep ran on fewer jobs than asked.
 """
 
 from __future__ import annotations
@@ -78,8 +85,10 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_MALFORMED = 2
 
+Outcome = tuple[dict, str, bool]  # (result, note, ok) of a handler
 
-def _emit(obj: dict, note: str = "") -> None:
+
+def _emit(obj: dict, note: str) -> None:
     print(dumps(obj))
     if note:
         print(note, file=sys.stderr)
@@ -87,11 +96,7 @@ def _emit(obj: dict, note: str = "") -> None:
 
 def _load_json(path: str) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as err:
-        raise MalformedInput(f"{path}: {err}") from None
-    try:
-        return json.loads(text)
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as err:
         raise MalformedInput(f"{path}: {err}") from None
 
@@ -170,74 +175,40 @@ def _catalog_from_args(args) -> Catalog:
 # ---------------------------------------------------------------------------
 # verify
 
-
-def _cmd_verify_df(args) -> int:
-    df = df_from_json(_load_json(args.file))
-    rep = df.report()
-    _emit(
-        {"kind": "df", "valid": rep.valid, "summary": rep.summary()},
-        rep.summary(),
-    )
-    return EXIT_OK if rep.valid else EXIT_INVALID
-
-
-def _cmd_verify_kdf(args) -> int:
-    kdf = kdf_from_json(_load_json(args.file))
-    rep = verify_kdf(kdf)
-    _emit(
-        {
-            "kind": "kdf",
-            "valid": rep.valid,
-            "summary": rep.summary(),
-            "failing_colors": list(rep.failing_colors),
-        },
-        rep.summary(),
-    )
-    return EXIT_OK if rep.valid else EXIT_INVALID
+# target -> decode and check a document, giving a report with valid and
+# summary(). Each entry looks its functions up in this module when it is
+# called, so a tracer that rebinds them (bench/tracing.py) sees the calls.
+_REPORTS = {
+    "df": lambda o: df_from_json(o).report(),
+    "kdf": lambda o: verify_kdf(kdf_from_json(o)),
+    "kaleidoscope": lambda o: verify_kaleidoscope(kaleidoscope_from_json(o)),
+    "dm": lambda o: verify_dm(dm_from_json(o)),
+}
 
 
-def _cmd_verify_kaleidoscope(args) -> int:
-    scope = kaleidoscope_from_json(_load_json(args.file))
-    rep = verify_kaleidoscope(scope)
-    _emit(
-        {
-            "kind": "kaleidoscope",
-            "valid": rep.valid,
-            "summary": rep.summary(),
-        },
-        rep.summary(),
-    )
-    return EXIT_OK if rep.valid else EXIT_INVALID
+def _cmd_verify_report(args) -> Outcome:
+    rep = _REPORTS[args.target](_load_json(args.file))
+    out = {"kind": args.target, "valid": rep.valid, "summary": rep.summary()}
+    if args.target == "kdf":
+        out["failing_colors"] = list(rep.failing_colors)
+    return out, rep.summary(), rep.valid
 
 
-def _cmd_verify_dm(args) -> int:
-    m = dm_from_json(_load_json(args.file))
-    rep = verify_dm(m)
-    _emit(
-        {"kind": "dm", "valid": rep.valid, "summary": rep.summary()},
-        rep.summary(),
-    )
-    return EXIT_OK if rep.valid else EXIT_INVALID
-
-
-def _cmd_verify_block(args) -> int:
+def _cmd_verify_block(args) -> Outcome:
     field = _field_from_args(args)
     pts = _parse_block(field, args.block)
     schema = _schema_from_arg(args.schema) if args.schema else None
     ok = verify_listed_block(field, pts, schema)
-    _emit(
-        {
-            "kind": "block",
-            "q": field.order,
-            "block": [element_to_json(field, x) for x in pts],
-            "valid": ok,
-        },
-        "initial block" if ok else "not an initial block",
-    )
-    return EXIT_OK if ok else EXIT_INVALID
+    out = {
+        "kind": "block",
+        "q": field.order,
+        "block": [element_to_json(field, x) for x in pts],
+        "valid": ok,
+    }
+    return out, "initial block" if ok else "not an initial block", ok
 
 
-def _cmd_verify_schema(args) -> int:
+def _cmd_verify_schema(args) -> Outcome:
     if args.schema in ("fano", "hesse"):
         schema = builtin_schema(args.schema)
     elif args.schema:
@@ -248,38 +219,34 @@ def _cmd_verify_schema(args) -> int:
     else:
         raise MalformedInput("pass --schema with a name or a file")
     rep = validate_schema(schema)
-    _emit(
-        {
-            "kind": "schema",
-            "name": schema.name,
-            "valid": rep.valid,
-            "first_violation": rep.first_violation,
-        },
-        "valid layout" if rep.valid else f"violation: {rep.first_violation}",
-    )
-    return EXIT_OK if rep.valid else EXIT_INVALID
+    out = {
+        "kind": "schema",
+        "name": schema.name,
+        "valid": rep.valid,
+        "first_violation": rep.first_violation,
+    }
+    note = "valid layout" if rep.valid else f"violation: {rep.first_violation}"
+    return out, note, rep.valid
 
 
-def _cmd_verify_pbd(args) -> int:
+def _cmd_verify_pbd(args) -> Outcome:
     pbd = pbd_from_text(_read_text(args.file))
     rep = verify_pbd(pbd)
-    _emit(
-        {
-            "kind": "pbd",
-            "v": pbd.v,
-            "valid": rep.valid,
-            "first_violation": rep.first_violation,
-        },
-        "valid" if rep.valid else f"violation: {rep.first_violation}",
-    )
-    return EXIT_OK if rep.valid else EXIT_INVALID
+    out = {
+        "kind": "pbd",
+        "v": pbd.v,
+        "valid": rep.valid,
+        "first_violation": rep.first_violation,
+    }
+    note = "valid" if rep.valid else f"violation: {rep.first_violation}"
+    return out, note, rep.valid
 
 
 # ---------------------------------------------------------------------------
 # search
 
 
-def _cmd_search_parametric(args) -> int:
+def _cmd_search_parametric(args) -> Outcome:
     field = _field_from_args(args)
     res = parametric_search(field, args.form, args.budget)
     candidates = field.order
@@ -295,53 +262,39 @@ def _cmd_search_parametric(args) -> int:
         note = "no parameter works"
         if not out["exhausted"]:
             note = f"budget of {candidates} candidates reached, nothing found"
-        _emit(out, note)
-        return EXIT_INVALID
+        return out, note, False
     out["x"] = element_to_json(field, res.x)
     out["block"] = [element_to_json(field, p) for p in res.block]
     out["checked"] = res.checked
-    _emit(out, f"found x after {res.checked} candidates")
-    return EXIT_OK
+    return out, f"found x after {res.checked} candidates", True
 
 
-def _emit_found_block(field: Group, args, block, miss_note: str) -> int:
-    """Print a search's block, or its family with ``--emit-kdf``, or the
-    miss; returns the exit code."""
+def _found_block(field: Group, args, block, miss_note: str) -> Outcome:
+    """A search's block, or its family with ``--emit-kdf``, or the miss."""
     if block is None:
-        _emit(
-            {"found": False, "q": field.order, "schema": args.schema},
-            miss_note,
-        )
-        return EXIT_INVALID
+        out = {"found": False, "q": field.order, "schema": args.schema}
+        return out, miss_note, False
     if args.emit_kdf:
         kdf = generate_kdf_from_initial_block(
             field, block.points, block.schema
         )
-        _emit(
-            kdf_to_json(kdf),
-            f"scaled the block into a family of {len(kdf.blocks)}",
-        )
-        return EXIT_OK
-    _emit(
-        {
-            "found": True,
-            "q": field.order,
-            "schema": args.schema,
-            "block": [element_to_json(field, p) for p in block.points],
-        },
-        "found an initial block",
-    )
-    return EXIT_OK
+        note = f"scaled the block into a family of {len(kdf.blocks)}"
+        return kdf_to_json(kdf), note, True
+    out = {
+        "found": True,
+        "q": field.order,
+        "schema": args.schema,
+        "block": [element_to_json(field, p) for p in block.points],
+    }
+    return out, "found an initial block", True
 
 
-def _cmd_search_asymptotic(args) -> int:
+def _cmd_search_asymptotic(args) -> Outcome:
     field = _field_from_args(args)
     block = asymptotic_initial_block(
         field, args.schema, backtrack=args.backtrack
     )
-    return _emit_found_block(
-        field, args, block, "chain construction found nothing"
-    )
+    return _found_block(field, args, block, "chain construction found nothing")
 
 
 def _constraints_from_json(field: Group, raw) -> list:
@@ -359,7 +312,7 @@ def _constraints_from_json(field: Group, raw) -> list:
         raise MalformedInput(f"constraint lacks key {missing}") from None
 
 
-def _cmd_search_constrained(args) -> int:
+def _cmd_search_constrained(args) -> Outcome:
     field = _field_from_args(args)
     if args.prefix is not None:
         if args.budget is not None:
@@ -370,9 +323,7 @@ def _cmd_search_constrained(args) -> int:
             )
         prefix = _parse_block(field, args.prefix) if args.prefix else None
         block = prefix_block_search(field, args.schema, prefix)
-        return _emit_found_block(
-            field, args, block, "no block extends the prefix"
-        )
+        return _found_block(field, args, block, "no block extends the prefix")
     if args.emit_kdf:
         raise MalformedInput("--emit-kdf applies only to --prefix")
     if args.constraints:
@@ -386,37 +337,35 @@ def _cmd_search_constrained(args) -> int:
         _constraints_from_json(field, raw),
         args.budget,
     )
+    found = res.element is not None
     out = {
-        "found": res.element is not None,
+        "found": found,
         "q": field.order,
         "checked": res.checked,
         "exhausted": res.exhausted,
         "contradicts_bound": res.contradicts_bound,
         "bound": res.bound,
     }
-    if res.element is not None:
+    if found:
         out["element"] = element_to_json(field, res.element)
-        _emit(out, f"found after {res.checked} candidates")
-        return EXIT_OK
+        return out, f"found after {res.checked} candidates", True
     note = "no element satisfies the chain"
     if res.contradicts_bound:
         note += " (contradicts the counting bound)"
-    _emit(out, note)
-    return EXIT_INVALID
+    return out, note, False
 
 
 # ---------------------------------------------------------------------------
 # compose, develop, replicate
 
 
-def _cmd_compose_dm(args) -> int:
+def _cmd_compose_dm(args) -> Outcome:
     field = _field_from_args(args)
     m = field_dm(field, args.k)
-    _emit(dm_to_json(m), f"{args.k} x {field.order} difference matrix")
-    return EXIT_OK
+    return dm_to_json(m), f"{args.k} x {field.order} difference matrix", True
 
 
-def _cmd_compose_kdf(args) -> int:
+def _cmd_compose_kdf(args) -> Outcome:
     left = kdf_from_json(_load_json(args.left))
     right = kdf_from_json(_load_json(args.right))
     if args.dm:
@@ -424,14 +373,11 @@ def _cmd_compose_kdf(args) -> int:
     else:
         m = field_dm(right.group, left.schema.k)
     out = compose_kdf(left, right, m)
-    _emit(
-        kdf_to_json(out),
-        f"composed family over order {out.group.order}",
-    )
-    return EXIT_OK
+    note = f"composed family over order {out.group.order}"
+    return kdf_to_json(out), note, True
 
 
-def _cmd_compose_pbd(args) -> int:
+def _cmd_compose_pbd(args) -> Outcome:
     pbd = pbd_from_text(_read_text(args.file))
     catalog = _catalog_from_args(args)
     sizes = sorted({len(block) for block in pbd.blocks})
@@ -439,47 +385,40 @@ def _cmd_compose_pbd(args) -> int:
         size: catalog.load_kaleidoscope(size, args.schema) for size in sizes
     }
     scope = pbd_compose(pbd, ingredients)
-    _emit(
-        kaleidoscope_to_json(scope),
-        f"assembled {len(scope.planes)} planes on {len(scope.points)} points",
-    )
-    return EXIT_OK
+    note = f"assembled {len(scope.planes)} planes on {len(scope.points)} points"
+    return kaleidoscope_to_json(scope), note, True
 
 
-def _cmd_develop(args) -> int:
+def _refusal(err: Exception) -> Outcome:
+    return {"valid": False, "error": str(err)}, str(err), False
+
+
+def _cmd_develop(args) -> Outcome:
     kdf = kdf_from_json(_load_json(args.file))
     try:
         scope = develop(kdf)
     except InvalidKDF as err:
-        _emit({"valid": False, "error": str(err)}, str(err))
-        return EXIT_INVALID
-    _emit(
-        kaleidoscope_to_json(scope),
-        f"developed {len(scope.planes)} planes on {len(scope.points)} points",
-    )
-    return EXIT_OK
+        return _refusal(err)
+    note = f"developed {len(scope.planes)} planes on {len(scope.points)} points"
+    return kaleidoscope_to_json(scope), note, True
 
 
-def _cmd_replicate(args) -> int:
+def _cmd_replicate(args) -> Outcome:
     pbd = pbd_from_text(_read_text(args.file))
     schema = _schema_from_arg(args.schema)
     try:
         scope = replicate(pbd, schema)
     except NotAUnitalDesign as err:
-        _emit({"valid": False, "error": str(err)}, str(err))
-        return EXIT_INVALID
-    _emit(
-        kaleidoscope_to_json(scope),
-        f"replicated into {len(scope.planes)} planes",
-    )
-    return EXIT_OK
+        return _refusal(err)
+    note = f"replicated into {len(scope.planes)} planes"
+    return kaleidoscope_to_json(scope), note, True
 
 
 # ---------------------------------------------------------------------------
 # exhaustive sweep
 
 
-def _cmd_nonexistence(args) -> int:
+def _cmd_nonexistence(args) -> Outcome:
     cert = exhaustive_nonexistence(
         args.v,
         args.schema,
@@ -499,50 +438,40 @@ def _cmd_nonexistence(args) -> int:
         f"{cert.nodes_visited} nodes"
         + ("" if cert.exhausted else " (sweep not exhausted)")
     )
-    _emit(cert.to_json(), note)
-    return EXIT_OK if cert.solutions > 0 else EXIT_INVALID
+    return cert.to_json(), note, cert.solutions > 0
 
 
 # ---------------------------------------------------------------------------
 # reproduce known tables
 
 
-def _cmd_reproduce(args) -> int:
+def _cmd_reproduce(args) -> Outcome:
     result = tables.recheck(args.table)
-    note = "all entries check out" if result["all_valid"] else "MISMATCH"
-    _emit(result, note)
-    return EXIT_OK if result["all_valid"] else EXIT_INVALID
+    ok = result["all_valid"]
+    return result, "all entries check out" if ok else "MISMATCH", ok
 
 
 # ---------------------------------------------------------------------------
 # catalog
 
 
-def _cmd_catalog_add(args) -> int:
+def _cmd_catalog_add(args) -> Outcome:
+    path = _catalog_from_args(args).add(_load_json(args.file))
+    return {"stored": str(path)}, f"stored {path}", True
+
+
+def _cmd_catalog_list(args) -> Outcome:
     catalog = _catalog_from_args(args)
-    path = catalog.add(_load_json(args.file))
-    _emit({"stored": str(path)}, f"stored {path}")
-    return EXIT_OK
+    return {"root": str(catalog.root), "entries": catalog.entries()}, "", True
 
 
-def _cmd_catalog_list(args) -> int:
-    catalog = _catalog_from_args(args)
-    _emit({"root": str(catalog.root), "entries": catalog.entries()})
-    return EXIT_OK
-
-
-def _cmd_catalog_get(args) -> int:
-    catalog = _catalog_from_args(args)
+def _cmd_catalog_get(args) -> Outcome:
     try:
-        raw = catalog.get_raw(args.order, args.schema)
+        raw = _catalog_from_args(args).get_raw(args.order, args.schema)
     except MissingIngredient:
-        _emit(
-            {"found": False, "order": args.order, "schema": args.schema},
-            "no such entry",
-        )
-        return EXIT_INVALID
-    _emit(raw)
-    return EXIT_OK
+        out = {"found": False, "order": args.order, "schema": args.schema}
+        return out, "no such entry", False
+    return raw, "", True
 
 
 # ---------------------------------------------------------------------------
@@ -576,16 +505,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = top.add_parser("verify", help="check an object end to end")
     vsub = ver.add_subparsers(dest="target", required=True)
-    for name, fn in (
-        ("df", _cmd_verify_df),
-        ("kdf", _cmd_verify_kdf),
-        ("kaleidoscope", _cmd_verify_kaleidoscope),
-        ("dm", _cmd_verify_dm),
-        ("pbd", _cmd_verify_pbd),
-    ):
+    for name in (*_REPORTS, "pbd"):
         sp = vsub.add_parser(name)
         sp.add_argument("--file", required=True)
-        sp.set_defaults(func=fn)
+        sp.set_defaults(
+            func=_cmd_verify_pbd if name == "pbd" else _cmd_verify_report
+        )
     sp = vsub.add_parser("block")
     _add_field_flags(sp)
     sp.add_argument("--block", required=True)
@@ -693,11 +618,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
-    except KaleidoError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except ValueError as err:
+        result, note, ok = args.func(args)
+        _emit(result, note)
+        return EXIT_OK if ok else EXIT_INVALID
+    except (KaleidoError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_MALFORMED
 

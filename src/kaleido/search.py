@@ -30,6 +30,7 @@ from .algebra import (
     Element,
     Group,
     PrimeField,
+    _is_json_int,
     cubic_character,
     element_encoder,
     is_prime,
@@ -134,12 +135,16 @@ def _schema_for_block(points, schema: Optional[KaleidoscopeSchema]):
     )
 
 
+def _check_points(field: Group, points) -> None:
+    for x in points:
+        if x not in field:
+            raise MalformedInput(f"{x!r} is not an element of this field")
+
+
 def _listed_block(field: Group, schema, points) -> OrderedBlock:
     """The block a caller lists, each point checked to be a field element."""
     block = OrderedBlock(schema, tuple(points))
-    for x in block.points:
-        if x not in field:
-            raise MalformedInput(f"{x!r} is not an element of this field")
+    _check_points(field, block.points)
     return block
 
 
@@ -221,7 +226,7 @@ _SYMBOLIC = re.compile(r"(\d*)([ij])(?:\+(\d+))?")
 
 
 def _resolve_class(klass, table: CyclotomicTable) -> int:
-    if isinstance(klass, int):
+    if _is_json_int(klass):
         return klass % 3
     if not isinstance(klass, str):
         raise MalformedInput(f"bad class label {klass!r}")
@@ -423,12 +428,13 @@ def prefix_block_search(
     family.
     """
     _check_block_field(field)
-    schema = builtin_schema(schema_name) if isinstance(schema_name, str) else schema_name
+    schema = builtin_schema(schema_name)
     key = CyclotomicTable(field, 3).index
     if prefix is None:
         n = 4 if schema.k == 9 else 2
         prefix = tuple(_small_ints(field, n - 1))
     pts = list(prefix)
+    _check_points(field, pts)
     if len(set(pts)) != len(pts):
         raise DuplicateElements("prefix has a repeated point")
     if len(pts) >= schema.k:
@@ -896,10 +902,12 @@ def exhaustive_nonexistence(
     _check_jobs(jobs)
     _check_limit("max_nodes", max_nodes)
     schema = builtin_schema(schema_name)
-    if not is_prime(v) or v % 6 != 1:
-        raise UnsupportedOrder(f"{v} is not a prime congruent to 1 mod 6")
+    # The bound comes first: trial division of a large v would run for
+    # hours before the refusal.
     if v > 19:
         raise UnsupportedOrder(f"order {v} is beyond the supported sweep")
+    if not is_prime(v) or v % 6 != 1:
+        raise UnsupportedOrder(f"{v} is not a prime congruent to 1 mod 6")
     if schema.k > v:
         raise UnsupportedOrder(
             f"{schema.k}-point blocks do not fit in {v} points"

@@ -470,8 +470,8 @@ def test_search_constrained_budget(capsys):
 
 @pytest.mark.parametrize(
     "constraints",
-    ['[{"class": "i"}]', '{"a": 1}'],
-    ids=["missing-shift", "not-a-list"],
+    ['[{"class": "i"}]', '{"a": 1}', '[{"shift": 0, "class": true}]'],
+    ids=["missing-shift", "not-a-list", "true-class"],
 )
 def test_search_constrained_malformed_constraints(constraints, capsys):
     rc = main(
@@ -596,6 +596,20 @@ def test_nonexistence_budgeted(capsys):
 
 def test_nonexistence_unsupported():
     assert main(["nonexistence", "--v", "25"]) == 2
+
+
+def test_nonexistence_refuses_a_large_order_at_once():
+    # 2^61 - 1 is a prime = 1 (mod 6); trial division of it takes hours
+    v = str(2**61 - 1)
+    proc = subprocess.run(
+        [sys.executable, "-m", "kaleido", "nonexistence", "--v", v],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: order {v} is beyond the supported sweep\n"
 
 
 @pytest.mark.parametrize(

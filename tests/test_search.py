@@ -272,6 +272,12 @@ def test_prefix_search_bad_prefixes():
         prefix_block_search(F19, "fano", prefix=tuple(range(7)))
 
 
+def test_prefix_search_refuses_a_point_outside_the_field():
+    # 21 is no residue mod 19; unchecked, it reached the class table
+    with pytest.raises(MalformedInput, match="^21 is not an element of this"):
+        prefix_block_search(F19, "fano", prefix=(0, 1, 21))
+
+
 def test_prefix_search_dead_prefix():
     # positions 0, 1, 3 hold 0, 1, 3, whose differences 1, 3, 2 repeat a
     # class over F19, so the first line is dead before the search starts
@@ -481,6 +487,18 @@ def test_sweep_guards():
         exhaustive_nonexistence(19, "fano", mode="exists")
     with pytest.raises(MalformedInput):
         exhaustive_nonexistence(7, "fano", mode="banana")
+
+
+@pytest.mark.parametrize("v", [25, 2**61 - 1])
+def test_sweep_checks_the_order_bound_first(v, monkeypatch):
+    """A large order is refused before trial division runs on it."""
+    def no_trial_division(n):
+        raise AssertionError(f"is_prime({n}) ran before the bound check")
+
+    monkeypatch.setattr(search_module, "is_prime", no_trial_division)
+    with pytest.raises(UnsupportedOrder) as err:
+        exhaustive_nonexistence(v, "fano")
+    assert str(err.value) == f"order {v} is beyond the supported sweep"
 
 
 def test_sweep_rejects_bad_arguments():
