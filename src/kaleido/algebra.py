@@ -5,6 +5,10 @@ element is an int in ``range(v)``. An extension field element is a tuple of
 coefficient ints with the constant term first, so ``(4, 1)`` over
 ``Z_5[t]/(t^2 - 3)`` means ``4 + t``. A direct product element is a pair.
 
+Extension fields of degree 2 multiply in closed form
+(``QuadraticFieldGroup``). Higher degrees convolve the coefficient tuples
+and reduce by a table of t^d, t^(d+1), ... written in the power basis.
+
 Every group fixes one canonical element order, used whenever "smallest" is
 meant anywhere in the package: numeric for residues, lexicographic on
 coefficient tuples for extensions (constant term compared first), and
@@ -458,6 +462,22 @@ class ExtensionFieldGroup(Group):
         return list(itertools.product(range(self.p), repeat=self.degree))
 
 
+class QuadraticFieldGroup(ExtensionFieldGroup):
+    """An extension of degree 2, multiplied in closed form.
+
+    With t^2 = r0 + r1 t, where (r0, r1) is ``_red[0]``,
+    (a0 + a1 t)(b0 + b1 t) = (a0 b0 + r0 a1 b1) + (a0 b1 + a1 b0 + r1 a1 b1) t.
+    """
+
+    def mul(self, a, b):
+        a0, a1 = a
+        b0, b1 = b
+        r0, r1 = self._red[0]
+        p = self.p
+        hi = a1 * b1
+        return ((a0 * b0 + r0 * hi) % p, (a0 * b1 + a1 * b0 + r1 * hi) % p)
+
+
 class ProductGroup(Group):
     def __init__(self, left: Group, right: Group):
         self.left = left
@@ -501,6 +521,8 @@ def make_group(desc: GroupDescriptor) -> Group:
     if isinstance(desc, PrimeField):
         return PrimeFieldGroup(desc.p)
     if isinstance(desc, ExtensionField):
+        if len(desc.modulus) == 3:
+            return QuadraticFieldGroup(desc.p, desc.modulus)
         return ExtensionFieldGroup(desc.p, desc.modulus)
     if isinstance(desc, Product):
         return ProductGroup(make_group(desc.left), make_group(desc.right))

@@ -44,6 +44,7 @@ from .errors import (
     DuplicateElements,
     MalformedInput,
     NotAnInitialBlock,
+    OrderTooSmall,
     UnsupportedOrder,
     ZeroElement,
 )
@@ -100,7 +101,12 @@ def _check_block_field(field: Group) -> None:
     # A block scales into a family only when q = 1 (mod 6): 3 must divide
     # q - 1 for the cube classes, and q must be odd for the plus-minus
     # cosets the transversal tiles. In characteristic 2 the chains would
-    # also name the class of 2, which is 0.
+    # also name the class of 2, which is 0. A field with fewer than three
+    # units is refused as the class table refuses it.
+    if field.order < 4:
+        raise OrderTooSmall(
+            f"field of order {field.order} has fewer than 3 units"
+        )
     if field.order % 6 != 1:
         raise BadCongruence(f"field order {field.order} is not 1 mod 6")
 
@@ -162,8 +168,10 @@ def verify_listed_block(
     """Full check of a single claimed initial block, every line tested.
 
     The classes are compared through the cubic character, so no table is
-    built.
+    built. Fields of order other than 1 (mod 6) are refused, as by the
+    block searches.
     """
+    _check_block_field(field)
     schema = _schema_for_block(points, schema)
     key = cubic_character(field)
     block = _listed_block(field, schema, points)

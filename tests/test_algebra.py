@@ -1,5 +1,6 @@
 """Field and group arithmetic, cyclotomic classes, transversals."""
 
+import random
 from itertools import product
 
 import pytest
@@ -10,8 +11,10 @@ from kaleido.algebra import (
     Cyclic,
     CyclotomicTable,
     ExtensionField,
+    ExtensionFieldGroup,
     PrimeField,
     Product,
+    QuadraticFieldGroup,
     descriptor_from_json,
     descriptor_to_json,
     element_from_json,
@@ -79,6 +82,99 @@ def test_extension_field_mul():
     assert f.mul(t, t) == (3, 0)
     assert f.one == (1, 0)
     assert f.mul((4, 1), f.inv((4, 1))) == f.one
+
+
+# --- the closed-form product of quadratic extensions ---
+
+
+def _quadratic_reference(p, modulus):
+    """The product of Z_p[t]/(modulus) by plain convolution.
+
+    The product of two linear polynomials has degree 2 at most, and its
+    t^2 term is reduced by t^2 = -m0 - m1 t, read off the modulus.
+    """
+    m0, m1, _ = modulus
+
+    def mul(a, b):
+        c = [0, 0, 0]
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                c[i + j] += x * y
+        return ((c[0] - c[2] * m0) % p, (c[1] - c[2] * m1) % p)
+
+    return mul
+
+
+def _irreducible_with_linear_term(p):
+    """The smallest monic irreducible t^2 + m1 t + m0 with m1 != 0 and
+    m0 != m1, so that t^2 = r0 + r1 t has r0 != r1."""
+    return next(
+        (m0, m1, 1)
+        for m1 in range(1, p)
+        for m0 in range(p)
+        if m0 != m1 and _is_irreducible((m0, m1, 1), p)
+    )
+
+
+def _quadratic_moduli(p):
+    """The canonical modulus, which has m1 = 0 or m0 = m1 for every p
+    tested here, and one whose reduction has distinct coefficients."""
+    return [find_irreducible(p, 2), _irreducible_with_linear_term(p)]
+
+
+def test_degree_two_gets_the_closed_form_product():
+    f25 = make_group(ExtensionField(5, (2, 0, 1)))
+    f27 = make_group(ExtensionField(3, find_irreducible(3, 3)))
+    assert type(f25) is QuadraticFieldGroup
+    assert type(f27) is ExtensionFieldGroup
+    assert isinstance(f25, ExtensionFieldGroup)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_quadratic_mul_matches_convolution_on_every_pair(p):
+    for modulus in _quadratic_moduli(p):
+        f = make_group(ExtensionField(p, modulus))
+        ref = _quadratic_reference(p, modulus)
+        elems = f.elements()
+        for a in elems:
+            for b in elems:
+                assert f.mul(a, b) == ref(a, b), (modulus, a, b)
+
+
+@pytest.mark.parametrize("p", [569, 487])
+def test_quadratic_mul_matches_convolution_on_seeded_pairs(p):
+    rng = random.Random(p)
+    for modulus in _quadratic_moduli(p):
+        f = make_group(ExtensionField(p, modulus))
+        ref = _quadratic_reference(p, modulus)
+        for _ in range(2000):
+            a = (rng.randrange(p), rng.randrange(p))
+            b = (rng.randrange(p), rng.randrange(p))
+            assert f.mul(a, b) == ref(a, b), (modulus, a, b)
+
+
+QUADRATIC_PRIMES = [p for p in range(5, 45) if is_prime(p)]
+
+
+@pytest.mark.parametrize("p", QUADRATIC_PRIMES)
+def test_quadratic_field_agrees_with_the_generic_class(p):
+    """Every p^2 = 1 (mod 6) below 2,000: powers, the primitive element
+    and the cube classes are those of the generic convolution loop."""
+    modulus = find_irreducible(p, 2)
+    fast = make_group(ExtensionField(p, modulus))
+    slow = ExtensionFieldGroup(p, modulus)
+    assert type(slow) is not type(fast)
+    q = p * p
+    assert q % 6 == 1
+    rng = random.Random(q)
+    for _ in range(200):
+        x = (rng.randrange(p), rng.randrange(p))
+        n = rng.randrange(2 * q)
+        assert fast.pow_(x, n) == slow.pow_(x, n), (x, n)
+    assert primitive_element(fast) == primitive_element(slow)
+    fast_tab, slow_tab = CyclotomicTable(fast, 3), CyclotomicTable(slow, 3)
+    for x in fast.elements()[1:]:
+        assert fast_tab.index(x) == slow_tab.index(x), x
 
 
 def test_extension_field_rejects_reducible():

@@ -68,10 +68,27 @@ def test_verify_block_invalid(capsys):
     assert _out(capsys)["valid"] is False
 
 
-def test_verify_block_bad_order():
-    # 9 - 1 is not divisible by 3, so the class table cannot exist
-    rc = main(["verify", "block", "--q", "9", "--block", "0;1;2;3;4;5;6"])
+def test_verify_block_bad_order(capsys):
+    # well-formed points of F_9; 9 - 1 is not divisible by 3, and the
+    # block is refused with the block searches' wording
+    block = "0,0;1,0;2,0;0,1;1,1;2,1;0,2"
+    rc = main(["verify", "block", "--q", "9", "--block", block])
     assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: field order 9 is not 1 mod 6\n"
+
+
+@pytest.mark.parametrize("q", [16, 64])
+def test_verify_block_refuses_characteristic_two(q, capsys):
+    # 3 divides q - 1, but q is even: the searches refuse such a field,
+    # and so does the check of a listed block
+    block = "0,0;1,0;0,1;1,1;0,0,1;1,0,1;0,1,1"
+    rc = main(["verify", "block", "--q", str(q), "--block", block])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: field order {q} is not 1 mod 6\n"
 
 
 def test_verify_kdf_file(capsys, kdf19_file):
