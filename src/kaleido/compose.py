@@ -45,7 +45,7 @@ from .errors import (
     OrderTooSmall,
     SchemaMismatch,
 )
-from .schema import OrderedBlock, schema_to_json
+from .schema import schema_to_json
 
 __all__ = [
     "DifferenceMatrix",
@@ -164,22 +164,14 @@ def compose_kdf(
     product = ProductGroup(kdf.group, kdfp.group)
     schema = kdf.schema
     blocks = []
-    for block in kdf.blocks:
+    for row in kdf.blocks:
         for col in range(kdfp.group.order):
             blocks.append(
-                OrderedBlock(
-                    schema,
-                    tuple(
-                        (pt, m.rows[i][col])
-                        for i, pt in enumerate(block.points)
-                    ),
-                )
+                tuple((pt, m.rows[i][col]) for i, pt in enumerate(row))
             )
     zero = kdf.group.zero
-    for block in kdfp.blocks:
-        blocks.append(
-            OrderedBlock(schema, tuple((zero, y) for y in block.points))
-        )
+    for row in kdfp.blocks:
+        blocks.append(tuple((zero, y) for y in row))
     provenance = {
         "construction": "product",
         "left_order": kdf.group.order,

@@ -4,6 +4,9 @@ Verification functions return report objects and never raise on content
 that is merely wrong. A family either covers each nonzero difference the
 stated number of times or the report says which element is off. Exceptions
 mark malformed input only.
+
+A colored family's blocks, like a developed plane's, are point rows: the
+family's one layout ``kdf.schema`` cuts each row into its colored lines.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .errors import (
 )
 from .schema import (
     KaleidoscopeSchema,
-    OrderedBlock,
     _check_row,
     schema_from_json,
     schema_to_json,
@@ -184,17 +186,20 @@ class DifferenceFamily:
 
 @dataclass
 class KaleidoscopicDifferenceFamily:
-    """Ordered blocks whose same-colored lines each form a (v, h, 1) family."""
+    """Point rows whose same-colored lines each form a (v, h, 1) family.
+
+    Each block is a row of k distinct points, cut into its colored lines
+    by the family's one layout ``schema``, position by position.
+    """
 
     group: Group
     schema: KaleidoscopeSchema
-    blocks: tuple[OrderedBlock, ...]
+    blocks: tuple[tuple, ...]
     provenance: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        for block in self.blocks:
-            if not block.schema.same_layout(self.schema):
-                raise MalformedInput("block layout differs from family layout")
+        for row in self.blocks:
+            _check_row(self.schema, row)
 
 
 @dataclass
@@ -227,9 +232,7 @@ def verify_kdf(kdf: KaleidoscopicDifferenceFamily) -> KDFReport:
     """
     group = kdf.group
     schema = kdf.schema
-    diffs = _position_differences(
-        [b.points for b in kdf.blocks], schema.k, group
-    )
+    diffs = _position_differences(kdf.blocks, schema.k, group)
     color_reports = []
     failing = []
     for color, line in enumerate(schema.lines):
@@ -321,7 +324,7 @@ def develop(kdf: KaleidoscopicDifferenceFamily) -> Kaleidoscope:
     planes = []
     for block in kdf.blocks:
         # Column i holds position i of every translate, in element order.
-        cols = map(group.translates, block.points)
+        cols = map(group.translates, block)
         planes.extend(Plane(None, row, schema) for row in zip(*cols))
     return Kaleidoscope(tuple(group.elements()), schema, tuple(planes), group)
 
@@ -587,7 +590,7 @@ def kdf_to_json(kdf: KaleidoscopicDifferenceFamily) -> dict:
     return {
         "group": descriptor_to_json(kdf.group.descriptor),
         "schema": schema_to_json(kdf.schema),
-        "blocks": [list(map(enc, block.points)) for block in kdf.blocks],
+        "blocks": [list(map(enc, row)) for row in kdf.blocks],
         "provenance": kdf.provenance,
     }
 
@@ -604,9 +607,7 @@ def kdf_from_json(obj) -> KaleidoscopicDifferenceFamily:
     if not isinstance(raw, list):
         raise MalformedInput("blocks must be a list")
     dec = element_decoder(group)
-    blocks = tuple(
-        OrderedBlock(schema, _decoded(block, dec, "block")) for block in raw
-    )
+    blocks = tuple(_decoded(block, dec, "block") for block in raw)
     provenance = obj.get("provenance") or {}
     if not isinstance(provenance, dict):
         raise MalformedInput("provenance must be an object")

@@ -111,12 +111,13 @@ def _hesse_schema() -> KaleidoscopeSchema:
     return KaleidoscopeSchema("hesse", 9, 3, tuple(cyc + thru))
 
 
-_BUILTINS = {"fano": _fano_schema, "hesse": _hesse_schema}
+# Built once: every caller shares these two frozen layouts.
+_BUILTINS = {"fano": _fano_schema(), "hesse": _hesse_schema()}
 
 
 def builtin_schema(name: str) -> KaleidoscopeSchema:
     try:
-        return _BUILTINS[name]()
+        return _BUILTINS[name]
     except KeyError:
         raise MalformedInput(f"no builtin layout named {name!r}") from None
 
@@ -147,7 +148,7 @@ def _check_row(schema: KaleidoscopeSchema, points: tuple) -> None:
 
 @dataclass(frozen=True)
 class OrderedBlock:
-    """A block whose tuple order carries the layout's positions."""
+    """A point row with its layout, as a block search returns it."""
 
     schema: KaleidoscopeSchema
     points: tuple
@@ -161,8 +162,8 @@ class OrderedBlock:
 
 def schema_to_json(schema: KaleidoscopeSchema):
     """Builtin layouts serialize as their name, others in full."""
-    for name, build in _BUILTINS.items():
-        if schema.same_layout(build()):
+    for name, builtin in _BUILTINS.items():
+        if schema.same_layout(builtin):
             return name
     return {
         "name": schema.name,

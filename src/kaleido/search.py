@@ -48,7 +48,12 @@ from .errors import (
     UnsupportedOrder,
     ZeroElement,
 )
-from .schema import KaleidoscopeSchema, OrderedBlock, builtin_schema
+from .schema import (
+    KaleidoscopeSchema,
+    OrderedBlock,
+    _check_row,
+    builtin_schema,
+)
 
 __all__ = [
     "Q_BOUNDS",
@@ -129,35 +134,38 @@ def _line_spreads(points3, field: Group, key) -> bool:
     return k3 != k1 and k3 != k2
 
 
-def _schema_for_block(points, schema: Optional[KaleidoscopeSchema]):
-    if schema is not None:
-        return schema
-    if len(points) == 7:
-        return builtin_schema("fano")
-    if len(points) == 9:
-        return builtin_schema("hesse")
-    raise MalformedInput(
-        f"cannot infer a layout for a block of {len(points)} points"
-    )
-
-
 def _check_points(field: Group, points) -> None:
     for x in points:
         if x not in field:
             raise MalformedInput(f"{x!r} is not an element of this field")
 
 
-def _listed_block(field: Group, schema, points) -> OrderedBlock:
-    """The block a caller lists, each point checked to be a field element."""
-    block = OrderedBlock(schema, tuple(points))
-    _check_points(field, block.points)
-    return block
+def _listed_row(field: Group, points, schema) -> tuple:
+    """The layout and point row of a listed block, field and row checked.
+
+    Without a layout, seven points take the Fano one, nine the Hesse one.
+    """
+    _check_block_field(field)
+    row = tuple(points)
+    if schema is None:
+        name = {7: "fano", 9: "hesse"}.get(len(row))
+        if name is None:
+            raise MalformedInput(
+                f"cannot infer a layout for a block of {len(row)} points"
+            )
+        schema = builtin_schema(name)
+    _check_row(schema, row)
+    _check_points(field, row)
+    return schema, row
 
 
-def _block_is_initial(block: OrderedBlock, field: Group, key) -> bool:
-    return all(
-        _line_spreads(tuple(line), field, key) for line in block.lines()
-    )
+def _failing_line(row, lines, field: Group, key) -> Optional[int]:
+    """Index of the first line, a position triple read off ``row``, that
+    does not spread; None when every line spreads."""
+    for idx, (i, j, m) in enumerate(lines):
+        if not _line_spreads((row[i], row[j], row[m]), field, key):
+            return idx
+    return None
 
 
 def verify_listed_block(
@@ -171,11 +179,9 @@ def verify_listed_block(
     built. Fields of order other than 1 (mod 6) are refused, as by the
     block searches.
     """
-    _check_block_field(field)
-    schema = _schema_for_block(points, schema)
+    schema, row = _listed_row(field, points, schema)
     key = cubic_character(field)
-    block = _listed_block(field, schema, points)
-    return _block_is_initial(block, field, key)
+    return _failing_line(row, schema.lines, field, key) is None
 
 
 def generate_kdf_from_initial_block(
@@ -188,29 +194,28 @@ def generate_kdf_from_initial_block(
 
     Each line of the block spreads over the three cube classes, and the
     plus-minus orbits of the transversal tile the cubes, so the scaled
-    copies of any line tile all nonzero differences once.
+    copies of any line tile all nonzero differences once. Fields of order
+    other than 1 (mod 6) are refused, as by ``verify_listed_block``.
     """
-    schema = _schema_for_block(points, schema)
-    key = cubic_character(field)
-    block = _listed_block(field, schema, points)
-    for idx, line in enumerate(block.lines()):
-        if not _line_spreads(tuple(line), field, key):
-            raise NotAnInitialBlock(
-                f"line {idx} of {tuple(points)!r} does not spread over the"
-                " three classes"
-            )
+    schema, row = _listed_row(field, points, schema)
+    idx = _failing_line(row, schema.lines, field, cubic_character(field))
+    if idx is not None:
+        raise NotAnInitialBlock(
+            f"line {idx} of {row!r} does not spread over the three classes"
+        )
     scalars = transversal(field, mode)
     # Column i holds point i of every scaled copy, in transversal order.
-    cols = [field.times(x, scalars) for x in block.points]
-    blocks = tuple(OrderedBlock(schema, row) for row in zip(*cols))
+    cols = [field.times(x, scalars) for x in row]
     enc = element_encoder(field)
     provenance = {
-        "initial_block": list(map(enc, block.points)),
+        "initial_block": list(map(enc, row)),
         "transversal_mode": mode,
         "transversal": list(map(enc, scalars)),
         "primitive": enc(primitive_element(field)),
     }
-    return KaleidoscopicDifferenceFamily(field, schema, blocks, provenance)
+    return KaleidoscopicDifferenceFamily(
+        field, schema, tuple(zip(*cols)), provenance
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +336,15 @@ def _first_block(field, schema, key, levels, assemble, backtrack, picked=()):
 
     ``levels[m](picked)`` yields the candidates of level m in canonical
     order, given the tuple of earlier picks. At full depth
-    ``assemble(picked)`` gives the block's point tuple, which is returned
-    as a block if every line spreads. Greedy mode follows the first
-    candidate at every level; backtracking mode tries them all. Returns
-    None when no branch gives a block.
+    ``assemble(picked)`` gives the block's point row, which is returned
+    as an ``OrderedBlock`` if every line spreads. Greedy mode follows the
+    first candidate at every level; backtracking mode tries them all.
+    Returns None when no branch gives a block.
     """
     if len(picked) == len(levels):
-        block = OrderedBlock(schema, assemble(picked))
-        return block if _block_is_initial(block, field, key) else None
+        row = assemble(picked)
+        initial = _failing_line(row, schema.lines, field, key) is None
+        return OrderedBlock(schema, row) if initial else None
     for cand in levels[len(picked)](picked):
         found = _first_block(field, schema, key, levels, assemble, backtrack,
                              picked + (cand,))
@@ -551,15 +557,11 @@ def _try_form_candidate(field, key, form, x):
     pts = builder(field, x)
     if len(set(pts)) != len(pts):
         return None
-    for positions in shortcut:
-        if not _line_spreads(tuple(pts[q] for q in positions), field, key):
-            return None
     # The shortcut lines suffice by the scaling identities, but confirm
     # against the full predicate anyway; a disagreement means a bug.
-    schema = builtin_schema(schema_name)
-    block = OrderedBlock(schema, pts)
-    if not _block_is_initial(block, field, key):
-        return None
+    for lines in (shortcut, builtin_schema(schema_name).lines):
+        if _failing_line(pts, lines, field, key) is not None:
+            return None
     return pts
 
 

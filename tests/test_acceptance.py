@@ -27,7 +27,7 @@ from kaleido.designs import (
     verify_kaleidoscope,
     verify_kdf,
 )
-from kaleido.schema import OrderedBlock, builtin_schema
+from kaleido.schema import builtin_schema
 from kaleido import search, tables
 from kaleido.search import (
     FANO_AFFINE,
@@ -68,7 +68,7 @@ def test_criterion_01_order19_seven_point_family(capsys):
         (0, 7, 14, 9, 16, 1, 18),
         (0, 11, 3, 6, 17, 7, 12),
     )
-    blocks = tuple(OrderedBlock(FANO, pts) for pts in raw)
+    blocks = raw
     kdf = KaleidoscopicDifferenceFamily(F19, FANO, blocks, {})
     assert verify_kdf(kdf).valid
     displayed = [
@@ -81,7 +81,7 @@ def test_criterion_01_order19_seven_point_family(capsys):
         [{8, 0, 2}, {18, 0, 14}, {12, 0, 3}],
     ]
     for j in range(7):
-        color_class = [b.lines()[j] for b in blocks]
+        color_class = [FANO.lines_at(b)[j] for b in blocks]
         assert [set(s) for s in color_class] == displayed[j]
         assert verify_df(color_class, F19, 3, 1).valid
     _finish(capsys, 1, 1.0, t0, "3 blocks, 7 color classes at lambda 1")
@@ -90,19 +90,12 @@ def test_criterion_01_order19_seven_point_family(capsys):
 def test_criterion_02_order19_nine_point_family(capsys):
     """B, 7B, 11B with the listed nine-point B is a valid family."""
     t0 = time.perf_counter()
-    base = OrderedBlock(HESSE, (0, 1, 2, 3, 7, 16, 8, 4, 10))
-    blocks = tuple(
-        OrderedBlock(HESSE, tuple(F19.mul(s, x) for x in base.points))
-        for s in (1, 7, 11)
-    )
+    base = (0, 1, 2, 3, 7, 16, 8, 4, 10)
+    blocks = tuple(tuple(F19.mul(s, x) for x in base) for s in (1, 7, 11))
     kdf = KaleidoscopicDifferenceFamily(F19, HESSE, blocks, {})
     assert verify_kdf(kdf).valid
-    made = generate_kdf_from_initial_block(
-        F19, base.points, mode="sixth_powers"
-    )
-    assert tuple(b.points for b in made.blocks) == tuple(
-        b.points for b in blocks
-    )
+    made = generate_kdf_from_initial_block(F19, base, mode="sixth_powers")
+    assert made.blocks == blocks
     _finish(capsys, 2, 1.0, t0, "scaled family {B, 7B, 11B} valid")
 
 

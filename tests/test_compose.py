@@ -109,15 +109,11 @@ def test_compose_kdf_demands_matching_layouts():
 
 def test_compose_kdf_rejects_bad_ingredient():
     from kaleido.designs import KaleidoscopicDifferenceFamily
-    from kaleido.schema import OrderedBlock
 
-    blocks = tuple(
-        OrderedBlock(FANO, pts)
-        for pts in (
-            (0, 1, 2, 4, 5, 11, 8),
-            (0, 7, 14, 9, 16, 1, 18),
-            (0, 11, 3, 6, 17, 7, 13),
-        )
+    blocks = (
+        (0, 1, 2, 4, 5, 11, 8),
+        (0, 7, 14, 9, 16, 1, 18),
+        (0, 11, 3, 6, 17, 7, 13),
     )
     broken = KaleidoscopicDifferenceFamily(F19, FANO, blocks, {})
     with pytest.raises(IngredientInvalid):

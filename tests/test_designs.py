@@ -34,7 +34,7 @@ from kaleido.errors import (
     MalformedInput,
     NotAUnitalDesign,
 )
-from kaleido.schema import OrderedBlock, builtin_schema
+from kaleido.schema import builtin_schema
 
 Z19 = make_group(PrimeField(19))
 FANO = builtin_schema("fano")
@@ -42,23 +42,17 @@ HESSE = builtin_schema("hesse")
 
 
 def _fkdf19():
-    blocks = tuple(
-        OrderedBlock(FANO, pts)
-        for pts in (
-            (0, 1, 2, 4, 5, 11, 8),
-            (0, 7, 14, 9, 16, 1, 18),
-            (0, 11, 3, 6, 17, 7, 12),
-        )
+    blocks = (
+        (0, 1, 2, 4, 5, 11, 8),
+        (0, 7, 14, 9, 16, 1, 18),
+        (0, 11, 3, 6, 17, 7, 12),
     )
     return KaleidoscopicDifferenceFamily(Z19, FANO, blocks, {})
 
 
 def _hkdf19():
-    base = OrderedBlock(HESSE, (0, 1, 2, 3, 7, 16, 8, 4, 10))
-    blocks = tuple(
-        OrderedBlock(HESSE, tuple(Z19.mul(s, x) for x in base.points))
-        for s in (1, 7, 11)
-    )
+    base = (0, 1, 2, 3, 7, 16, 8, 4, 10)
+    blocks = tuple(tuple(Z19.mul(s, x) for x in base) for s in (1, 7, 11))
     return KaleidoscopicDifferenceFamily(Z19, HESSE, blocks, {})
 
 
@@ -111,18 +105,30 @@ def test_verify_kdf_hesse_example():
 
 
 def test_verify_kdf_catches_mutation():
-    blocks = tuple(
-        OrderedBlock(FANO, pts)
-        for pts in (
-            (0, 1, 2, 4, 5, 11, 8),
-            (0, 7, 14, 9, 16, 1, 18),
-            (0, 11, 3, 6, 17, 7, 13),  # last entry off by one
-        )
+    blocks = (
+        (0, 1, 2, 4, 5, 11, 8),
+        (0, 7, 14, 9, 16, 1, 18),
+        (0, 11, 3, 6, 17, 7, 13),  # last entry off by one
     )
     kdf = KaleidoscopicDifferenceFamily(Z19, FANO, blocks, {})
     rep = verify_kdf(kdf)
     assert not rep.valid
     assert rep.failing_colors
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [((0, 1, 2), MalformedInput), ((0, 1, 2, 3, 4, 5, 0), DuplicateElements)],
+    ids=["short", "repeat"],
+)
+def test_family_checks_each_row(row, error):
+    good = (0, 1, 2, 4, 5, 11, 8)
+    with pytest.raises(error):
+        KaleidoscopicDifferenceFamily(Z19, FANO, (good, row))
+    obj = kdf_to_json(_fkdf19())
+    obj["blocks"][1] = list(row)
+    with pytest.raises(error):
+        kdf_from_json(obj)
 
 
 def test_translate_and_scale():
@@ -141,13 +147,10 @@ def test_develop_counts():
 def test_develop_refuses_invalid_family():
     from kaleido.errors import InvalidKDF
 
-    blocks = tuple(
-        OrderedBlock(FANO, pts)
-        for pts in (
-            (0, 1, 2, 4, 5, 11, 8),
-            (0, 7, 14, 9, 16, 1, 18),
-            (0, 11, 3, 6, 17, 7, 13),
-        )
+    blocks = (
+        (0, 1, 2, 4, 5, 11, 8),
+        (0, 7, 14, 9, 16, 1, 18),
+        (0, 11, 3, 6, 17, 7, 13),
     )
     kdf = KaleidoscopicDifferenceFamily(Z19, FANO, blocks, {})
     with pytest.raises(InvalidKDF):
@@ -263,7 +266,7 @@ def test_kdf_json_round_trip():
     back = kdf_from_json(kdf_to_json(kdf))
     assert back.group == kdf.group
     assert back.schema == kdf.schema
-    assert [b.points for b in back.blocks] == [b.points for b in kdf.blocks]
+    assert back.blocks == kdf.blocks
 
 
 def test_kaleidoscope_json_round_trip():
@@ -299,7 +302,7 @@ def test_delta_invariance(g, u):
 
 def test_cyclic_group_development():
     z13 = make_group(Cyclic(13))
-    blocks = (OrderedBlock(FANO, (0, 1, 2, 3, 4, 5, 6)),)
+    blocks = ((0, 1, 2, 3, 4, 5, 6),)
     # not a valid family mod 13; delta still works over plain cyclic groups
     assert len(delta((0, 1, 3), z13)) == 6
-    assert blocks[0].points[0] == 0
+    assert blocks[0][0] == 0

@@ -90,7 +90,7 @@ def test_develop_over_an_extension_factor_matches_the_element_loop():
     kdf = compose_kdf(_hesse19(), right, field_dm(f25, HESSE.k))
     group = kdf.group
     want = [
-        tuple(group.add(x, g) for x in block.points)
+        tuple(group.add(x, g) for x in block)
         for block in kdf.blocks
         for g in group.elements()
     ]

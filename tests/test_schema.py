@@ -120,6 +120,21 @@ def test_schema_json_round_trip():
     assert schema_from_json(obj) == custom
 
 
+def test_builtin_layouts_are_built_once():
+    assert builtin_schema("fano") is builtin_schema("fano")
+    assert builtin_schema("hesse") is builtin_schema("hesse")
+    # a builtin, or a renamed copy of one, serializes as its name
+    for name in ("fano", "hesse"):
+        s = builtin_schema(name)
+        assert schema_to_json(s) == name
+        copy = KaleidoscopeSchema("copy", s.k, s.h, s.lines)
+        assert schema_to_json(copy) == name
+    tiny = KaleidoscopeSchema("triangle", 3, 2, ((0, 1), (0, 2), (1, 2)))
+    assert schema_to_json(tiny) == {
+        "name": "triangle", "k": 3, "h": 2, "lines": [[0, 1], [0, 2], [1, 2]],
+    }
+
+
 def test_schema_json_rejects_bad_coverage():
     obj = {
         "name": "broken",

@@ -20,6 +20,7 @@ from kaleido.algebra import (
 )
 from kaleido.designs import verify_kdf
 from kaleido.errors import (
+    BadCongruence,
     DuplicateElements,
     MalformedInput,
     NotAnInitialBlock,
@@ -64,7 +65,7 @@ def test_generate_family_sixth_powers():
     kdf = generate_kdf_from_initial_block(
         F19, (0, 1, 2, 4, 5, 11, 8), mode="sixth_powers"
     )
-    got = [b.points for b in kdf.blocks]
+    got = list(kdf.blocks)
     assert got == [
         (0, 1, 2, 4, 5, 11, 8),
         (0, 7, 14, 9, 16, 1, 18),
@@ -93,6 +94,15 @@ def test_generate_family_names_failing_line():
     with pytest.raises(NotAnInitialBlock) as err:
         generate_kdf_from_initial_block(F19, (0, 1, 2, 3, 4, 5, 6))
     assert "line 0" in str(err.value)
+
+
+@pytest.mark.parametrize("p,d", [(3, 2), (2, 4)], ids=["q9", "q16"])
+def test_generate_family_refuses_a_field_not_1_mod_6(p, d):
+    # refused before any line is read, as by verify_listed_block
+    field = make_group(ExtensionField(p, find_irreducible(p, d)))
+    with pytest.raises(BadCongruence) as err:
+        generate_kdf_from_initial_block(field, field.elements()[:7])
+    assert str(err.value) == f"field order {p ** d} is not 1 mod 6"
 
 
 # -- constrained element search ----------------------------------------------
@@ -315,6 +325,88 @@ def test_block_searches_pinned():
     assert _digest([_block_searches(f) for f in fields]) == (
         "bd5b019af42ba6a23f933614e930a120f878438618b032ff2f957809fb49a20f"
     )
+
+
+# -- brute-force oracles for the block searches ------------------------------
+
+
+ORACLE_PRIMES = [q for q in range(7, 100, 6) if is_prime(q)]
+
+
+def _spreads(q, a, b, c):
+    """Three differences in three cube classes, by the cubic character."""
+    e = (q - 1) // 3
+    keys = {pow(d % q, e, q) for d in (a - b, a - c, b - c)}
+    return 0 not in keys and len(keys) == 3
+
+
+def _initial(q, lines, row):
+    return all(_spreads(q, *(row[i] for i in line)) for line in lines)
+
+
+def _plain_fill(q, lines, row):
+    """First completion of ``row`` in lexicographic order, or None.
+
+    Each line is checked once all its positions are filled."""
+    k = 1 + max(max(line) for line in lines)
+    if len(row) == k:
+        return row
+    for x in range(q):
+        if x in row:
+            continue
+        longer = row + (x,)
+        if all(_spreads(q, *(longer[i] for i in line))
+               for line in lines if max(line) == len(row)):
+            found = _plain_fill(q, lines, longer)
+            if found is not None:
+                return found
+    return None
+
+
+@pytest.mark.parametrize("q", ORACLE_PRIMES)
+@pytest.mark.parametrize(
+    "name,prefix", [("fano", (0, 1)), ("hesse", (0, 1, 2, 3))],
+    ids=["fano", "hesse"],
+)
+def test_prefix_search_matches_a_plain_fill(q, name, prefix):
+    lines = builtin_schema(name).lines
+    want = None
+    if all(_spreads(q, *(prefix[i] for i in line))
+           for line in lines if max(line) < len(prefix)):
+        want = _plain_fill(q, lines, prefix)
+    got = prefix_block_search(make_group(PrimeField(q)), name)
+    assert (None if got is None else got.points) == want
+
+
+def _form_rows(q, x):
+    """The three one-parameter rows at x, straight from their formulas."""
+    powers = [pow(x, n, q) for n in range(8)]
+    return {
+        FANO_AFFINE: (0, 1, 2, x, (x + 1) % q, x * (x + 1) % q, 2 * x % q),
+        FANO_POWERS: tuple(powers[:7]),
+        HESSE_POWERS: (0, 1) + tuple(powers[1:]),
+    }
+
+
+@pytest.mark.parametrize("q", ORACLE_PRIMES)
+def test_parametric_search_matches_a_plain_scan(q):
+    field = make_group(PrimeField(q))
+    layouts = {FANO_AFFINE: "fano", FANO_POWERS: "fano",
+               HESSE_POWERS: "hesse"}
+    for form, name in layouts.items():
+        lines = builtin_schema(name).lines
+        want = next(
+            (x for x in range(q)
+             if len(set(row := _form_rows(q, x)[form])) == len(row)
+             and _initial(q, lines, row)),
+            None,
+        )
+        got = parametric_search(field, form)
+        if want is None:
+            assert got is None, (q, form)
+        else:
+            assert (got.x, got.checked) == (want, want + 1), (q, form)
+            assert got.block == _form_rows(q, want)[form]
 
 
 # -- parametric forms ---------------------------------------------------------

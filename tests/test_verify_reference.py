@@ -39,7 +39,7 @@ from kaleido.designs import (
     verify_kdf,
 )
 from kaleido.errors import MalformedInput
-from kaleido.schema import KaleidoscopeSchema, OrderedBlock, builtin_schema
+from kaleido.schema import KaleidoscopeSchema, builtin_schema
 from kaleido.search import (
     FANO_POWERS,
     HESSE_POWERS,
@@ -83,7 +83,7 @@ def ref_verify_kdf(kdf):
     group = kdf.group
     schema = kdf.schema
     family_report = ref_verify_df(
-        [frozenset(b.points) for b in kdf.blocks],
+        [frozenset(b) for b in kdf.blocks],
         group,
         schema.k,
         schema.lambda_underlying,
@@ -91,7 +91,7 @@ def ref_verify_kdf(kdf):
     color_reports = []
     failing = []
     all_lines = [
-        tuple(frozenset(b.points[i] for i in line) for line in schema.lines)
+        tuple(frozenset(b[i] for i in line) for line in schema.lines)
         for b in kdf.blocks
     ]
     for color in range(schema.b):
@@ -160,7 +160,7 @@ def assert_same_report(new, ref):
 def check_kdf(kdf):
     rep = verify_kdf(kdf)
     assert_same_report(rep, ref_verify_kdf(kdf))
-    blocks = [b.points for b in kdf.blocks]
+    blocks = list(kdf.blocks)
     lam = kdf.schema.lambda_underlying
     assert_same_report(
         verify_df(blocks, kdf.group, kdf.schema.k, lam),
@@ -238,10 +238,10 @@ FAMILIES = ["7", "19", "19-hesse", "31", "25", "49", "133", "361"]
 def _spoiled_family(name, position=3):
     """The family with one point of its first block moved."""
     kdf = family(name)
-    first = list(kdf.blocks[0].points)
+    first = list(kdf.blocks[0])
     used = set(first)
     first[position] = next(x for x in kdf.group.elements() if x not in used)
-    blocks = (OrderedBlock(kdf.schema, tuple(first)),) + kdf.blocks[1:]
+    blocks = (tuple(first),) + kdf.blocks[1:]
     return KaleidoscopicDifferenceFamily(kdf.group, kdf.schema, blocks, {})
 
 
@@ -277,11 +277,8 @@ def test_order_13_difference_families_match():
 def test_order_13_fano_candidate_matches():
     # no seven-point family exists at order 13, so this one must fail
     z13 = _prime(13)
-    base = OrderedBlock(FANO, (0, 1, 2, 4, 5, 11, 8))
-    blocks = tuple(
-        OrderedBlock(FANO, tuple(z13.mul(s, x) for x in base.points))
-        for s in (1, 2)
-    )
+    base = (0, 1, 2, 4, 5, 11, 8)
+    blocks = tuple(tuple(z13.mul(s, x) for x in base) for s in (1, 2))
     rep = check_kdf(KaleidoscopicDifferenceFamily(z13, FANO, blocks, {}))
     assert not rep.valid
 
@@ -462,8 +459,9 @@ def _untiled_layout():
 def test_untiled_layout_family_matches():
     layout = _untiled_layout()
     kdf = family("19")
-    blocks = tuple(OrderedBlock(layout, b.points) for b in kdf.blocks)
-    rep = check_kdf(KaleidoscopicDifferenceFamily(kdf.group, layout, blocks))
+    rep = check_kdf(
+        KaleidoscopicDifferenceFamily(kdf.group, layout, kdf.blocks)
+    )
     assert not rep.valid
     assert rep.family_report.valid
 
