@@ -40,8 +40,8 @@ from .designs import (
     DifferenceFamily,
     Kaleidoscope,
     KaleidoscopicDifferenceFamily,
+    LineTable,
     PairwiseBalancedDesign,
-    Plane,
     delta,
     develop,
     df_from_json,

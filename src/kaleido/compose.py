@@ -28,6 +28,7 @@ from .algebra import (
 from .designs import (
     Kaleidoscope,
     KaleidoscopicDifferenceFamily,
+    LineTable,
     PairwiseBalancedDesign,
     develop,
     dumps,
@@ -182,6 +183,15 @@ def compose_kdf(
     )
 
 
+def _relabeled(plane, relabel: dict):
+    """The same plane, row or line table, with every point x renamed
+    relabel[x]."""
+    move = relabel.__getitem__
+    if isinstance(plane, LineTable):
+        return LineTable(frozenset(map(move, line)) for line in plane)
+    return tuple(map(move, plane))
+
+
 def pbd_compose(
     pbd: PairwiseBalancedDesign,
     catalog: Mapping[int, Kaleidoscope],
@@ -224,7 +234,7 @@ def pbd_compose(
                 f" {len(ingredient.points)} points"
             )
         relabel = dict(zip(ingredient.points, sorted(block)))
-        planes.extend(plane.relabeled(relabel) for plane in ingredient.planes)
+        planes.extend(_relabeled(p, relabel) for p in ingredient.planes)
     if schema is None:
         raise MalformedInput("the covering design has no blocks")
     return Kaleidoscope(tuple(range(pbd.v)), schema, tuple(planes), None)

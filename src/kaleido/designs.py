@@ -5,8 +5,12 @@ that is merely wrong. A family either covers each nonzero difference the
 stated number of times or the report says which element is off. Exceptions
 mark malformed input only.
 
-A colored family's blocks, like a developed plane's, are point rows: the
-family's one layout ``kdf.schema`` cuts each row into its colored lines.
+A colored family's blocks are point rows: the family's one layout
+``kdf.schema`` cuts each row into its colored lines. A kaleidoscope's
+planes are point rows under its one layout ``scope.schema`` too, save the
+planes given by their lines (``replicate``, a decoded line table, an
+edited plane), which are ``LineTable``s; ``scope.lines_of(plane)`` reads
+the lines of either.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ __all__ = [
     "KaleidoscopicDifferenceFamily",
     "KDFReport",
     "verify_kdf",
-    "Plane",
+    "LineTable",
     "Kaleidoscope",
     "develop",
     "KaleidoscopeReport",
@@ -259,74 +263,54 @@ def verify_kdf(kdf: KaleidoscopicDifferenceFamily) -> KDFReport:
 # full colored designs
 
 
-class Plane:
-    """One colored plane: line sets indexed by color.
+class LineTable(tuple):
+    """A plane given by its lines: b frozensets of points, in color order.
 
-    A translate of an ordered block stores only its point row ``block``
-    and its layout; ``lines`` cuts the row by the layout each time it is
-    read. A plane given explicit lines (``replicate``, a decoded line
-    table, an edited copy) keeps them, and is judged by them, whatever
-    its row says. The row, when there is one, is also what the plane
-    serializes as.
+    A plane of any other type is a point row, cut into its lines by the
+    layout of the kaleidoscope that holds it.
     """
 
-    __slots__ = ("block", "_lines", "_schema")
-
-    def __init__(
-        self,
-        lines: Optional[tuple] = None,
-        block: Optional[tuple] = None,
-        schema: Optional[KaleidoscopeSchema] = None,
-    ):
-        if lines is None and (block is None or schema is None):
-            raise MalformedInput("a plane needs lines, or a row and a layout")
-        self.block = block
-        self._lines = lines
-        self._schema = schema
-
-    @property
-    def lines(self) -> tuple[frozenset, ...]:
-        if self._lines is None:
-            return self._schema.lines_at(self.block)
-        return self._lines
-
-    def relabeled(self, relabel: dict) -> "Plane":
-        """The same plane with every point x renamed relabel[x]."""
-        move = relabel.__getitem__
-        lines = block = None
-        if self._lines is not None:
-            lines = tuple(frozenset(map(move, line)) for line in self._lines)
-        if self.block is not None:
-            block = tuple(map(move, self.block))
-        return Plane(lines, block, self._schema)
+    __slots__ = ()
 
 
 @dataclass
 class Kaleidoscope:
+    """Colored planes on ``points``, all under the one layout ``schema``.
+
+    Each plane is a point row (a tuple of k points, position i at layout
+    position i) or a ``LineTable``; ``lines_of`` gives either's lines.
+    """
+
     points: tuple
     schema: KaleidoscopeSchema
-    planes: tuple[Plane, ...]
+    planes: tuple
     group: Optional[Group] = None
+
+    def lines_of(self, plane) -> tuple[frozenset, ...]:
+        """The plane's b lines, as point sets, in color order."""
+        if isinstance(plane, LineTable):
+            return plane
+        return self.schema.lines_at(plane)
 
 
 def develop(kdf: KaleidoscopicDifferenceFamily) -> Kaleidoscope:
     """Translate every block by every group element.
 
-    Each translate is stored as its point row; its lines are cut from the
-    row when read. Refuses families that fail verification, since the
-    result would not be a kaleidoscope.
+    Each translate is stored as its point row, cut by the family's
+    layout when its lines are read. Refuses families that fail
+    verification, since the result would not be a kaleidoscope.
     """
     report = verify_kdf(kdf)
     if not report.valid:
         raise InvalidKDF(report.summary())
     group = kdf.group
-    schema = kdf.schema
     planes = []
     for block in kdf.blocks:
         # Column i holds position i of every translate, in element order.
-        cols = map(group.translates, block)
-        planes.extend(Plane(None, row, schema) for row in zip(*cols))
-    return Kaleidoscope(tuple(group.elements()), schema, tuple(planes), group)
+        planes.extend(zip(*map(group.translates, block)))
+    return Kaleidoscope(
+        tuple(group.elements()), kdf.schema, tuple(planes), group
+    )
 
 
 @dataclass
@@ -359,26 +343,21 @@ def verify_kaleidoscope(k: Kaleidoscope) -> KaleidoscopeReport:
 
 
 def _rows_and_tables(k: Kaleidoscope) -> tuple[list, list]:
-    """The point rows cut by ``k.schema``, and the other planes' lines.
+    """The planes that are point rows, and those that are line tables.
 
-    A row cut by another layout counts by its lines, which is what
-    ``plane.lines`` reports for it. A row or a line table of the wrong
-    length raises ``MalformedInput``.
+    A row or a line table of the wrong length raises ``MalformedInput``.
     """
     schema = k.schema
     rows, tables = [], []
     for plane in k.planes:
-        if plane._lines is None:
-            own = plane._schema
-            if len(plane.block) != own.k:
+        if isinstance(plane, LineTable):
+            if len(plane) != schema.b:
+                raise MalformedInput("plane has the wrong number of lines")
+            tables.append(plane)
+        else:
+            if len(plane) != schema.k:
                 raise MalformedInput("plane has the wrong number of points")
-            if own is schema or own.same_layout(schema):
-                rows.append(plane.block)
-                continue
-        lines = plane.lines
-        if len(lines) != schema.b:
-            raise MalformedInput("plane has the wrong number of lines")
-        tables.append(lines)
+            rows.append(plane)
     return rows, tables
 
 
@@ -448,7 +427,7 @@ def _kaleidoscope_violation(k: Kaleidoscope) -> KaleidoscopeReport:
     alien = []
     counts: dict = {}
     for plane in k.planes:
-        for color, line in enumerate(plane.lines):
+        for color, line in enumerate(k.lines_of(plane)):
             for x in line:
                 if x not in point_set:
                     alien.append(x)
@@ -541,7 +520,7 @@ def replicate(
         ordered = tuple(sorted(block))
         base = schema.lines_at(ordered)
         for j in range(b):
-            planes.append(Plane(tuple(base[(c - j) % b] for c in range(b))))
+            planes.append(LineTable(base[(c - j) % b] for c in range(b)))
     return Kaleidoscope(tuple(range(design.v)), schema, tuple(planes), None)
 
 
@@ -641,11 +620,11 @@ def kaleidoscope_to_json(k: Kaleidoscope) -> dict:
         enc = int
     planes = []
     for plane in k.planes:
-        if plane.block is not None:
-            planes.append(list(map(enc, plane.block)))
-        else:
-            lines = [list(map(enc, sorted(line))) for line in plane.lines]
+        if isinstance(plane, LineTable):
+            lines = [list(map(enc, sorted(line))) for line in plane]
             planes.append({"lines": lines})
+        else:
+            planes.append(list(map(enc, plane)))
     return {
         "points": points,
         "schema": schema_to_json(k.schema),
@@ -692,17 +671,17 @@ def kaleidoscope_from_json(obj) -> Kaleidoscope:
             raw_lines = raw.get("lines")
             if not isinstance(raw_lines, list) or len(raw_lines) != schema.b:
                 raise MalformedInput("plane needs one line per color")
-            lines = tuple(
+            lines = LineTable(
                 frozenset(_decoded(line, dec, "line")) for line in raw_lines
             )
             for line in lines:
                 if len(line) != schema.h:
                     raise MalformedInput("line has the wrong size")
-            planes.append(Plane(lines))
+            planes.append(lines)
         elif isinstance(raw, list):
             row = tuple(map(dec, raw))
             _check_row(schema, row)
-            planes.append(Plane(None, row, schema))
+            planes.append(row)
         else:
             raise MalformedInput("plane must be a point list or a line table")
     return Kaleidoscope(points, schema, tuple(planes), group)

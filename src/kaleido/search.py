@@ -144,6 +144,8 @@ def _listed_row(field: Group, points, schema) -> tuple:
     """The layout and point row of a listed block, field and row checked.
 
     Without a layout, seven points take the Fano one, nine the Hesse one.
+    A layout whose lines are not of three points is refused: a line
+    spreads over the three cube classes through its three differences.
     """
     _check_block_field(field)
     row = tuple(points)
@@ -154,6 +156,11 @@ def _listed_row(field: Group, points, schema) -> tuple:
                 f"cannot infer a layout for a block of {len(row)} points"
             )
         schema = builtin_schema(name)
+    if schema.h != 3:
+        raise MalformedInput(
+            f"layout {schema.name!r} has lines of {schema.h} points;"
+            " an initial block needs lines of 3"
+        )
     _check_row(schema, row)
     _check_points(field, row)
     return schema, row

@@ -217,7 +217,7 @@ def test_criterion_10_replication_color_table(capsys):
     base = [frozenset(line) for line in FANO.lines]
     for j, plane in enumerate(scope.planes):
         for c in range(7):
-            assert plane.lines[c] == base[(c - j) % 7], (j, c)
+            assert scope.lines_of(plane)[c] == base[(c - j) % 7], (j, c)
     _finish(capsys, 10, 1.0, t0, "7 planes, rotated colors, all pairs once")
 
 
@@ -318,7 +318,7 @@ def test_criterion_12_small_field_property_suites(capsys):
         scope = develop(kdf)
         counts = Counter()
         for plane in scope.planes:
-            support = set().union(*plane.lines)
+            support = set().union(*scope.lines_of(plane))
             for pair in combinations(sorted(support, key=repr), 2):
                 counts[frozenset(pair)] += 1
         n = len(scope.points)

@@ -91,6 +91,36 @@ def test_verify_block_refuses_characteristic_two(q, capsys):
     assert captured.err == f"error: field order {q} is not 1 mod 6\n"
 
 
+@pytest.mark.parametrize(
+    "name, h, lines, block",
+    [
+        # PG(2, 3): the 13 translates of {0, 1, 3, 9} mod 13
+        (
+            "pg23",
+            4,
+            [sorted((x + i) % 13 for x in (0, 1, 3, 9)) for i in range(13)],
+            ",".join(map(str, range(13))),
+        ),
+        ("pairs", 2, [[0, 1], [0, 2], [1, 2]], "0,1,2"),
+    ],
+    ids=["h4", "h2"],
+)
+def test_verify_block_refuses_lines_not_of_three_points(
+    name, h, lines, block, tmp_path, capsys
+):
+    path = tmp_path / f"{name}.json"
+    k = len(block.split(","))
+    path.write_text(json.dumps({"name": name, "k": k, "h": h, "lines": lines}))
+    argv = ["verify", "block", "--q", "79", "--block", block]
+    assert main(argv + ["--schema", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: layout {name!r} has lines of {h} points;"
+        " an initial block needs lines of 3\n"
+    )
+
+
 def test_verify_kdf_file(capsys, kdf19_file):
     assert main(["verify", "kdf", "--file", kdf19_file]) == 0
     assert _out(capsys)["valid"] is True

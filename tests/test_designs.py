@@ -11,8 +11,8 @@ from kaleido.designs import (
     DifferenceFamily,
     Kaleidoscope,
     KaleidoscopicDifferenceFamily,
+    LineTable,
     PairwiseBalancedDesign,
-    Plane,
     delta,
     develop,
     df_from_json,
@@ -169,9 +169,9 @@ def test_verify_kaleidoscope_counts_pairs():
 def test_verify_kaleidoscope_detects_tamper():
     scope = develop(_fkdf19())
     planes = list(scope.planes)
-    lines = list(planes[0].lines)
+    lines = list(scope.lines_of(planes[0]))
     lines[0], lines[1] = lines[1], lines[0]
-    planes[0] = Plane(tuple(lines), planes[0].block)
+    planes[0] = LineTable(lines)
     bad = Kaleidoscope(scope.points, scope.schema, tuple(planes), None)
     rep = verify_kaleidoscope(bad)
     assert not rep.valid
@@ -183,7 +183,7 @@ def test_underlying_design_of_development():
     scope = develop(_fkdf19())
     counts = {}
     for plane in scope.planes:
-        pts = sorted(set().union(*plane.lines))
+        pts = sorted(set().union(*scope.lines_of(plane)))
         assert len(pts) == 7
         for pair in itertools.combinations(pts, 2):
             counts[pair] = counts.get(pair, 0) + 1
@@ -199,7 +199,7 @@ def test_replicate_fano_color_table():
     base = FANO.lines  # positions equal points here
     for j, plane in enumerate(scope.planes):
         for c in range(7):
-            assert plane.lines[c] == frozenset(base[(c - j) % 7])
+            assert scope.lines_of(plane)[c] == frozenset(base[(c - j) % 7])
     assert verify_kaleidoscope(scope).valid
 
 
@@ -273,7 +273,7 @@ def test_kaleidoscope_json_round_trip():
     scope = develop(_fkdf19())
     back = kaleidoscope_from_json(kaleidoscope_to_json(scope))
     assert len(back.planes) == len(scope.planes)
-    assert back.planes[0].lines == scope.planes[0].lines
+    assert back.lines_of(back.planes[0]) == scope.lines_of(scope.planes[0])
     assert verify_kaleidoscope(back).valid
 
 
@@ -282,7 +282,7 @@ def test_kaleidoscope_json_explicit_lines():
     scope = replicate(pbd, FANO)
     back = kaleidoscope_from_json(kaleidoscope_to_json(scope))
     assert verify_kaleidoscope(back).valid
-    assert back.planes[3].lines == scope.planes[3].lines
+    assert back.lines_of(back.planes[3]) == scope.lines_of(scope.planes[3])
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,10 +1,12 @@
 """Planes stored as point rows and planes stored as line tables.
 
-A developed or decoded translate keeps only its point row; its lines are
-cut from the row by the layout when read. These tests pin that the two
-representations agree, that decoding still rejects bad rows, and that
-the texts written from row planes are the bytes written before rows
-were stored (digests taken from line-table planes).
+A developed or decoded translate is a bare point row; its lines are cut
+from the row by the kaleidoscope's one layout when read. Other planes
+are ``LineTable``s. These tests pin that the two representations agree,
+that decoding still rejects bad rows, that each plane is written as the
+kind it is judged as, and that the texts written from row planes are
+the bytes written before rows were stored (digests taken from
+line-table planes).
 """
 
 import hashlib
@@ -19,8 +21,8 @@ from kaleido.cli import main
 from kaleido.compose import Catalog, compose_kdf, field_dm, pbd_compose
 from kaleido.designs import (
     Kaleidoscope,
+    LineTable,
     PairwiseBalancedDesign,
-    Plane,
     develop,
     dumps,
     kaleidoscope_from_json,
@@ -32,6 +34,7 @@ from kaleido.designs import (
 from kaleido.errors import DuplicateElements, MalformedInput
 from kaleido.schema import KaleidoscopeSchema, builtin_schema
 from kaleido.search import generate_kdf_from_initial_block
+from test_verify_reference import ref_verify_kaleidoscope
 
 F7 = make_group(PrimeField(7))
 F19 = make_group(PrimeField(19))
@@ -72,11 +75,11 @@ def test_developed_planes_are_rows_cut_by_the_layout(make):
     scope = develop(kdf)
     schema = kdf.schema
     assert len(scope.planes) == len(kdf.blocks) * kdf.group.order
-    for plane in scope.planes:
-        row = plane.block
+    for row in scope.planes:
+        assert type(row) is tuple
         assert len(row) == schema.k
-        assert plane.lines == schema.lines_at(row)
-        assert plane.lines == tuple(
+        assert scope.lines_of(row) == schema.lines_at(row)
+        assert scope.lines_of(row) == tuple(
             frozenset(row[i] for i in line) for line in schema.lines
         )
 
@@ -94,15 +97,16 @@ def test_develop_over_an_extension_factor_matches_the_element_loop():
         for block in kdf.blocks
         for g in group.elements()
     ]
-    assert [plane.block for plane in develop(kdf).planes] == want
+    assert list(develop(kdf).planes) == want
 
 
 def test_decoded_rows_are_rows_cut_by_the_layout():
     scope = develop(_hesse19())
     text = dumps(kaleidoscope_to_json(scope))
     back = kaleidoscope_from_json(json.loads(text))
-    assert [p.block for p in back.planes] == [p.block for p in scope.planes]
-    assert all(p.lines == HESSE.lines_at(p.block) for p in back.planes)
+    assert list(back.planes) == list(scope.planes)
+    assert all(type(p) is tuple for p in back.planes)
+    assert all(back.lines_of(p) == HESSE.lines_at(p) for p in back.planes)
     assert verify_kaleidoscope(back).valid
 
 
@@ -154,44 +158,91 @@ def test_row_with_a_repeated_point_fails_the_pair_count():
     """
     layout = KaleidoscopeSchema("pairs", 3, 2, ((0, 1), (0, 2), (1, 2)))
     rows = ((0, 0, 1), (1, 2, 2), (2, 0, 0))
-    bad = Kaleidoscope(
-        (0, 1, 2), layout, tuple(Plane(None, r, layout) for r in rows), None
-    )
+    bad = Kaleidoscope((0, 1, 2), layout, rows, None)
     assert not verify_kaleidoscope(bad).valid
     good = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    scope = Kaleidoscope(
-        (0, 1, 2), layout, tuple(Plane(None, r, layout) for r in good), None
-    )
+    scope = Kaleidoscope((0, 1, 2), layout, good, None)
     assert verify_kaleidoscope(scope).valid
 
 
-def test_rows_keep_the_layout_they_were_cut_by():
-    """Rows put under another layout still count by their own lines."""
+def test_rows_are_cut_by_the_layout_of_their_kaleidoscope():
+    """Rows of a valid family put under another layout are judged by the
+    lines that layout cuts, so under an untiled one they fail."""
     scope = develop(_fano19())
     lines = list(FANO.lines)
     lines[lines.index((0, 1, 3))] = (0, 1, 5)  # no longer tiles the pairs
     other = KaleidoscopeSchema("untiled", 7, 3, tuple(lines))
     moved = Kaleidoscope(scope.points, other, scope.planes, scope.group)
-    assert all(p.lines == FANO.lines_at(p.block) for p in moved.planes)
-    assert verify_kaleidoscope(moved).valid
-    # The flat pair count agrees, without the report builder's recount.
-    assert designs._each_pair_once(moved, len(moved.points))
+    assert all(moved.lines_of(p) == other.lines_at(p) for p in moved.planes)
+    assert not verify_kaleidoscope(moved).valid
+    # The flat pair count and the reference recount agree.
+    assert not designs._each_pair_once(moved, len(moved.points))
+    assert not ref_verify_kaleidoscope(moved).valid
 
 
 def test_wrong_row_length_raises():
     scope = develop(_fano19())
     planes = list(scope.planes)
-    planes[4] = Plane(None, planes[4].block[:6], FANO)
+    planes[4] = planes[4][:6]
     broken = Kaleidoscope(scope.points, FANO, tuple(planes), scope.group)
     with pytest.raises(MalformedInput):
         verify_kaleidoscope(broken)
 
 
-def test_plane_needs_lines_or_a_row_and_a_layout():
-    with pytest.raises(MalformedInput):
-        Plane()
-    with pytest.raises(MalformedInput):
-        Plane(None, (0, 1, 2, 3, 4, 5, 6))
+def test_an_edited_plane_is_written_as_the_lines_it_is_judged_by():
+    """Two colors swapped in one developed plane: the text written is
+    the line table, so the decoded copy fails the same way."""
+    scope = develop(_fano19())
+    planes = list(scope.planes)
+    lines = list(scope.lines_of(planes[0]))
+    lines[0], lines[1] = lines[1], lines[0]
+    planes[0] = LineTable(lines)
+    bad = Kaleidoscope(scope.points, FANO, tuple(planes), scope.group)
+    rep = verify_kaleidoscope(bad)
+    assert not rep.valid
+    back = kaleidoscope_from_json(kaleidoscope_to_json(bad))
+    assert isinstance(back.planes[0], LineTable)
+    again = verify_kaleidoscope(back)
+    assert not again.valid
+    assert again.first_violation == rep.first_violation
+
+
+# Planes 1, 2 and 5 of the order-7 development are written as line tables.
+MIXED_TABLES = (1, 2, 5)
+
+
+def _mixed7_text() -> str:
+    doc = json.loads(dumps(kaleidoscope_to_json(develop(_fano7()))))
+    for i in MIXED_TABLES:
+        row = tuple(doc["planes"][i])
+        doc["planes"][i] = {"lines": [sorted(x) for x in FANO.lines_at(row)]}
+    return dumps(doc)
+
+
+def test_mixed_planes_decode_in_file_order():
+    text = _mixed7_text()
+    back = kaleidoscope_from_json(json.loads(text))
+    rows = develop(_fano7())
+    kinds = [isinstance(p, LineTable) for p in back.planes]
+    assert kinds == [i in MIXED_TABLES for i in range(7)]
+    assert [type(p) is tuple for p in back.planes] == [not t for t in kinds]
+    assert [back.lines_of(p) for p in back.planes] == [
+        rows.lines_of(p) for p in rows.planes
+    ]
+    assert verify_kaleidoscope(back).valid
+    assert dumps(kaleidoscope_to_json(back)) == text
+
+
+def test_pbd_compose_over_mixed_planes_keeps_their_order():
+    mixed = kaleidoscope_from_json(json.loads(_mixed7_text()))
+    out = pbd_compose(_ag27(), {7: mixed})
+    rows = pbd_compose(_ag27(), {7: develop(_fano7())})
+    kinds = [isinstance(p, LineTable) for p in out.planes]
+    assert kinds == [i % 7 in MIXED_TABLES for i in range(len(out.planes))]
+    assert [out.lines_of(p) for p in out.planes] == [
+        rows.lines_of(p) for p in rows.planes
+    ]
+    assert verify_kaleidoscope(out).valid
 
 
 # Digests of texts written when every plane stored its line sets.
@@ -202,7 +253,7 @@ PBD_ROWS_19 = "2d73083532424cde1a21b3e63bac4358bfe5c9bbecc09c0c3c82709faf00dca1"
 
 def test_pbd_compose_over_row_planes_writes_the_same_text():
     out = pbd_compose(_ag27(), {7: develop(_fano7())})
-    assert all(p.block is not None for p in out.planes)
+    assert all(type(p) is tuple for p in out.planes)
     assert verify_kaleidoscope(out).valid
     assert _sha(dumps(kaleidoscope_to_json(out))) == PBD_ROWS_AG27
     one = PairwiseBalancedDesign(19, (frozenset(range(19)),))
@@ -213,7 +264,7 @@ def test_pbd_compose_over_row_planes_writes_the_same_text():
 def test_pbd_compose_over_line_tables_writes_the_same_text():
     seven = PairwiseBalancedDesign(7, (frozenset(range(7)),))
     out = pbd_compose(_ag27(), {7: replicate(seven, FANO)})
-    assert all(p.block is None for p in out.planes)
+    assert all(isinstance(p, LineTable) for p in out.planes)
     assert verify_kaleidoscope(out).valid
     assert _sha(dumps(kaleidoscope_to_json(out))) == PBD_TABLES_AG27
 

@@ -26,7 +26,7 @@ from kaleido.errors import (
     NotAnInitialBlock,
     UnsupportedOrder,
 )
-from kaleido.schema import builtin_schema
+from kaleido.schema import KaleidoscopeSchema, builtin_schema
 from kaleido.search import (
     FANO_AFFINE,
     FANO_POWERS,
@@ -103,6 +103,35 @@ def test_generate_family_refuses_a_field_not_1_mod_6(p, d):
     with pytest.raises(BadCongruence) as err:
         generate_kdf_from_initial_block(field, field.elements()[:7])
     assert str(err.value) == f"field order {p ** d} is not 1 mod 6"
+
+
+# PG(2, 3): the 13 translates of {0, 1, 3, 9} mod 13, lines of 4 points;
+# and the three point pairs of a triangle, lines of 2.
+PG23 = KaleidoscopeSchema(
+    "pg23",
+    13,
+    4,
+    tuple(
+        tuple(sorted((x + i) % 13 for x in (0, 1, 3, 9))) for i in range(13)
+    ),
+)
+PAIRS = KaleidoscopeSchema("pairs", 3, 2, ((0, 1), (0, 2), (1, 2)))
+
+
+@pytest.mark.parametrize("layout", [PG23, PAIRS], ids=["h4", "h2"])
+def test_listed_blocks_need_lines_of_three_points(layout):
+    field = make_group(PrimeField(79))
+    row = tuple(range(layout.k))
+    want = (
+        f"layout {layout.name!r} has lines of {layout.h} points;"
+        " an initial block needs lines of 3"
+    )
+    with pytest.raises(MalformedInput) as err:
+        generate_kdf_from_initial_block(field, row, layout)
+    assert str(err.value) == want
+    with pytest.raises(MalformedInput) as err:
+        verify_listed_block(field, row, layout)
+    assert str(err.value) == want
 
 
 # -- constrained element search ----------------------------------------------

@@ -28,8 +28,8 @@ from kaleido.designs import (
     Kaleidoscope,
     KaleidoscopeReport,
     KDFReport,
+    LineTable,
     PairwiseBalancedDesign,
-    Plane,
     develop,
     kaleidoscope_from_json,
     kaleidoscope_to_json,
@@ -111,9 +111,10 @@ def ref_verify_kaleidoscope(k):
     alien = []
     counts: dict = {}
     for plane in k.planes:
-        if len(plane.lines) != b:
+        lines = k.lines_of(plane)
+        if len(lines) != b:
             raise MalformedInput("plane has the wrong number of lines")
-        for color, line in enumerate(plane.lines):
+        for color, line in enumerate(lines):
             for x in line:
                 if x not in point_set:
                     alien.append(x)
@@ -290,7 +291,7 @@ def test_replicated_kaleidoscopes_match(name):
     scope_ = replicate(pbd, schema)
     assert check_scope(scope_).valid
     decoded = kaleidoscope_from_json(kaleidoscope_to_json(scope_))
-    assert all(plane.block is None for plane in decoded.planes)
+    assert all(isinstance(plane, LineTable) for plane in decoded.planes)
     assert check_scope(decoded).valid
 
 
@@ -344,9 +345,9 @@ def test_lambda_off_by_one_matches():
 def test_swapped_colors_match(name):
     k = scope(name)
     planes = list(k.planes)
-    lines = list(planes[5].lines)
+    lines = list(k.lines_of(planes[5]))
     lines[0], lines[1] = lines[1], lines[0]
-    planes[5] = Plane(tuple(lines), None)
+    planes[5] = LineTable(lines)
     rep = check_scope(_with_planes(k, planes))
     assert not rep.valid
     assert rep.first_violation is not None
@@ -383,9 +384,9 @@ def test_alien_point_matches(name):
     k = scope(name)
     alien = _alien_point(k)
     planes = list(k.planes)
-    lines = list(planes[3].lines)
+    lines = list(k.lines_of(planes[3]))
     lines[2] = frozenset(sorted(lines[2])[1:]) | {alien}
-    planes[3] = Plane(tuple(lines), None)
+    planes[3] = LineTable(lines)
     rep = check_scope(_with_planes(k, planes))
     assert not rep.valid
     assert rep.alien_points == [alien]
@@ -395,9 +396,9 @@ def test_replicated_alien_and_repeated_points_match():
     pbd = PairwiseBalancedDesign(7, (frozenset(range(7)),))
     k = replicate(pbd, FANO)
     planes = list(k.planes)
-    lines = list(planes[0].lines)
+    lines = list(k.lines_of(planes[0]))
     lines[0] = frozenset({0, 1, 7})
-    planes[0] = Plane(tuple(lines), None)
+    planes[0] = LineTable(lines)
     assert check_scope(_with_planes(k, planes)).alien_points == [7]
     repeated = Kaleidoscope((0, 1, 2, 3, 4, 5, 6, 6), FANO, k.planes, None)
     assert not check_scope(repeated).valid
@@ -411,14 +412,15 @@ def _moved_between_lines(k):
     tell the plane is wrong. Integer points iterate in a fixed order.
     """
     for p, plane in enumerate(k.planes):
-        flat = list(chain.from_iterable(plane.lines))
-        for c in range(len(plane.lines) - 1):
-            for x in plane.lines[c]:
-                lines = list(plane.lines)
+        plane_lines = k.lines_of(plane)
+        flat = list(chain.from_iterable(plane_lines))
+        for c in range(len(plane_lines) - 1):
+            for x in plane_lines[c]:
+                lines = list(plane_lines)
                 lines[c], lines[c + 1] = lines[c] - {x}, lines[c + 1] | {x}
                 if list(chain.from_iterable(lines)) == flat:
                     planes = list(k.planes)
-                    planes[p] = Plane(tuple(lines), None)
+                    planes[p] = LineTable(lines)
                     return planes
     raise AssertionError("no such move")
 
@@ -432,7 +434,7 @@ def test_wrong_line_sizes_match():
 def test_wrong_line_count_raises_in_both():
     k = scope("19")
     planes = list(k.planes)
-    planes[7] = Plane(planes[7].lines[:-1], None)
+    planes[7] = LineTable(k.lines_of(planes[7])[:-1])
     broken = _with_planes(k, planes)
     with pytest.raises(MalformedInput):
         verify_kaleidoscope(broken)
@@ -469,6 +471,6 @@ def test_untiled_layout_family_matches():
 def test_untiled_layout_kaleidoscope_matches():
     layout = _untiled_layout()
     k = scope("19")
-    planes = [Plane(layout.lines_at(p.block), p.block) for p in k.planes]
+    planes = [LineTable(layout.lines_at(p)) for p in k.planes]
     rep = check_scope(Kaleidoscope(k.points, layout, tuple(planes), k.group))
     assert not rep.valid
