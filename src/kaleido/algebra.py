@@ -5,9 +5,10 @@ element is an int in ``range(v)``. An extension field element is a tuple of
 coefficient ints with the constant term first, so ``(4, 1)`` over
 ``Z_5[t]/(t^2 - 3)`` means ``4 + t``. A direct product element is a pair.
 
-Extension fields of degree 2 multiply in closed form
-(``QuadraticFieldGroup``). Higher degrees convolve the coefficient tuples
-and reduce by a table of t^d, t^(d+1), ... written in the power basis.
+Extension fields of degree 2 and 3 multiply in closed form
+(``QuadraticFieldGroup``, ``CubicFieldGroup``). Higher degrees convolve
+the coefficient tuples and reduce by a table of t^d, t^(d+1), ...
+written in the power basis.
 
 Every group fixes one canonical element order, used whenever "smallest" is
 meant anywhere in the package: numeric for residues, lexicographic on
@@ -478,6 +479,28 @@ class QuadraticFieldGroup(ExtensionFieldGroup):
         return ((a0 * b0 + r0 * hi) % p, (a0 * b1 + a1 * b0 + r1 * hi) % p)
 
 
+class CubicFieldGroup(ExtensionFieldGroup):
+    """An extension of degree 3, multiplied in closed form.
+
+    With c0..c4 the coefficients of the plain product and t^3, t^4 written
+    in the power basis as ``_red[0]`` and ``_red[1]``, coefficient i of
+    the product is c_i + c3 ``_red[0][i]`` + c4 ``_red[1][i]``.
+    """
+
+    def mul(self, a, b):
+        a0, a1, a2 = a
+        b0, b1, b2 = b
+        (r0, r1, r2), (s0, s1, s2) = self._red
+        p = self.p
+        c3 = a1 * b2 + a2 * b1
+        c4 = a2 * b2
+        return (
+            (a0 * b0 + c3 * r0 + c4 * s0) % p,
+            (a0 * b1 + a1 * b0 + c3 * r1 + c4 * s1) % p,
+            (a0 * b2 + a1 * b1 + a2 * b0 + c3 * r2 + c4 * s2) % p,
+        )
+
+
 class ProductGroup(Group):
     def __init__(self, left: Group, right: Group):
         self.left = left
@@ -523,6 +546,8 @@ def make_group(desc: GroupDescriptor) -> Group:
     if isinstance(desc, ExtensionField):
         if len(desc.modulus) == 3:
             return QuadraticFieldGroup(desc.p, desc.modulus)
+        if len(desc.modulus) == 4:
+            return CubicFieldGroup(desc.p, desc.modulus)
         return ExtensionFieldGroup(desc.p, desc.modulus)
     if isinstance(desc, Product):
         return ProductGroup(make_group(desc.left), make_group(desc.right))

@@ -732,6 +732,8 @@ def pbd_from_text(text: str) -> PairwiseBalancedDesign:
 
 
 _INF = float("inf")
+_INTS = {int}
+_ROWS = {list, tuple}
 
 
 class _Unsupported(Exception):
@@ -745,7 +747,11 @@ def dumps(obj) -> str:
     indent=1)``. With an indent, the standard library falls back to its
     pure-Python encoder; this writer joins whole lists at once, takes
     lists of ints in one pass, and writes a list object met again at the
-    same depth (a shared element encoding) from its first text. A value
+    same depth (a shared element encoding) from its first text. A matrix,
+    a list of n lists or tuples all of one length k > 0, is one ``%``
+    fill of a template of n rows of k slots: the slots take the items
+    themselves when all are ints, else the text of each distinct item,
+    written once. A value
     of any other type than dict, list, tuple, str, int, float, bool and
     None, or a key that is not a str, sends the whole object to
     ``json.dumps``, which encodes it or raises as it always did.
@@ -754,6 +760,17 @@ def dumps(obj) -> str:
         return _write(obj, 0, defaultdict(dict))
     except _Unsupported:
         return json.dumps(obj, sort_keys=True, indent=1)
+
+
+def _item_texts(items: tuple, depth: int, memo: defaultdict) -> tuple:
+    """The texts of items at depth, each distinct object written once."""
+    ids = list(map(id, items))
+    texts = dict(zip(ids, items))
+    known = memo[depth]
+    for key, item in texts.items():
+        text = known.get(key)
+        texts[key] = _write(item, depth, memo) if text is None else text
+    return tuple(map(texts.__getitem__, ids))
 
 
 def _write(obj, depth: int, memo: defaultdict) -> str:
@@ -768,9 +785,22 @@ def _write(obj, depth: int, memo: defaultdict) -> str:
             return "[]"
         outer = "\n" + " " * depth
         inner = outer + " "
-        ints = type(obj[0]) is int and set(map(type, obj)) == {int}
+        kinds = set(map(type, obj))
+        ints = kinds == _INTS
         if ints:
             parts = map(int.__repr__, obj)
+        elif kinds <= _ROWS and len(obj[0]) and len(set(map(len, obj))) == 1:
+            # A matrix: n rows of k items, written by one template fill.
+            below = "\n" + " " * (depth + 1)
+            slot = below + " %s"
+            row = "[" + ",".join([slot] * len(obj[0])) + below + "]"
+            template = (
+                "[" + inner + ("," + inner).join([row] * len(obj)) + outer + "]"
+            )
+            flat = tuple(chain.from_iterable(obj))
+            if set(map(type, flat)) != _INTS:
+                flat = _item_texts(flat, depth + 2, memo)
+            return template % flat
         else:
             # Texts of lists already written one level down, else None.
             parts = list(map(memo[depth + 1].get, map(id, obj)))

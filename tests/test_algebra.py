@@ -15,6 +15,7 @@ from kaleido.algebra import (
     PrimeField,
     Product,
     QuadraticFieldGroup,
+    CubicFieldGroup,
     descriptor_from_json,
     descriptor_to_json,
     element_from_json,
@@ -125,9 +126,12 @@ def _quadratic_moduli(p):
 def test_degree_two_gets_the_closed_form_product():
     f25 = make_group(ExtensionField(5, (2, 0, 1)))
     f27 = make_group(ExtensionField(3, find_irreducible(3, 3)))
+    f81 = make_group(ExtensionField(3, find_irreducible(3, 4)))
     assert type(f25) is QuadraticFieldGroup
-    assert type(f27) is ExtensionFieldGroup
+    assert type(f27) is CubicFieldGroup
+    assert type(f81) is ExtensionFieldGroup
     assert isinstance(f25, ExtensionFieldGroup)
+    assert isinstance(f27, ExtensionFieldGroup)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])
@@ -175,6 +179,104 @@ def test_quadratic_field_agrees_with_the_generic_class(p):
     fast_tab, slow_tab = CyclotomicTable(fast, 3), CyclotomicTable(slow, 3)
     for x in fast.elements()[1:]:
         assert fast_tab.index(x) == slow_tab.index(x), x
+
+
+# --- the closed-form product of cubic extensions ---
+
+
+def _cubic_reference(p, modulus):
+    """The product of Z_p[t]/(modulus) by plain convolution.
+
+    The product of two quadratics has degree 4 at most; its t^4 and then
+    its t^3 term are reduced by t^3 = -m0 - m1 t - m2 t^2.
+    """
+
+    def mul(a, b):
+        c = [0] * 5
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                c[i + j] += x * y
+        for top in (4, 3):
+            for i in range(3):
+                c[top - 3 + i] -= c[top] * modulus[i]
+        return tuple(x % p for x in c[:3])
+
+    return mul
+
+
+def _irreducible_with_full_reduction(p):
+    """The smallest monic irreducible t^3 + m2 t^2 + m1 t + m0 with m0, m1
+    and m2 all nonzero, so that t^3 = r0 + r1 t + r2 t^2 has r0, r1 and r2
+    all nonzero; None when there is none (p = 2)."""
+    return next(
+        (
+            (m0, m1, m2, 1)
+            for m2 in range(1, p)
+            for m1 in range(1, p)
+            for m0 in range(1, p)
+            if _is_irreducible((m0, m1, m2, 1), p)
+        ),
+        None,
+    )
+
+
+def _cubic_moduli(p):
+    """The canonical modulus, and one whose t^3 has no zero coefficient."""
+    full = _irreducible_with_full_reduction(p)
+    return [find_irreducible(p, 3)] + ([full] if full else [])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 61])
+def test_a_cubic_modulus_with_every_reduction_coefficient_nonzero(p):
+    modulus = _irreducible_with_full_reduction(p)
+    assert modulus is not None
+    f = make_group(ExtensionField(p, modulus))
+    assert all(f._red[0]), f._red
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_cubic_mul_matches_convolution_on_every_pair(p):
+    for modulus in _cubic_moduli(p):
+        f = make_group(ExtensionField(p, modulus))
+        assert type(f) is CubicFieldGroup
+        ref = _cubic_reference(p, modulus)
+        elems = f.elements()
+        for a in elems:
+            for b in elems:
+                assert f.mul(a, b) == ref(a, b), (modulus, a, b)
+
+
+def test_cubic_mul_matches_convolution_on_seeded_pairs():
+    p = 61
+    rng = random.Random(p**3)
+    for modulus in _cubic_moduli(p):
+        f = make_group(ExtensionField(p, modulus))
+        ref = _cubic_reference(p, modulus)
+        for _ in range(2000):
+            a = tuple(rng.randrange(p) for _ in range(3))
+            b = tuple(rng.randrange(p) for _ in range(3))
+            assert f.mul(a, b) == ref(a, b), (modulus, a, b)
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_cubic_field_agrees_with_the_generic_class(p):
+    """Powers, the primitive element and the cube classes of p^3 = 1
+    (mod 6) are those of the generic convolution loop."""
+    for modulus in _cubic_moduli(p):
+        fast = make_group(ExtensionField(p, modulus))
+        slow = ExtensionFieldGroup(p, modulus)
+        assert type(slow) is not type(fast)
+        q = p**3
+        assert q % 6 == 1
+        rng = random.Random(q)
+        for _ in range(200):
+            x = tuple(rng.randrange(p) for _ in range(3))
+            n = rng.randrange(2 * q)
+            assert fast.pow_(x, n) == slow.pow_(x, n), (x, n)
+        assert primitive_element(fast) == primitive_element(slow)
+        fast_tab, slow_tab = CyclotomicTable(fast, 3), CyclotomicTable(slow, 3)
+        for x in fast.elements()[1:]:
+            assert fast_tab.index(x) == slow_tab.index(x), x
 
 
 def test_extension_field_rejects_reducible():

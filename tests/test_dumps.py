@@ -2,9 +2,9 @@
 
 ``designs.dumps`` replaces ``json.dumps(obj, sort_keys=True, indent=1)``
 on every path that writes JSON, so any document must come out with the
-same bytes. The order-133 kaleidoscope text and the q = 100,003 family
-text are pinned by their digests in ``bench/pinned.json`` (read here,
-never written).
+same bytes. The order-133 and order-361 kaleidoscope texts and the
+q = 100,003 family text are pinned by their digests in
+``bench/pinned.json`` (read here, never written).
 """
 
 import hashlib
@@ -79,6 +79,59 @@ def test_tuples_and_shared_element_encodings():
     assert dumps(doc) == reference(doc)
 
 
+percents = st.sampled_from(["%", "%s", "%%s", "%d", "100%", "%(k)s"])
+
+
+@st.composite
+def matrices(draw, items):
+    """n >= 1 rows of k >= 1 items, lists and tuples mixed.
+
+    The items come from a small pool, so one object recurs within the
+    matrix, as an item and wrapped one level deeper.
+    """
+    k = draw(st.integers(min_value=1, max_value=4))
+    pool = draw(st.lists(items, min_size=1, max_size=4))
+
+    def item():
+        got = pool[draw(st.integers(min_value=0, max_value=len(pool) - 1))]
+        return [got] if draw(st.integers(0, 3)) == 0 else got
+
+    return [
+        draw(st.sampled_from([list, tuple]))(item() for _ in range(k))
+        for _ in range(draw(st.integers(min_value=1, max_value=5)))
+    ]
+
+
+# Matrices of documents, of percent strings and of matrices.
+rectangular = st.recursive(documents | percents, matrices, max_leaves=20)
+
+
+def _same_as_reference(doc):
+    try:
+        want = reference(doc)
+    except TypeError:
+        with pytest.raises(TypeError):
+            dumps(doc)
+    else:
+        assert dumps(doc) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=rectangular)
+@example(doc=[[7]])
+@example(doc=[(1, "%s", None)])
+@example(doc=[[1, 2], [3]])  # ragged
+@example(doc=[[1], []])  # an empty row
+@example(doc=[[], []])
+@example(doc=[[{2: "two", 1: [1]}, 0], (1, 2)])
+@example(doc=[[{"set": {1, 2}}], [3]])
+@example(doc=[({"a": 1, 2: 3},), (4,)])
+def test_rectangular_documents_match_json_dumps(doc):
+    _same_as_reference(doc)
+    # The same objects again at three depths, and as the rows of a matrix.
+    _same_as_reference({"a": doc, "b": [doc, [doc]], "c": [doc, doc]})
+
+
 def test_other_keys_and_types_go_to_json_dumps():
     for doc in ({2: "two", 1: [1]}, {"x": {2.5: [1], 0.5: None}}, {True: 1}):
         assert dumps(doc) == reference(doc)
@@ -88,8 +141,8 @@ def test_other_keys_and_types_go_to_json_dumps():
         dumps({"a": 1, 2: 3})  # mixed keys cannot be sorted
 
 
-def test_order_133_kaleidoscope_text_is_pinned():
-    spec = json.loads(PINNED.read_text())["composed"]["133"]
+def _composed_text_is_pinned(order):
+    spec = json.loads(PINNED.read_text())["composed"][order]
     sides = [
         generate_kdf_from_initial_block(
             make_group(PrimeField(side["p"])), tuple(side["block"])
@@ -102,6 +155,15 @@ def test_order_133_kaleidoscope_text_is_pinned():
     assert len(scope.planes) == spec["planes"]
     text = dumps(kaleidoscope_to_json(scope))
     assert hashlib.sha256(text.encode()).hexdigest() == spec["sha256"]
+
+
+def test_order_133_kaleidoscope_text_is_pinned():
+    _composed_text_is_pinned("133")
+
+
+def test_order_361_kaleidoscope_text_is_pinned():
+    # Planes of shared element lists: the matrix fill with distinct texts.
+    _composed_text_is_pinned("361")
 
 
 def test_family_text_at_100003_is_pinned():
