@@ -709,6 +709,73 @@ def _candidate_table(v: int) -> list:
     return table
 
 
+@functools.cache
+def _sweep_plan(v: int, schema: KaleidoscopeSchema,
+                stop_depth: Optional[int] = None) -> tuple:
+    """The sweep's layout, built once per order, layout and stop depth.
+
+    Returns ``(slots, fixed, steps)``: the (block, position) of every
+    depth, the value fixed at every depth or None, and one step per depth
+    the descent enters before it stops. A step is
+    ``(r, pos, own, same, dyn, same2, r2, ahead)``:
+
+    - ``own``: the checks ``(color, q1, q2)`` of the lines ending at this
+      position; a pick here adds to those colors' masks;
+    - ``same``: the child is in this block, so its set lacks the pick;
+    - ``dyn``: the child's checks that the pick here can change, because
+      their line reads this position or their color is closed here; None
+      when the child collects or is a solution;
+    - ``same2``, ``r2``: whether the grandchild is in this block, and
+      its block, for its used residues;
+    - ``ahead``: the grandchild's checks that the child's pick cannot
+      change, which read only entries and masks set at or above this
+      depth; None when the grandchild collects or is a solution.
+    """
+    t = (v - 1) // (schema.h * (schema.h - 1))
+    k = schema.k
+    slots = tuple((r, pos) for r in range(t) for pos in range(k))
+    # every block starts with 0, and the first block's second entry is 1
+    fixed = tuple(
+        0 if pos == 0 else 1 if (r, pos) == (0, 1) else None
+        for r, pos in slots
+    )
+    ending = [
+        tuple(
+            (color, *(q for q in line if q != m))
+            for color, line in enumerate(schema.lines)
+            if max(line) == m
+        )
+        for m in range(k)
+    ]
+    end = len(slots) if stop_depth is None else min(stop_depth, len(slots))
+
+    def split(depth):
+        """depth's checks as (unchanged, changed) by the pick one above."""
+        r, pos = slots[depth]
+        above_r, above = slots[depth - 1]
+        closed = {color for color, _, _ in ending[above]}
+        changed = tuple(
+            check for check in ending[pos]
+            if (r == above_r and above in check[1:]) or check[0] in closed
+        )
+        kept = tuple(check for check in ending[pos] if check not in changed)
+        return kept, changed
+
+    steps = []
+    for depth in range(end):
+        r, pos = slots[depth]
+        same = dyn = same2 = r2 = ahead = None
+        if depth + 1 < end:
+            same = slots[depth + 1][0] == r
+            dyn = split(depth + 1)[1]
+        if depth + 2 < end:
+            r2 = slots[depth + 2][0]
+            same2 = r2 == r
+            ahead = split(depth + 2)[0]
+        steps.append((r, pos, ending[pos], same, dyn, same2, r2, ahead))
+    return slots, fixed, tuple(steps)
+
+
 class _Sweep:
     """Backtracking fill of all block entries with per-color pruning.
 
@@ -723,24 +790,29 @@ class _Sweep:
     checked at its last position; its two earlier entries a, b are fixed
     along the branch, so ``table[a*v + b][0][m]``, for its color's mask m,
     is the set of last entries the line accepts (``_candidate_table``).
-    A node ANDs the complement of its block's used residues with one such
-    entry per line ending at its position, and walks the set bits in
+    A position's candidates are the complement of its block's used
+    residues ANDed with one such entry per line ending there, walked in
     ascending order. That is the test the differences would give one at a
     time, so the same candidates pass in the same order and the tree, its
     node count and its solution order are those of the direct
     computation.
 
-    A node also looks one position ahead (forward checking) where the
-    next position is in the same block, is neither the end nor the
-    collecting depth, and has no line reading this position. Each color
-    has one line per block, so the pick here changes neither the masks
-    nor the row entries those lines read: every child's candidate set is
-    one value ``nxt``, computed once per node, less the child's own bit.
-    A sibling whose set is empty is counted as a node and not entered;
-    when ``nxt`` is 0 all siblings are counted at once, the count cut at
-    the node budget. Those children would have found no candidate, so
-    the tree, its node count, its solutions and the budget's cut point
-    are the same.
+    Each node is handed its own candidate set and ``nxt``, the part of
+    its children's sets that its pick cannot change (forward checking,
+    two levels deep). The plan (``_sweep_plan``, built once per order,
+    layout and stop depth) splits each position's checks by the pick one
+    above: those whose line reads that pick's position or whose color
+    that pick closes, and the rest. For each pick the node ANDs the first
+    kind into ``nxt``, less the pick's bit within a block, which gives
+    the child's set, and evaluates the second kind one level further,
+    which gives the grandchildren's part. Both read the same table
+    entries in the same state as the child would on entry, so each set is
+    exactly the one it would compute itself. When the grandchildren's
+    part is empty, no grandchild has a candidate: the child would count
+    its own picks and enter none, so the node counts them at once, cut at
+    the node budget where one pick at a time would stop, and makes no
+    call. The tree, its node count, its solutions and the budget's cut
+    point are those of the descent that computes every set on entry.
     """
 
     def __init__(self, v: int, schema: KaleidoscopeSchema, mode: str,
@@ -750,21 +822,9 @@ class _Sweep:
         self.mode = mode
         self.max_nodes = max_nodes
         self.t = (v - 1) // (schema.h * (schema.h - 1))
-        k = schema.k
-        self.slots = [(r, pos) for r in range(self.t) for pos in range(k)]
-        self.fixed = {(r, 0): 0 for r in range(self.t)}
-        self.fixed[(0, 1)] = 1
+        self.slots, self.fixed, _ = _sweep_plan(v, schema)
         self.table = _candidate_table(v)
-        # per position: (color, q1, q2) for each line ending there
-        self.checks_at = [
-            [
-                (color, *(q for q in line if q != m))
-                for color, line in enumerate(schema.lines)
-                if max(line) == m
-            ]
-            for m in range(k)
-        ]
-        self.pts = [[None] * k for _ in range(self.t)]
+        self.pts = [[None] * schema.k for _ in range(self.t)]
         self.used = [0] * self.t
         self.masks = [0] * schema.b
         self.nodes = 0
@@ -775,12 +835,12 @@ class _Sweep:
 
     def split_depth(self) -> int:
         free_seen = 0
-        for depth, slot in enumerate(self.slots):
-            if slot not in self.fixed:
+        for depth, value in enumerate(self.fixed):
+            if value is None:
                 free_seen += 1
                 if free_seen == _SPLIT_FREE_SLOTS:
                     return depth + 1
-        return len(self.slots)
+        return len(self.fixed)
 
     def run(self, prefix: tuple = (), stop_depth: Optional[int] = None,
             collect: Optional[list] = None):
@@ -791,25 +851,17 @@ class _Sweep:
         every = (1 << self.v) - 1
         self._allowed = [
             1 << prefix[depth] if depth < len(prefix)
-            else 1 << self.fixed[slot] if slot in self.fixed
-            else every
-            for depth, slot in enumerate(self.slots)
+            else every if value is None
+            else 1 << value
+            for depth, value in enumerate(self.fixed)
         ]
-        # per depth: the checks of the next position when the pick here
-        # cannot change them, else None
-        self._ahead = []
-        for depth, (r, pos) in enumerate(self.slots):
-            child = depth + 1
-            ahead = None
-            if child not in (stop_depth, len(self.slots)):
-                r2, pos2 = self.slots[child]
-                checks = self.checks_at[pos2]
-                if r2 == r and all(pos not in qs for _, *qs in checks):
-                    ahead = checks
-            self._ahead.append(ahead)
-        self._descend(0)
+        self._steps = _sweep_plan(self.v, self.schema, stop_depth)[2]
+        # No line ends at position 0 and every line ending at position 1
+        # reads position 0, so the root's set and its children's unchanged
+        # part are the allowed values alone.
+        self._descend(0, self._allowed[0], self._allowed[1])
 
-    def _descend(self, depth: int):
+    def _descend(self, depth: int, free: int, nxt: int):
         if depth == self._stop_depth:
             values = tuple(
                 self.pts[r][pos] for r, pos in self.slots[:depth]
@@ -823,35 +875,25 @@ class _Sweep:
             if self.mode == "exists":
                 self.stopped = True
             return
-        r, pos = self.slots[depth]
+        r, pos, own, same, dyn, same2, r2, ahead = self._steps[depth]
         v = self.v
         row = self.pts[r]
-        used = self.used[r]
+        used_at = self.used
+        used = used_at[r]
         masks = self.masks
         table = self.table
-        free = self._allowed[depth] & ~used
-        checks = []
-        for color, q1, q2 in self.checks_at[pos]:
-            cands, classes = table[row[q1] * v + row[q2]]
-            mask = masks[color]
-            free &= cands[mask]
-            checks.append((color, classes, mask))
-        # every child's candidates, less its own bit; -1 when not known
-        nxt = -1
-        ahead = self._ahead[depth]
+        closing = [
+            (color, table[row[q1] * v + row[q2]][1], masks[color])
+            for color, q1, q2 in own
+        ]
         if ahead is not None:
-            nxt = self._allowed[depth + 1] & ~used
-            for color, q1, q2 in ahead:
-                nxt &= table[row[q1] * v + row[q2]][0][masks[color]]
+            # the grandchild's allowed values less its block's used
+            # residues; each pick is taken out below when that block is
+            # this one
+            base = self._allowed[depth + 2] & ~used_at[r2]
         counted = depth >= self._replay
+        child_counted = depth + 1 >= self._replay
         limit = self.max_nodes
-        if not nxt and counted:
-            self.nodes += free.bit_count()
-            if limit is not None and self.nodes > limit:
-                self.nodes = limit
-                self.stopped = True
-                self.budget_hit = True
-            return
         while free:
             bit = free & -free
             free ^= bit
@@ -861,18 +903,37 @@ class _Sweep:
                     self.budget_hit = True
                     return
                 self.nodes += 1
-            if not nxt & ~bit:
-                continue
             val = bit.bit_length() - 1
             # entries past this position are stale and never read
             row[pos] = val
-            self.used[r] = used | bit
-            for color, classes, mask in checks:
+            for color, classes, mask in closing:
                 masks[color] = mask | classes[val]
-            self._descend(depth + 1)
-            for color, _, mask in checks:
+            if dyn is None:
+                # the child collects or is a solution
+                sub = grand = -1
+            else:
+                sub = nxt & ~bit if same else nxt
+                for color, q1, q2 in dyn:
+                    sub &= table[row[q1] * v + row[q2]][0][masks[color]]
+                grand = -1
+                if sub and ahead is not None:
+                    grand = base & ~bit if same2 else base
+                    for color, q1, q2 in ahead:
+                        grand &= table[row[q1] * v + row[q2]][0][masks[color]]
+            if sub and grand:
+                used_at[r] = used | bit
+                self._descend(depth + 1, sub, grand)
+                used_at[r] = used
+            elif sub and child_counted:
+                # no grandchild has a candidate: the child's picks are
+                # all counted here
+                self.nodes += sub.bit_count()
+                if limit is not None and self.nodes > limit:
+                    self.nodes = limit
+                    self.stopped = True
+                    self.budget_hit = True
+            for color, _, mask in closing:
                 masks[color] = mask
-            self.used[r] = used
             if self.stopped:
                 return
 
@@ -910,7 +971,7 @@ def exhaustive_nonexistence(
     certificate. Exists mode stops at the first family. The heavier
     combinations, the nine-point layout at v >= 13 and anything at
     v = 19, must be opted into or given a node budget: nine points at
-    v = 13 visit 96,605,589 nodes (about 15 s on two cores), and seven
+    v = 13 visit 96,605,589 nodes (about 10 s on two cores), and seven
     points at v = 19 an estimated 6.6e9. Exists mode and a node budget
     run in one process (see ``serial_sweep_reason``).
     """

@@ -813,7 +813,7 @@ _NORMS = [
 @pytest.mark.slow
 def test_sweep_v13_nine_points_exhausted():
     """The nine-point tree at order 13 in full: no cyclic family. About
-    15 s on two cores; run with --run-slow."""
+    10 s on two cores; run with --run-slow."""
     cert = exhaustive_nonexistence(13, "hesse", jobs=2, allow_long=True)
     assert cert.to_json() == {
         "v": 13, "schema": "hesse", "blocks": 2, "normalizations": _NORMS,
@@ -850,7 +850,8 @@ def test_budgeted_sweep_certificates_pinned(kwargs, want):
 # -- the sweep against a plain descent ---------------------------------------
 
 
-def _plain_sweep(v, schema_name, prefix=(), max_nodes=None, stop_depth=None):
+def _plain_sweep(v, schema_name, prefix=(), max_nodes=None, stop_depth=None,
+                 mode="count"):
     """The sweep straight from the differences, with no candidate table
     and no lookahead.
 
@@ -859,8 +860,9 @@ def _plain_sweep(v, schema_name, prefix=(), max_nodes=None, stop_depth=None):
     differences must be nonzero, lie in three distinct classes {d, v - d}
     and miss every class its color already holds. Every block starts with
     0 and the first block's second entry is 1. ``prefix`` entries are
-    replayed and not counted. Returns (nodes, solutions, first,
-    budget_hit, the entries of every path reaching ``stop_depth``).
+    replayed and not counted. In ``"exists"`` mode the descent stops at
+    its first solution. Returns (nodes, solutions, first, budget_hit, the
+    entries of every path reaching ``stop_depth``).
     """
     schema = builtin_schema(schema_name)
     k = schema.k
@@ -878,7 +880,8 @@ def _plain_sweep(v, schema_name, prefix=(), max_nodes=None, stop_depth=None):
     paths = []
 
     def descend(depth):
-        """True when the budget stops the sweep."""
+        """True when the budget or a solution in exists mode stops the
+        sweep."""
         if depth == stop_depth:
             paths.append(tuple(rows[r][pos] for r, pos in slots[:depth]))
             return False
@@ -886,7 +889,7 @@ def _plain_sweep(v, schema_name, prefix=(), max_nodes=None, stop_depth=None):
             out["solutions"] += 1
             if out["first"] is None:
                 out["first"] = tuple(map(tuple, rows))
-            return False
+            return mode == "exists"
         r, pos = slots[depth]
         row = rows[r]
         if depth < len(prefix):
@@ -926,9 +929,10 @@ def _plain_sweep(v, schema_name, prefix=(), max_nodes=None, stop_depth=None):
     return out["nodes"], out["solutions"], out["first"], out["hit"], paths
 
 
-def _swept(v, schema_name, prefix=(), max_nodes=None, stop_depth=None):
+def _swept(v, schema_name, prefix=(), max_nodes=None, stop_depth=None,
+           mode="count"):
     """``_plain_sweep``'s answer from the sweep."""
-    sweep = search_module._Sweep(v, builtin_schema(schema_name), "count",
+    sweep = search_module._Sweep(v, builtin_schema(schema_name), mode,
                                  max_nodes)
     paths = []
     sweep.run(prefix=prefix, stop_depth=stop_depth, collect=paths)
@@ -947,6 +951,54 @@ def test_plain_sweep_matches_the_sweep_at_v7():
         assert _swept(7, "fano", max_nodes=budget) == want, budget
 
 
+def test_exists_mode_matches_plain_descent_at_v7():
+    """Exists mode stops at the first family, under every budget up to
+    past the node that finds it."""
+    first = ((0, 1, 2, 3, 4, 5, 6),)
+    whole = _plain_sweep(7, "fano", mode="exists")
+    assert whole[1:] == (1, first, False, [])
+    assert _swept(7, "fano", mode="exists") == whole
+    for budget in range(whole[0] + 2):
+        want = _plain_sweep(7, "fano", max_nodes=budget, mode="exists")
+        got = _swept(7, "fano", max_nodes=budget, mode="exists")
+        assert got == want, budget
+
+
+def test_sweep_v13_every_budget_matches_plain_descent():
+    """Every budget from 0 to the size of four order-13 subtrees rooted
+    at the second block. Their deepest picks are counted at once, in the
+    node above, wherever no grandchild has a candidate, so these budgets
+    cut inside each such count at every point."""
+    for prefix in _subtrees(13, "fano", 4, 1907, depth=7):
+        size = _plain_sweep(13, "fano", prefix)[0]
+        for budget in range(size + 1):
+            want = _plain_sweep(13, "fano", prefix, budget)
+            assert _swept(13, "fano", prefix, budget) == want, (prefix, budget)
+
+
+def test_sweep_v13_one_level_deeper_subtrees_match_plain_descent():
+    """The subtrees one entry below 20 seeded depth-9 paths, for every
+    residue as that entry. Most hold no node, and many of those entries
+    are no candidate at all: a replayed node whose grandchildren find no
+    candidate must count nothing."""
+    for path in _subtrees(13, "fano", 20, 1909, depth=9):
+        for val in range(13):
+            prefix = path + (val,)
+            want = _plain_sweep(13, "fano", prefix)
+            assert _swept(13, "fano", prefix) == want, prefix
+
+
+def test_nine_point_subtree_collected_at_every_second_block_depth():
+    """One nine-point order-13 subtree, among the smallest of the 720
+    (29,348 nodes), collected at every depth of the second block: the
+    lookahead must stop at the collecting depth wherever it is."""
+    prefix = (0, 1, 5, 11, 6)
+    for depth in range(9, 18):
+        want = _plain_sweep(13, "hesse", prefix, stop_depth=depth)
+        assert _swept(13, "hesse", prefix, stop_depth=depth) == want, depth
+    assert want[0] == 29_348
+
+
 @pytest.mark.parametrize(
     "v,schema_name", [(7, "fano"), (13, "fano"), (13, "hesse"), (19, "fano")]
 )
@@ -958,10 +1010,11 @@ def test_sweep_top_levels_match_plain_descent(v, schema_name):
         assert _swept(v, schema_name, stop_depth=depth) == want, depth
 
 
-def _subtrees(v, schema_name, count, seed):
+def _subtrees(v, schema_name, count, seed, depth=None):
+    """Seeded subtrees rooted at ``depth``, by default the split."""
     top = search_module._Sweep(v, builtin_schema(schema_name), "count")
     prefixes = []
-    top.run(stop_depth=top.split_depth(), collect=prefixes)
+    top.run(stop_depth=depth or top.split_depth(), collect=prefixes)
     return random.Random(seed).sample(prefixes, count)
 
 
