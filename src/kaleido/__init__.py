@@ -17,9 +17,6 @@ from .algebra import (
     Product,
     cubic_character,
     descriptor_from_json,
-    descriptor_to_json,
-    element_from_json,
-    element_to_json,
     find_irreducible,
     is_prime,
     make_group,

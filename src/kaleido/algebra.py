@@ -5,6 +5,12 @@ element is an int in ``range(v)``. An extension field element is a tuple of
 coefficient ints with the constant term first, so ``(4, 1)`` over
 ``Z_5[t]/(t^2 - 3)`` means ``4 + t``. A direct product element is a pair.
 
+Each group class owns its JSON boundary: ``to_json()`` gives its
+descriptor object, and ``encoder()`` and ``decoder()`` give the functions
+that write and read one element. A document resolves them once and
+calls them per element. A residue is a JSON int, an extension element a
+list of coefficients and a product element a two-item list.
+
 Extension fields of degree 2 and 3 multiply in closed form
 (``QuadraticFieldGroup``, ``CubicFieldGroup``). Higher degrees convolve
 the coefficient tuples and reduce by a table of t^d, t^(d+1), ...
@@ -43,12 +49,7 @@ __all__ = [
     "Element",
     "Group",
     "make_group",
-    "descriptor_to_json",
     "descriptor_from_json",
-    "element_to_json",
-    "element_from_json",
-    "element_decoder",
-    "element_encoder",
     "is_prime",
     "prime_factors",
     "find_irreducible",
@@ -103,22 +104,6 @@ def _is_json_int(obj) -> bool:
     return isinstance(obj, int) and not isinstance(obj, bool)
 
 
-def descriptor_to_json(desc: GroupDescriptor) -> dict:
-    if isinstance(desc, Cyclic):
-        return {"kind": "cyclic", "v": desc.v}
-    if isinstance(desc, PrimeField):
-        return {"kind": "prime", "p": desc.p}
-    if isinstance(desc, ExtensionField):
-        return {"kind": "ext", "p": desc.p, "modulus": list(desc.modulus)}
-    if isinstance(desc, Product):
-        return {
-            "kind": "product",
-            "left": descriptor_to_json(desc.left),
-            "right": descriptor_to_json(desc.right),
-        }
-    raise MalformedInput(f"not a group descriptor: {desc!r}")
-
-
 def descriptor_from_json(obj) -> GroupDescriptor:
     if not isinstance(obj, dict):
         raise MalformedInput("group descriptor must be a JSON object")
@@ -154,18 +139,43 @@ def descriptor_from_json(obj) -> GroupDescriptor:
 # integer and polynomial helpers
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Below this bound no composite passes the strong test to every base above
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality: deterministic Miller-Rabin below ``_MR_BOUND``,
+    trial division above it."""
     if n < 2:
         return False
-    if n < 4:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n < 43 * 43:
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n >= _MR_BOUND:
+        f = 43
+        while f * f <= n:
+            if n % f == 0:
+                return False
+            f += 2
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -332,18 +342,37 @@ class CyclicGroup(Group):
     def _build_elements(self):
         return range(self.order)
 
+    def to_json(self) -> dict:
+        return {"kind": "cyclic", "v": self.order}
+
+    def encoder(self):
+        return int
+
+    def decoder(self):
+        order = self.order
+
+        def dec(obj):
+            if isinstance(obj, bool) or not isinstance(obj, int):
+                raise MalformedInput(
+                    f"expected an integer element, got {obj!r}"
+                )
+            return obj % order
+
+        return dec
+
 
 class PrimeFieldGroup(CyclicGroup):
     """Integers mod a prime: the cyclic group of order p, with its
     multiplication."""
 
     is_field = True
+    degree = 1
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not is_prime(p):
             raise NonPrimeModulus(f"{p!r} is not prime")
         self.descriptor = PrimeField(p)
-        self.order = p
+        self.p = self.order = p
         self.zero = 0
         self.one = 1 % p
 
@@ -365,6 +394,9 @@ class PrimeFieldGroup(CyclicGroup):
     def times(self, x, ys):
         p = self.order
         return [x * y % p for y in ys]
+
+    def to_json(self) -> dict:
+        return {"kind": "prime", "p": self.p}
 
 
 class ExtensionFieldGroup(Group):
@@ -462,6 +494,27 @@ class ExtensionFieldGroup(Group):
     def _build_elements(self):
         return list(itertools.product(range(self.p), repeat=self.degree))
 
+    def to_json(self) -> dict:
+        modulus = list(self.descriptor.modulus)
+        return {"kind": "ext", "p": self.p, "modulus": modulus}
+
+    def encoder(self):
+        return lambda x: list(map(int, x))
+
+    def decoder(self):
+        p, degree = self.p, self.degree
+
+        def dec(obj):
+            if not isinstance(obj, (list, tuple)) or len(obj) != degree:
+                raise MalformedInput(
+                    f"expected {degree} coefficients, got {obj!r}"
+                )
+            if not all(map(_is_json_int, obj)):
+                raise MalformedInput("coefficients must be integers")
+            return tuple(c % p for c in obj)
+
+        return dec
+
 
 class QuadraticFieldGroup(ExtensionFieldGroup):
     """An extension of degree 2, multiplied in closed form.
@@ -536,6 +589,47 @@ class ProductGroup(Group):
             (x, y) for x in self.left.elements() for y in self.right.elements()
         ]
 
+    def to_json(self) -> dict:
+        return {
+            "kind": "product",
+            "left": self.left.to_json(),
+            "right": self.right.to_json(),
+        }
+
+    def encoder(self):
+        left, right = self.left.encoder(), self.right.encoder()
+        return lambda x: [left(x[0]), right(x[1])]
+
+    def decoder(self):
+        """Decode a pair factor by factor.
+
+        Over two cyclic factors a JSON pair of ints is decoded at once.
+        ``type(...) is int`` turns away bools as well as every other type,
+        so any input that path does not take gets the general decoder's
+        result or its error.
+        """
+        left, right = self.left.decoder(), self.right.decoder()
+
+        def dec(obj):
+            if not isinstance(obj, (list, tuple)) or len(obj) != 2:
+                raise MalformedInput(f"expected a pair, got {obj!r}")
+            return (left(obj[0]), right(obj[1]))
+
+        if not isinstance(self.left, CyclicGroup) or not isinstance(
+            self.right, CyclicGroup
+        ):
+            return dec
+        n1, n2 = self.left.order, self.right.order
+
+        def int_pair(obj):
+            if type(obj) is list and len(obj) == 2:
+                a, b = obj
+                if type(a) is int and type(b) is int:
+                    return (a % n1, b % n2)
+            return dec(obj)
+
+        return int_pair
+
 
 def make_group(desc: GroupDescriptor) -> Group:
     """Build the group handle a descriptor names."""
@@ -552,98 +646,6 @@ def make_group(desc: GroupDescriptor) -> Group:
     if isinstance(desc, Product):
         return ProductGroup(make_group(desc.left), make_group(desc.right))
     raise MalformedInput(f"not a group descriptor: {desc!r}")
-
-
-# ---------------------------------------------------------------------------
-# element serialization
-
-
-def element_encoder(group: Group):
-    """The JSON encoder of one group's elements, resolved once.
-
-    It mirrors ``element_decoder``: encoding a family or a plane list
-    calls it once per element, so the type dispatch happens here.
-    """
-    if isinstance(group, CyclicGroup):
-        return int
-    if isinstance(group, ExtensionFieldGroup):
-        return lambda x: list(map(int, x))
-    if isinstance(group, ProductGroup):
-        left, right = element_encoder(group.left), element_encoder(group.right)
-        return lambda x: [left(x[0]), right(x[1])]
-    raise MalformedInput(f"unknown group type: {group!r}")
-
-
-def element_to_json(group: Group, x: Element):
-    return element_encoder(group)(x)
-
-
-def element_decoder(group: Group):
-    """The JSON decoder of one group's elements, resolved once.
-
-    Decoding a family or a plane list calls it once per element, so the
-    type dispatch on the group happens here rather than per element.
-    """
-    if isinstance(group, CyclicGroup):
-        order = group.order
-
-        def dec(obj):
-            if isinstance(obj, bool) or not isinstance(obj, int):
-                raise MalformedInput(
-                    f"expected an integer element, got {obj!r}"
-                )
-            return obj % order
-
-    elif isinstance(group, ExtensionFieldGroup):
-        p, degree = group.p, group.degree
-
-        def dec(obj):
-            if not isinstance(obj, (list, tuple)) or len(obj) != degree:
-                raise MalformedInput(
-                    f"expected {degree} coefficients, got {obj!r}"
-                )
-            if not all(map(_is_json_int, obj)):
-                raise MalformedInput("coefficients must be integers")
-            return tuple(c % p for c in obj)
-
-    elif isinstance(group, ProductGroup):
-        left, right = element_decoder(group.left), element_decoder(group.right)
-
-        def dec(obj):
-            if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-                raise MalformedInput(f"expected a pair, got {obj!r}")
-            return (left(obj[0]), right(obj[1]))
-
-        if isinstance(group.left, CyclicGroup) and isinstance(
-            group.right, CyclicGroup
-        ):
-            dec = _int_pair_decoder(group.left.order, group.right.order, dec)
-
-    else:
-        raise MalformedInput(f"unknown group type: {group!r}")
-    return dec
-
-
-def _int_pair_decoder(n1: int, n2: int, general):
-    """Decode a JSON pair of ints at once; leave all else to ``general``.
-
-    ``type(...) is int`` turns away bools as well as every other type, so
-    any input the fast path does not take gets the general decoder's
-    result or its error.
-    """
-
-    def dec(obj):
-        if type(obj) is list and len(obj) == 2:
-            a, b = obj
-            if type(a) is int and type(b) is int:
-                return (a % n1, b % n2)
-        return general(obj)
-
-    return dec
-
-
-def element_from_json(group: Group, obj) -> Element:
-    return element_decoder(group)(obj)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,13 @@
 """Command line front end.
 
-Results go to stdout as JSON with sorted keys; one human-readable status
-line goes to stderr. Exit status is 0 for valid or found, 1 for invalid
+Results go to stdout as JSON with sorted keys; a human-readable status
+note goes to stderr. Exit status is 0 for valid or found, 1 for invalid
 or not found, 2 for malformed input.
 
 Every ``_cmd_*`` handler returns ``(result, note, ok)``: the JSON result,
 the stderr note ("" for none) and whether the outcome is valid or found.
 Only ``main`` turns that triple into output and an exit code, and a
 ``KaleidoError`` or ``ValueError`` into an ``error:`` line and exit 2.
-The one line a handler writes itself is the note of ``nonexistence``,
-before its result, that the sweep ran on fewer jobs than asked.
 """
 
 from __future__ import annotations
@@ -22,12 +20,10 @@ from pathlib import Path
 
 from .algebra import (
     ExtensionField,
-    ExtensionFieldGroup,
     Group,
     PrimeField,
-    element_from_json,
-    element_to_json,
     find_irreducible,
+    is_prime,
     make_group,
     prime_factors,
 )
@@ -109,6 +105,8 @@ def _read_text(path: str) -> str:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
+    if is_prime(q):
+        return q, 1
     if q < 2:
         raise MalformedInput(f"{q} is not a prime power")
     ps = prime_factors(q)
@@ -149,15 +147,14 @@ def _parse_element(field: Group, text: str):
     text = text.strip()
     if "," in text:
         obj = [int(c) for c in text.split(",")]
-        if isinstance(field, ExtensionFieldGroup):
-            obj += [0] * (field.degree - len(obj))
+        obj += [0] * (field.degree - len(obj))
     else:
         obj = int(text)
-    return element_from_json(field, obj)
+    return field.decoder()(obj)
 
 
 def _parse_block(field: Group, text: str) -> tuple:
-    sep = ";" if isinstance(field, ExtensionFieldGroup) else ","
+    sep = ";" if field.degree > 1 else ","
     return tuple(_parse_element(field, tok) for tok in text.split(sep))
 
 
@@ -202,7 +199,7 @@ def _cmd_verify_block(args) -> Outcome:
     out = {
         "kind": "block",
         "q": field.order,
-        "block": [element_to_json(field, x) for x in pts],
+        "block": list(map(field.encoder(), pts)),
         "valid": ok,
     }
     return out, "initial block" if ok else "not an initial block", ok
@@ -263,8 +260,9 @@ def _cmd_search_parametric(args) -> Outcome:
         if not out["exhausted"]:
             note = f"budget of {candidates} candidates reached, nothing found"
         return out, note, False
-    out["x"] = element_to_json(field, res.x)
-    out["block"] = [element_to_json(field, p) for p in res.block]
+    enc = field.encoder()
+    out["x"] = enc(res.x)
+    out["block"] = list(map(enc, res.block))
     out["checked"] = res.checked
     return out, f"found x after {res.checked} candidates", True
 
@@ -284,7 +282,7 @@ def _found_block(field: Group, args, block, miss_note: str) -> Outcome:
         "found": True,
         "q": field.order,
         "schema": args.schema,
-        "block": [element_to_json(field, p) for p in block.points],
+        "block": list(map(field.encoder(), block.points)),
     }
     return out, "found an initial block", True
 
@@ -301,13 +299,9 @@ def _constraints_from_json(field: Group, raw) -> list:
     """Constraint objects {"shift": element, "class": label} from JSON."""
     if not isinstance(raw, list) or not all(isinstance(c, dict) for c in raw):
         raise MalformedInput("constraints must be a JSON list of objects")
+    dec = field.decoder()
     try:
-        return [
-            CyclotomicConstraint(
-                element_from_json(field, c["shift"]), c["class"]
-            )
-            for c in raw
-        ]
+        return [CyclotomicConstraint(dec(c["shift"]), c["class"]) for c in raw]
     except KeyError as missing:
         raise MalformedInput(f"constraint lacks key {missing}") from None
 
@@ -347,7 +341,7 @@ def _cmd_search_constrained(args) -> Outcome:
         "bound": res.bound,
     }
     if found:
-        out["element"] = element_to_json(field, res.element)
+        out["element"] = field.encoder()(res.element)
         return out, f"found after {res.checked} candidates", True
     note = "no element satisfies the chain"
     if res.contradicts_bound:
@@ -428,12 +422,10 @@ def _cmd_nonexistence(args) -> Outcome:
         allow_long=args.allow_long,
     )
     reason = serial_sweep_reason(args.mode, args.max_nodes)
+    note = ""
     if args.jobs != 1 and reason is not None:
-        print(
-            f"note: ran on 1 job instead of {args.jobs}: {reason}",
-            file=sys.stderr,
-        )
-    note = (
+        note = f"note: ran on 1 job instead of {args.jobs}: {reason}\n"
+    note += (
         f"{cert.solutions} normalized families, "
         f"{cert.nodes_visited} nodes"
         + ("" if cert.exhausted else " (sweep not exhausted)")

@@ -20,9 +20,6 @@ from .algebra import (
     Group,
     ProductGroup,
     descriptor_from_json,
-    descriptor_to_json,
-    element_decoder,
-    element_encoder,
     make_group,
 )
 from .designs import (
@@ -245,9 +242,9 @@ def pbd_compose(
 
 
 def dm_to_json(m: DifferenceMatrix) -> dict:
-    enc = element_encoder(m.group)
+    enc = m.group.encoder()
     return {
-        "group": descriptor_to_json(m.group.descriptor),
+        "group": m.group.to_json(),
         "rows": [list(map(enc, row)) for row in m.rows],
     }
 
@@ -264,7 +261,7 @@ def dm_from_json(obj) -> DifferenceMatrix:
         raise MalformedInput("rows must be a list")
     if not all(isinstance(row, list) for row in raw):
         raise MalformedInput("each row must be a list of elements")
-    dec = element_decoder(group)
+    dec = group.decoder()
     rows = tuple(tuple(map(dec, row)) for row in raw)
     return DifferenceMatrix(group, rows)
 

@@ -27,9 +27,6 @@ from .algebra import (
     Group,
     _is_json_int,
     descriptor_from_json,
-    descriptor_to_json,
-    element_decoder,
-    element_encoder,
     is_prime,
     make_group,
 )
@@ -529,9 +526,9 @@ def replicate(
 
 
 def df_to_json(df: DifferenceFamily) -> dict:
-    enc = element_encoder(df.group)
+    enc = df.group.encoder()
     return {
-        "group": descriptor_to_json(df.group.descriptor),
+        "group": df.group.to_json(),
         "k": df.k,
         "lambda": df.lam,
         "blocks": [sorted(map(enc, block)) for block in df.blocks],
@@ -559,15 +556,15 @@ def df_from_json(obj) -> DifferenceFamily:
         raise MalformedInput("family k and lambda must be integers")
     if not isinstance(raw, list):
         raise MalformedInput("blocks must be a list")
-    dec = element_decoder(group)
+    dec = group.decoder()
     blocks = tuple(frozenset(_decoded(block, dec, "block")) for block in raw)
     return DifferenceFamily(group, k, lam, blocks)
 
 
 def kdf_to_json(kdf: KaleidoscopicDifferenceFamily) -> dict:
-    enc = element_encoder(kdf.group)
+    enc = kdf.group.encoder()
     return {
-        "group": descriptor_to_json(kdf.group.descriptor),
+        "group": kdf.group.to_json(),
         "schema": schema_to_json(kdf.schema),
         "blocks": [list(map(enc, row)) for row in kdf.blocks],
         "provenance": kdf.provenance,
@@ -585,7 +582,7 @@ def kdf_from_json(obj) -> KaleidoscopicDifferenceFamily:
         raise MalformedInput(f"family object lacks key {missing}") from None
     if not isinstance(raw, list):
         raise MalformedInput("blocks must be a list")
-    dec = element_decoder(group)
+    dec = group.decoder()
     blocks = tuple(_decoded(block, dec, "block") for block in raw)
     provenance = obj.get("provenance") or {}
     if not isinstance(provenance, dict):
@@ -607,10 +604,10 @@ class _Codes(dict):
 
 def kaleidoscope_to_json(k: Kaleidoscope) -> dict:
     if k.group is not None:
-        points = descriptor_to_json(k.group.descriptor)
+        points = k.group.to_json()
         # Each element is encoded once, and its JSON value is shared by
         # every plane, so ``dumps`` writes a list-valued one once per depth.
-        enc = _Codes(element_encoder(k.group)).__getitem__
+        enc = _Codes(k.group.encoder()).__getitem__
     else:
         points = len(k.points)
         if tuple(k.points) != tuple(range(points)):
@@ -659,7 +656,7 @@ def kaleidoscope_from_json(obj) -> Kaleidoscope:
     elif isinstance(raw_points, dict):
         group = make_group(descriptor_from_json(raw_points))
         points = tuple(group.elements())
-        dec = element_decoder(group)
+        dec = group.decoder()
 
     else:
         raise MalformedInput("points must be a count or a group descriptor")

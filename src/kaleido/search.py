@@ -32,7 +32,6 @@ from .algebra import (
     PrimeField,
     _is_json_int,
     cubic_character,
-    element_encoder,
     is_prime,
     make_group,
     primitive_element,
@@ -213,7 +212,7 @@ def generate_kdf_from_initial_block(
     scalars = transversal(field, mode)
     # Column i holds point i of every scaled copy, in transversal order.
     cols = [field.times(x, scalars) for x in row]
-    enc = element_encoder(field)
+    enc = field.encoder()
     provenance = {
         "initial_block": list(map(enc, row)),
         "transversal_mode": mode,

@@ -1,5 +1,6 @@
 """Field and group arithmetic, cyclotomic classes, transversals."""
 
+import json
 import random
 from itertools import product
 
@@ -7,19 +8,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kaleido import algebra
 from kaleido.algebra import (
     Cyclic,
+    CyclicGroup,
     CyclotomicTable,
     ExtensionField,
     ExtensionFieldGroup,
     PrimeField,
+    PrimeFieldGroup,
     Product,
+    ProductGroup,
     QuadraticFieldGroup,
     CubicFieldGroup,
     descriptor_from_json,
-    descriptor_to_json,
-    element_from_json,
-    element_to_json,
     find_irreducible,
     is_prime,
     make_group,
@@ -44,6 +46,36 @@ def test_is_prime_small():
                       47, 53, 59]
     assert not is_prime(1)
     assert not is_prime(0)
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division_below_200000():
+    assert [n for n in range(200_000) if is_prime(n)] == [
+        n for n in range(200_000) if _trial_division_is_prime(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        2047,  # strong pseudoprime to base 2
+        3_215_031_751,  # to bases 2, 3, 5 and 7
+        3_825_123_056_546_413_051,  # to every prime base up to 31
+        # to every prime base up to 37; only base 41 catches it
+        318_665_857_834_031_151_167_461,
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_large():
+    assert is_prime(2**61 - 1)
+    # below the Miller-Rabin bound, so no trial division runs
+    assert not is_prime((2**61 - 1) * (2**13 - 1))
 
 
 def test_prime_factors():
@@ -378,27 +410,101 @@ def test_descriptor_json_round_trip():
         Product(PrimeField(7), Cyclic(4)),
     ]
     for d in descs:
-        assert descriptor_from_json(descriptor_to_json(d)) == d
+        assert descriptor_from_json(make_group(d).to_json()) == d
 
 
 def test_element_json_round_trip():
     f = make_group(ExtensionField(5, (2, 0, 1)))
     x = (4, 3)
-    assert element_from_json(f, element_to_json(f, x)) == x
+    assert f.decoder()(f.encoder()(x)) == x
     p = make_group(Product(PrimeField(7), PrimeField(19)))
     y = (6, 18)
-    assert element_from_json(p, element_to_json(p, y)) == y
+    assert p.decoder()(p.encoder()(y)) == y
 
 
 def test_element_json_validates():
     f = make_group(PrimeField(7))
     with pytest.raises(MalformedInput):
-        element_from_json(f, [1, 2])
+        f.decoder()([1, 2])
     # integers reduce mod the order on load
-    assert element_from_json(f, 7) == 0
+    assert f.decoder()(7) == 0
     e = make_group(ExtensionField(5, (2, 0, 1)))
     with pytest.raises(MalformedInput):
-        element_from_json(e, [1, 2, 3])
+        e.decoder()([1, 2, 3])
+
+
+F4_MODULUS = find_irreducible(2, 4)
+
+# One group of each kind, with the class make_group gives it.
+ROUND_TRIP_GROUPS = [
+    (Cyclic(12), CyclicGroup),
+    (PrimeField(13), PrimeFieldGroup),
+    (ExtensionField(5, (2, 0, 1)), QuadraticFieldGroup),
+    (ExtensionField(3, find_irreducible(3, 3)), CubicFieldGroup),
+    (ExtensionField(2, F4_MODULUS), ExtensionFieldGroup),
+    (Product(PrimeField(7), PrimeField(5)), ProductGroup),
+    (Product(PrimeField(3), ExtensionField(5, (2, 0, 1))), ProductGroup),
+    (
+        Product(
+            Product(Cyclic(4), PrimeField(3)),
+            ExtensionField(2, find_irreducible(2, 2)),
+        ),
+        ProductGroup,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "desc,cls", ROUND_TRIP_GROUPS, ids=[repr(d) for d, _ in ROUND_TRIP_GROUPS]
+)
+def test_group_json_round_trip(desc, cls):
+    g = make_group(desc)
+    assert type(g) is cls
+    text = json.dumps(g.to_json())
+    assert make_group(descriptor_from_json(json.loads(text))) == g
+    enc, dec = g.encoder(), g.decoder()
+    for x in g.elements():
+        assert dec(json.loads(json.dumps(enc(x)))) == x
+
+
+def test_prime_field_names_its_characteristic_and_degree():
+    f = make_group(PrimeField(13))
+    assert (f.p, f.degree) == (13, 1)
+    assert f.to_json() == {"kind": "prime", "p": 13}
+
+
+BAD_PAIRS = [
+    True, False, [True, 1], [1, False], [False, True],
+    1.0, [1.0, 2], [1, 2.5], [float("nan"), 0],
+    [1, 2, 3], [1], [], (1, 2, 3),
+    [[1], 2], [1, [2]], [[1, 2], [3, 4]], [(1,), 2],
+    "12", "[1, 2]", ["1", 2], [1, "2"],
+    None, {"a": 1}, [None, 1],
+    (1, 2), [-1, 12], [10**30, -(10**30)],
+]
+
+
+def _outcome(dec, obj):
+    try:
+        return ("element", dec(obj))
+    except MalformedInput as err:
+        return ("error", str(err))
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [Product(PrimeField(7), PrimeField(5)), Product(Cyclic(4), Cyclic(6))],
+)
+def test_int_pair_fast_path_matches_general_pair_decoder(desc, monkeypatch):
+    g = make_group(desc)
+    fast = g.decoder()
+    # With the cyclic class hidden from the factor test, the same product
+    # builds its general pair decoder.
+    monkeypatch.setattr(algebra, "CyclicGroup", type("Hidden", (), {}))
+    general = g.decoder()
+    assert fast.__code__ is not general.__code__
+    for obj in BAD_PAIRS:
+        assert _outcome(fast, obj) == _outcome(general, obj), obj
 
 
 # --- primitive elements and cyclotomy ---

@@ -390,6 +390,20 @@ def test_search_prefix_emit_kdf(capsys, tmp_path):
     assert _out(capsys)["valid"] is True
 
 
+def test_search_asymptotic_at_a_large_prime_order():
+    # 2^61 - 1 = 1 (mod 6); trial division of it took hours
+    q = str(2**61 - 1)
+    proc = subprocess.run(
+        [sys.executable, "-m", "kaleido", "search", "asymptotic", "--q", q],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == "found an initial block\n"
+    assert json.loads(proc.stdout)["q"] == 2**61 - 1
+
+
 def test_search_asymptotic_miss(capsys):
     rc = main(["search", "asymptotic", "--q", "13", "--schema", "hesse"])
     assert rc == 1
@@ -646,7 +660,7 @@ def test_nonexistence_unsupported():
 
 
 def test_nonexistence_refuses_a_large_order_at_once():
-    # 2^61 - 1 is a prime = 1 (mod 6); trial division of it takes hours
+    # 2^61 - 1 is a prime = 1 (mod 6), far past the bound
     v = str(2**61 - 1)
     proc = subprocess.run(
         [sys.executable, "-m", "kaleido", "nonexistence", "--v", v],

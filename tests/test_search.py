@@ -13,7 +13,6 @@ from kaleido.algebra import (
     CyclotomicTable,
     ExtensionField,
     PrimeField,
-    element_encoder,
     find_irreducible,
     is_prime,
     make_group,
@@ -325,7 +324,7 @@ def test_prefix_search_dead_prefix():
 
 def _block_searches(field) -> list:
     """Both chain layouts in both modes, then both prefix searches."""
-    enc = element_encoder(field)
+    enc = field.encoder()
 
     def points(block):
         return None if block is None else [enc(x) for x in block.points]
