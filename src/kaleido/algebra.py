@@ -26,6 +26,7 @@ element in that order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -179,19 +180,70 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Trial division stops here; a cofactor with no prime factor up to it is
+# split by Pollard-Brent rho. Every n below 1025^2 is factored by division
+# alone.
+_TRIAL_LIMIT = 1 << 10
+
+
+def _rho_factor(n: int) -> int:
+    """A proper divisor of the odd composite n (Pollard-Brent rho).
+
+    Iterates y -> y^2 + c mod n with Brent's cycle search, multiplying 128
+    differences before each gcd; on a gcd of n it steps back one at a
+    time, and on failure moves to the next c.
+    """
+    for c in itertools.count(1):
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * abs(x - y) % n
+                g = math.gcd(acc, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime divisors of n, ascending."""
+    """Distinct prime divisors of n, ascending.
+
+    Primes up to ``_TRIAL_LIMIT`` are divided out first. A cofactor left
+    over is split by Pollard-Brent rho until ``is_prime`` proves every
+    part prime, so the answer is exact.
+    """
     out = []
     f = 2
-    while f * f <= n:
+    while f * f <= n and f <= _TRIAL_LIMIT:
         if n % f == 0:
             out.append(f)
             while n % f == 0:
                 n //= f
         f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    if f * f > n:
+        return out + [n] if n > 1 else out
+    big = set()
+    parts = [n]
+    while parts:
+        m = parts.pop()
+        if is_prime(m):
+            big.add(m)
+        else:
+            d = _rho_factor(m)
+            parts += [d, m // d]
+    return out + sorted(big)
 
 
 def _poly_divmod(a: list[int], b: tuple[int, ...], p: int):
@@ -273,11 +325,9 @@ class Group:
         raise NotImplementedError
 
     # Whole-column kernels. Each is defined by the per-element method it
-    # maps, which subclasses may replace by a faster equivalent.
-
-    def translates(self, x: Element) -> list:
-        """x + g for every element g, in canonical order."""
-        return list(map(self.add, itertools.repeat(x), self.elements()))
+    # maps, which subclasses may replace by a faster equivalent. Every
+    # group gives its own ``translates(x)``: x + g for every element g, in
+    # canonical order.
 
     def differences(self, a: Sequence, b: Sequence) -> list:
         """a[i] - b[i] for each position i."""

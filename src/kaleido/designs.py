@@ -40,6 +40,7 @@ from .errors import (
 from .schema import (
     KaleidoscopeSchema,
     _check_row,
+    _first_pair_violation,
     schema_from_json,
     schema_to_json,
     validate_schema,
@@ -480,15 +481,8 @@ class PBDReport:
 
 
 def verify_pbd(pbd: PairwiseBalancedDesign) -> PBDReport:
-    coverage = {}
-    for block in pbd.blocks:
-        for pair in combinations(sorted(block), 2):
-            coverage[pair] = coverage.get(pair, 0) + 1
-    for pair in combinations(range(pbd.v), 2):
-        count = coverage.get(pair, 0)
-        if count != 1:
-            return PBDReport(False, (pair, count))
-    return PBDReport(True, None)
+    first = _first_pair_violation(pbd.blocks, pbd.v)
+    return PBDReport(first is None, first)
 
 
 def replicate(

@@ -12,6 +12,7 @@ the cycle, plus four lines {fixed, j, j+4} through position 0.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
@@ -88,7 +89,19 @@ class KaleidoscopeSchema:
 class SchemaReport:
     valid: bool
     first_violation: Optional[tuple[tuple[int, int], int]]
-    coverage: dict
+
+
+def _first_pair_violation(blocks: Iterable, n: int) -> Optional[tuple]:
+    """The first pair of 0..n-1, in lexicographic order, that the blocks
+    do not cover exactly once, as ``(pair, count)``; None if there is
+    none."""
+    coverage = Counter(
+        pair for block in blocks for pair in combinations(sorted(block), 2)
+    )
+    for pair in combinations(range(n), 2):
+        if coverage[pair] != 1:
+            return pair, coverage[pair]
+    return None
 
 
 def _sorted_line(indices: Iterable[int]) -> tuple[int, ...]:
@@ -124,16 +137,8 @@ def builtin_schema(name: str) -> KaleidoscopeSchema:
 
 def validate_schema(schema: KaleidoscopeSchema) -> SchemaReport:
     """Check that the lines cover every position pair exactly once."""
-    coverage = {pair: 0 for pair in combinations(range(schema.k), 2)}
-    for line in schema.lines:
-        for pair in combinations(sorted(line), 2):
-            coverage[pair] += 1
-    first = None
-    for pair in combinations(range(schema.k), 2):
-        if coverage[pair] != 1:
-            first = (pair, coverage[pair])
-            break
-    return SchemaReport(first is None, first, coverage)
+    first = _first_pair_violation(schema.lines, schema.k)
+    return SchemaReport(first is None, first)
 
 
 def _check_row(schema: KaleidoscopeSchema, points: tuple) -> None:

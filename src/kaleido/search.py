@@ -14,6 +14,11 @@ class table, unless a class label is named or lookups repeat: the
 constraint chains name labels such as "the class of 2", and the prefix
 search looks the same differences up again and again, so both key on the
 memoised ``CyclotomicTable.index``.
+
+The asymptotic constraint chains are data (``_CHAINS``), their classes
+labels of ``search constrained``. Chain and prefix searches run one
+descent, ``_first_block``, whose levels yield candidates given the
+earlier picks and keep no other state.
 """
 
 from __future__ import annotations
@@ -359,51 +364,32 @@ def _first_block(field, schema, key, levels, assemble, backtrack, picked=()):
     return None
 
 
-def _fano_chains(field, table):
-    """Chains for x and y of the block (0, 1, -1, x, -x, y, -y)."""
-    zero, one = field.zero, field.one
-    neg_one = field.neg(one)
-    i = table.class_of_int(2)
-    if i == 0:
-        chains = [
-            lambda _: [(zero, 1), (neg_one, 1), (one, 2)],
-            lambda p: [(neg_one, 0), (field.neg(p[0]), 0), (one, 1),
-                       (zero, 2), (p[0], 2)],
-        ]
-    else:
-        i2 = (2 * i) % 3
-        chains = [
-            lambda _: [(neg_one, 0), (zero, i), (one, i2)],
-            lambda p: [(field.neg(p[0]), 0), (one, i), (p[0], i),
-                       (zero, i2), (neg_one, i2)],
-        ]
-
-    def assemble(p):
-        x, y = p
-        return (zero, one, neg_one, x, field.neg(x), y, field.neg(y))
-
-    return chains, assemble
-
-
-def _hesse_chains(field, table):
-    """Chains for c3..c7 of the block (0, 1, 2, 3, c3, ..., c7)."""
-    small = zero, one, two, three = tuple(_small_ints(field, 3))
-    i, j = table.class_of_int(2), table.class_of_int(3)
-    i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
-    chains = [
-        lambda _: [(zero, 0), (three, 0), (one, 1), (two, 2)],
-        lambda c: [(c[0], 0), (zero, 1), (two, 1), (one, 2), (three, 2)],
-        lambda c: [(c[1], 0), (one, 1), (three, 1), (c[0], 2),
-                   (zero, i1), (two, i2)],
-        lambda c: [(c[2], 0), (two, 1), (c[0], 1), (one, 2), (c[1], 2),
-                   (zero, j1), (three, j2)],
-        lambda c: [(c[3], 0), (zero, 1), (c[1], 1), (two, 2), (c[0], 2),
-                   (c[2], 2), (one, i1), (three, i2)],
-    ]
-    return chains, lambda c: small + c
-
-
-_CHAINS = {"fano": _fano_chains, "hesse": _hesse_chains}
+# The constraint chains, one entry per layout: the block's point row and,
+# per pick in turn, its (shift, class) pairs; a candidate x has x - shift
+# nonzero and in that class for every pair. A row or shift entry is an
+# int n, the field element n (its negative when n < 0), or an earlier
+# pick's name, "-" in front to negate it. A class is a label of ``search
+# constrained``: an int, or "i", "2i", "i+1", "j+2", ... where i is the
+# class of 2 and j that of 3. Fano's entry depends on whether 2 is a cube.
+_CHAINS = {
+    "fano": ((0, 1, -1, "x", "-x", "y", "-y"), {
+        "x": ((-1, 0), (0, "i"), (1, "2i")),
+        "y": (("-x", 0), (1, "i"), ("x", "i"), (0, "2i"), (-1, "2i")),
+    }),
+    "fano, 2 a cube": ((0, 1, -1, "x", "-x", "y", "-y"), {
+        "x": ((0, 1), (-1, 1), (1, 2)),
+        "y": ((-1, 0), ("-x", 0), (1, 1), (0, 2), ("x", 2)),
+    }),
+    "hesse": ((0, 1, 2, 3, "c3", "c4", "c5", "c6", "c7"), {
+        "c3": ((0, 0), (3, 0), (1, 1), (2, 2)),
+        "c4": (("c3", 0), (0, 1), (2, 1), (1, 2), (3, 2)),
+        "c5": (("c4", 0), (1, 1), (3, 1), ("c3", 2), (0, "i+1"), (2, "i+2")),
+        "c6": (("c5", 0), (2, 1), ("c3", 1), (1, 2), ("c4", 2), (0, "j+1"),
+               (3, "j+2")),
+        "c7": (("c6", 0), (0, 1), ("c4", 1), (2, 2), ("c3", 2), ("c5", 2),
+               (1, "i+1"), (3, "i+2")),
+    }),
+}
 
 
 def asymptotic_initial_block(
@@ -413,23 +399,40 @@ def asymptotic_initial_block(
 ) -> Optional[OrderedBlock]:
     """Build an initial block from the fixed constraint chains.
 
-    The chains force every line of the assembled block to spread over the
-    three classes, so success implies validity. Greedy mode takes the
-    smallest member of each chain in turn, given the earlier picks, in
-    both layouts, and gives up when a chain is empty, which can happen
-    over small fields. Backtracking mode explores all chain members.
+    The chains are the entries of ``_CHAINS``, their class labels those
+    of ``search constrained``, resolved once per field. They force every
+    line of the assembled block to spread over the three classes, and the
+    descent checks every line again. Greedy mode takes the smallest
+    member of each chain in turn, given the earlier picks, and gives up
+    when a chain is empty, which can happen over small fields.
+    Backtracking mode explores all chain members.
     """
     _check_block_field(field)
     table = CyclotomicTable(field, 3)
-    if schema_name not in _CHAINS:
+    if schema_name not in ("fano", "hesse"):
         raise MalformedInput(
             f"no chain construction for layout {schema_name!r}"
         )
-    chains, assemble = _CHAINS[schema_name](field, table)
-    levels = [lambda p, c=c: _iter_constrained(field, table, c(p))
-              for c in chains]
+    two_a_cube = schema_name == "fano" and table.class_of_int(2) == 0
+    row, chain = _CHAINS["fano, 2 a cube" if two_a_cube else schema_name]
+    names = tuple(chain)
+    small = _small_ints(field, 3)
+
+    def element(term, picked):
+        """The field element a row or shift entry names, given the picks."""
+        if isinstance(term, int):
+            return small[term] if term >= 0 else field.neg(small[-term])
+        x = picked[names.index(term.lstrip("-"))]
+        return field.neg(x) if term[0] == "-" else x
+
+    def level(pairs):
+        pairs = [(shift, _resolve_class(c, table)) for shift, c in pairs]
+        return lambda p: _iter_constrained(
+            field, table, [(element(shift, p), cls) for shift, cls in pairs])
+
     return _first_block(field, builtin_schema(schema_name), table.index,
-                        levels, assemble, backtrack)
+                        [level(pairs) for pairs in chain.values()],
+                        lambda p: tuple(element(t, p) for t in row), backtrack)
 
 
 def prefix_block_search(
@@ -453,38 +456,32 @@ def prefix_block_search(
     if prefix is None:
         n = 4 if schema.k == 9 else 2
         prefix = tuple(_small_ints(field, n - 1))
-    pts = list(prefix)
-    _check_points(field, pts)
-    if len(set(pts)) != len(pts):
+    start = tuple(prefix)
+    _check_points(field, start)
+    if len(set(start)) != len(start):
         raise DuplicateElements("prefix has a repeated point")
-    if len(pts) >= schema.k:
+    if len(start) >= schema.k:
         raise MalformedInput("prefix fills the whole block")
     # per position: a getter of the points of each line ending there
     checks_at = [
         [itemgetter(*line) for line in schema.lines if max(line) == m]
         for m in range(schema.k)
     ]
-    for m in range(len(pts)):
+    for m in range(len(start)):
         for line in checks_at[m]:
-            if not _line_spreads(line(pts), field, key):
+            if not _line_spreads(line(start), field, key):
                 return None
-    start = tuple(pts)
-    used = set(pts)
     elems = field.elements()
 
-    def extend(_picked):
-        # ``pts`` and ``used`` hold the branch: the descent resumes the
-        # innermost level first, so each level undoes its own pick.
-        lines = checks_at[len(pts)]
+    def extend(picked):
+        row = start + picked
+        lines = checks_at[len(row)]
         for cand in elems:
-            if cand in used:
-                continue
-            pts.append(cand)
-            if all(_line_spreads(line(pts), field, key) for line in lines):
-                used.add(cand)
+            if cand not in row and all(
+                _line_spreads(line(row + (cand,)), field, key)
+                for line in lines
+            ):
                 yield cand
-                used.discard(cand)
-            pts.pop()
 
     levels = [extend] * (schema.k - len(start))
     return _first_block(field, schema, key, levels, start.__add__, True)

@@ -153,12 +153,6 @@ HESSE_PRIME_X = {
     277: 97,
 }
 
-# Primes = 1 (mod 6) up to 1000 where the power form has no witness.
-HESSE_EXCEPTIONAL_PRIMES = (
-    7, 13, 19, 31, 37, 43, 61, 67, 73, 79, 109, 127, 151, 157, 193, 199,
-    211, 241, 271, 283, 337, 349, 367, 463, 733, 751, 811, 937,
-)
-
 # Hand-found nine-point initial blocks for the smallest power-form
 # exceptions beyond 13.
 HESSE_ALT_BLOCKS = {

@@ -83,6 +83,49 @@ def test_prime_factors():
     assert prime_factors(169) == [13]
 
 
+def _trial_division_factors(n):
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return out + [n] if n > 1 else out
+
+
+def test_prime_factors_matches_trial_division_below_200000():
+    for n in range(200_000):
+        assert prime_factors(n) == _trial_division_factors(n), n
+
+
+@pytest.mark.parametrize(
+    "n,want",
+    [
+        # q - 1 for the prime q = 1,729,382,256,910,273,363
+        (1_729_382_256_910_273_362, [2, 3, 288_230_376_151_712_227]),
+        (2**61 - 2, [2, 3, 5, 7, 11, 13, 31, 41, 61, 151, 331, 1321]),
+        (6 * 998_244_353 * (10**9 + 7), [2, 3, 998_244_353, 10**9 + 7]),
+        (6 * (2**31 - 1) * 2_147_483_659, [2, 3, 2**31 - 1, 2_147_483_659]),
+    ],
+)
+def test_prime_factors_splits_large_cofactors(n, want):
+    assert prime_factors(n) == want
+
+
+def test_prime_factors_past_the_trial_limit():
+    """Products of primes just above the trial limit, squares included,
+    times small factors: rho must split them all."""
+    rng = random.Random(5)
+    primes = [p for p in range(1025, 20_000) if is_prime(p)]
+    for _ in range(300):
+        big = sorted(rng.sample(primes, rng.randint(1, 3)))
+        n = rng.choice([1, 2, 12, 1018])
+        for p in big:
+            n *= p ** rng.randint(1, 2)
+        assert prime_factors(n) == _trial_division_factors(n), n
+
+
 def test_cyclic_group_basics():
     g = make_group(Cyclic(12))
     assert g.order == 12

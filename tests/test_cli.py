@@ -19,7 +19,10 @@ from kaleido.designs import (
     pbd_to_text,
 )
 from kaleido.schema import builtin_schema
-from kaleido.search import generate_kdf_from_initial_block
+from kaleido.search import (
+    generate_kdf_from_initial_block,
+    verify_listed_block,
+)
 
 F7 = make_group(PrimeField(7))
 F19 = make_group(PrimeField(19))
@@ -402,6 +405,28 @@ def test_search_asymptotic_at_a_large_prime_order():
     assert proc.returncode == 0
     assert proc.stderr == "found an initial block\n"
     assert json.loads(proc.stdout)["q"] == 2**61 - 1
+
+
+@pytest.mark.parametrize(
+    "args", [[], ["--schema", "hesse", "--backtrack"]], ids=["fano", "hesse"]
+)
+def test_search_asymptotic_at_a_prime_order_with_a_large_q_minus_1_factor(
+    args,
+):
+    # q - 1 = 6 * 288,230,376,151,712,227, a prime that trial division of
+    # q - 1 for the primitive element could not reach
+    q = 1_729_382_256_910_273_363
+    proc = subprocess.run(
+        [sys.executable, "-m", "kaleido", "search", "asymptotic",
+         "--q", str(q), *args],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["found"] is True
+    assert verify_listed_block(make_group(PrimeField(q)), out["block"])
 
 
 def test_search_asymptotic_miss(capsys):

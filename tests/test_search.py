@@ -406,6 +406,75 @@ def test_prefix_search_matches_a_plain_fill(q, name, prefix):
     assert (None if got is None else got.points) == want
 
 
+def _chain_levels(q, name):
+    """Each chain level's (shift, class) pairs in plain integers mod q, as
+    a function of the earlier picks; and the block row of the picks.
+
+    A class is the discrete log to the smallest primitive root, mod 3."""
+    g = next(g for g in range(2, q)
+             if len({pow(g, n, q) for n in range(q - 1)}) == q - 1)
+    log = {pow(g, n, q): n % 3 for n in range(q - 1)}
+    i, j = log[2], log[3]
+    if name == "hesse":
+        levels = [
+            lambda c: [(0, 0), (3, 0), (1, 1), (2, 2)],
+            lambda c: [(c[0], 0), (0, 1), (2, 1), (1, 2), (3, 2)],
+            lambda c: [(c[1], 0), (1, 1), (3, 1), (c[0], 2),
+                       (0, (i + 1) % 3), (2, (i + 2) % 3)],
+            lambda c: [(c[2], 0), (2, 1), (c[0], 1), (1, 2), (c[1], 2),
+                       (0, (j + 1) % 3), (3, (j + 2) % 3)],
+            lambda c: [(c[3], 0), (0, 1), (c[1], 1), (2, 2), (c[0], 2),
+                       (c[2], 2), (1, (i + 1) % 3), (3, (i + 2) % 3)],
+        ]
+        return log, levels, lambda c: (0, 1, 2, 3) + c
+    if i == 0:
+        levels = [
+            lambda p: [(0, 1), (-1, 1), (1, 2)],
+            lambda p: [(-1, 0), (-p[0], 0), (1, 1), (0, 2), (p[0], 2)],
+        ]
+    else:
+        levels = [
+            lambda p: [(-1, 0), (0, i), (1, 2 * i % 3)],
+            lambda p: [(-p[0], 0), (1, i), (p[0], i), (0, 2 * i % 3),
+                       (-1, 2 * i % 3)],
+        ]
+    return log, levels, lambda p: tuple(
+        x % q for x in (0, 1, -1, p[0], -p[0], p[1], -p[1])
+    )
+
+
+def _plain_chain_block(q, name, backtrack):
+    log, levels, row = _chain_levels(q, name)
+    lines = builtin_schema(name).lines
+
+    def descend(picked):
+        if len(picked) == len(levels):
+            block = row(picked)
+            return block if _initial(q, lines, block) else None
+        pairs = levels[len(picked)](picked)
+        for x in range(q):
+            if all(log.get((x - shift) % q) == cls for shift, cls in pairs):
+                found = descend(picked + (x,))
+                if found is not None or not backtrack:
+                    return found
+        return None
+
+    return descend(())
+
+
+@pytest.mark.parametrize("q", [q for q in range(7, 1000, 6) if is_prime(q)])
+def test_chains_match_a_plain_descent(q):
+    """Below 100 no Hesse chain finds a block; the first are at 523
+    (backtracking) and 991 (greedy)."""
+    field = make_group(PrimeField(q))
+    for name in ("fano", "hesse"):
+        for backtrack in (False, True):
+            got = asymptotic_initial_block(field, name, backtrack)
+            want = _plain_chain_block(q, name, backtrack)
+            assert (None if got is None else got.points) == want, (
+                name, backtrack)
+
+
 def _form_rows(q, x):
     """The three one-parameter rows at x, straight from their formulas."""
     powers = [pow(x, n, q) for n in range(8)]

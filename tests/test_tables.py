@@ -147,6 +147,8 @@ def test_witness_table_comments_match_a_rescan():
     assert [p for p in affine if p not in found] == [
         p for p in tables.FANO_AFFINE_EXCEPTIONS if p >= 37
     ]
-    assert tuple(
-        p for p in primes if _smallest_x(p, HESSE_POWERS) is None
-    ) == tables.HESSE_EXCEPTIONAL_PRIMES
+    # the primes = 1 (mod 6) below 1000 where the power form has no witness
+    assert [p for p in primes if _smallest_x(p, HESSE_POWERS) is None] == [
+        7, 13, 19, 31, 37, 43, 61, 67, 73, 79, 109, 127, 151, 157, 193, 199,
+        211, 241, 271, 283, 337, 349, 367, 463, 733, 751, 811, 937,
+    ]
