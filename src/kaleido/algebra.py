@@ -14,7 +14,9 @@ list of coefficients and a product element a two-item list.
 Extension fields of degree 2 and 3 multiply in closed form
 (``QuadraticFieldGroup``, ``CubicFieldGroup``). Higher degrees convolve
 the coefficient tuples and reduce by a table of t^d, t^(d+1), ...
-written in the power basis.
+written in the power basis. Set-up is polylog in q = p^d: a field checks
+its modulus by Ben-Or's test in that product, and ``is_prime`` is exact
+below about 3.3e24 and refuses a larger prime.
 
 Every group fixes one canonical element order, used whenever "smallest" is
 meant anywhere in the package: numeric for residues, lexicographic on
@@ -36,6 +38,7 @@ from .errors import (
     NonPrimeModulus,
     OrderTooSmall,
     ReducibleModulus,
+    UnsupportedOrder,
     ZeroElement,
 )
 
@@ -147,21 +150,15 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality: deterministic Miller-Rabin below ``_MR_BOUND``,
-    trial division above it."""
+    """Miller-Rabin to the bases 2..41. A failing base proves n composite
+    at any size; passing them all proves n prime only below ``_MR_BOUND``
+    (about 3.3e24), and past it raises ``UnsupportedOrder``."""
     if n < 2:
         return False
     for b in _MR_BASES:
         if n % b == 0:
             return n == b
     if n < 43 * 43:
-        return True
-    if n >= _MR_BOUND:
-        f = 43
-        while f * f <= n:
-            if n % f == 0:
-                return False
-            f += 2
         return True
     d, s = n - 1, 0
     while d % 2 == 0:
@@ -177,6 +174,11 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_BOUND:
+        raise UnsupportedOrder(
+            f"cannot prove {n} prime: Miller-Rabin to the bases 2..41"
+            f" proves primality only below {_MR_BOUND}"
+        )
     return True
 
 
@@ -246,61 +248,46 @@ def prime_factors(n: int) -> list[int]:
     return out + sorted(big)
 
 
-def _poly_divmod(a: list[int], b: tuple[int, ...], p: int):
-    """Divide a by b over Z_p. b must be monic. Returns (quot, rem)."""
-    a = [c % p for c in a]
-    db = len(b) - 1
-    quot = [0] * max(1, len(a) - db)
-    while len(a) > db and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) <= db:
-            break
-        shift = len(a) - 1 - db
-        coef = a[-1]
-        quot[shift] = coef
-        for i, bc in enumerate(b):
-            a[shift + i] = (a[shift + i] - coef * bc) % p
+def _poly_rem(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Remainder of a by b over Z_p, constant term first. b must end in a
+    nonzero coefficient, and the remainder ends in one (zero is [])."""
+    a = list(a)
+    inv = pow(b[-1], -1, p)
+    while len(a) >= len(b):
+        c = a.pop() * inv % p
+        shift = len(a) + 1 - len(b)
+        for i, bc in enumerate(b[:-1]):
+            a[shift + i] = (a[shift + i] - c * bc) % p
     while a and a[-1] == 0:
         a.pop()
-    return quot, a
+    return a
 
 
 def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
-    """No root in Z_p and no monic factor of degree 2 up to deg/2.
-
-    A reducible polynomial has a monic factor of degree at most deg/2, and
-    it has the linear factor t - r exactly when r is a root, so a Horner
-    evaluation at each residue stands in for division by the p linear
-    divisors.
-    """
-    d = len(modulus) - 1
-    for r in range(p):
-        value = 0
-        for c in reversed(modulus):
-            value = (value * r + c) % p
-        if value == 0:
-            return False
-    for m in range(2, d // 2 + 1):
-        for low in itertools.product(range(p), repeat=m):
-            divisor = tuple(low) + (1,)
-            _, rem = _poly_divmod(list(modulus), divisor, p)
-            if not rem:
-                return False
+    """Whether a monic modulus of degree 2 or more over Z_p makes a field."""
+    try:
+        make_group(ExtensionField(p, tuple(modulus)))
+    except ReducibleModulus:
+        return False
     return True
 
 
 def find_irreducible(p: int, degree: int) -> tuple[int, ...]:
-    """Canonically smallest monic irreducible of the given degree over Z_p."""
+    """Canonically smallest monic irreducible of the given degree over Z_p.
+
+    Candidates are tried in canonical order from constant term 1 on (a
+    zero constant term means a factor t), each by a polylog(p) test;
+    about one in ``degree`` passes. A p past ``is_prime``'s bound is
+    refused."""
     if not is_prime(p):
         raise NonPrimeModulus(f"{p} is not prime")
     if degree < 2:
         raise MalformedInput("degree must be at least 2")
-    for low in itertools.product(range(p), repeat=degree):
-        candidate = tuple(low) + (1,)
+    for n in itertools.count(p ** (degree - 1)):  # ends: one always exists
+        low = (n // p ** (degree - 1 - i) % p for i in range(degree))
+        candidate = (*low, 1)
         if _is_irreducible(candidate, p):
             return candidate
-    raise MalformedInput(f"no irreducible of degree {degree} over Z_{p}")
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +447,6 @@ class ExtensionFieldGroup(Group):
             raise MalformedInput("extension modulus must have degree at least 2")
         if mod[-1] != 1:
             raise MalformedInput("extension modulus must be monic")
-        if not _is_irreducible(mod, p):
-            raise ReducibleModulus(f"{list(modulus)} factors over Z_{p}")
         self.descriptor = ExtensionField(p, mod)
         self.p = p
         self.degree = len(mod) - 1
@@ -478,6 +463,25 @@ class ExtensionFieldGroup(Group):
             shifted = (0,) + prev[: d - 1]
             red.append(tuple((shifted[i] + hi * base[i]) % p for i in range(d)))
         self._red = red
+        if not self._modulus_is_irreducible():
+            raise ReducibleModulus(f"{list(modulus)} factors over Z_{p}")
+
+    def _modulus_is_irreducible(self) -> bool:
+        """Ben-Or's test (FOCS 1981): the modulus f of degree d is
+        irreducible when gcd(f, t^(p^k) - t) = 1 for k = 1..d/2, since
+        t^(p^k) - t is the product of the irreducibles of degree dividing
+        k. Powers of t are taken by this class's product, valid for any
+        monic f."""
+        p, f = self.p, self.descriptor.modulus
+        x = t = (0, 1) + (0,) * (self.degree - 2)
+        for _ in range(self.degree // 2):
+            x = self.pow_(x, p)
+            a, b = f, _poly_rem(self.sub(x, t), f, p)
+            while b:
+                a, b = b, _poly_rem(a, b, p)
+            if len(a) > 1:
+                return False
+        return True
 
     def add(self, a, b):
         p = self.p

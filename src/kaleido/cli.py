@@ -25,7 +25,6 @@ from .algebra import (
     find_irreducible,
     is_prime,
     make_group,
-    prime_factors,
 )
 from .compose import (
     Catalog,
@@ -105,21 +104,17 @@ def _read_text(path: str) -> str:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    if is_prime(q):
-        return q, 1
+    """(p, d) with p prime and p^d = q, by exact integer d-th roots."""
     if q < 2:
         raise MalformedInput(f"{q} is not a prime power")
-    ps = prime_factors(q)
-    if len(ps) != 1:
-        raise MalformedInput(f"{q} is not a prime power")
-    p = ps[0]
-    d, n = 0, q
-    while n % p == 0:
-        n //= p
-        d += 1
-    if n != 1:
-        raise MalformedInput(f"{q} is not a prime power")
-    return p, d
+    for d in range(q.bit_length() - 1, 0, -1):
+        # Newton's method for the integer d-th root, from above it.
+        p = 1 << -(-q.bit_length() // d)
+        while (nxt := ((d - 1) * p + q // p ** (d - 1)) // d) < p:
+            p = nxt
+        if p ** d == q and is_prime(p):
+            return p, d
+    raise MalformedInput(f"{q} is not a prime power")
 
 
 def _field_from_args(args) -> Group:

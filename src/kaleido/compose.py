@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
@@ -117,15 +118,12 @@ def verify_dm(m: DifferenceMatrix) -> DMReport:
             )
     for r in range(len(m.rows)):
         for s in range(r + 1, len(m.rows)):
-            counts: dict = {}
-            for a, b in zip(m.rows[r], m.rows[s]):
-                d = group.sub(a, b)
-                counts[d] = counts.get(d, 0) + 1
-            for el in group.elements():
-                if counts.get(el, 0) != 1:
-                    return DMReport(
-                        False, (r, s, el, counts.get(el, 0))
-                    )
+            counts = Counter(group.differences(m.rows[r], m.rows[s]))
+            if len(counts) == n:  # n differences, n distinct values
+                continue
+            for el in group.elements():  # name the first failing element
+                if counts[el] != 1:
+                    return DMReport(False, (r, s, el, counts[el]))
     return DMReport(True, None)
 
 

@@ -75,4 +75,5 @@ class NotAnInitialBlock(KaleidoError):
 
 
 class UnsupportedOrder(KaleidoError):
-    """The exhaustive search does not support this order or layout."""
+    """The order or layout is out of reach: past the exhaustive search's
+    bound, or a probable prime past the bound of the exact prime test."""

@@ -976,8 +976,7 @@ def exhaustive_nonexistence(
     _check_jobs(jobs)
     _check_limit("max_nodes", max_nodes)
     schema = builtin_schema(schema_name)
-    # The bound comes first: trial division of a large v would run for
-    # hours before the refusal.
+    # The bound comes first, so every large v gets the same refusal.
     if v > 19:
         raise UnsupportedOrder(f"order {v} is beyond the supported sweep")
     if not is_prime(v) or v % 6 != 1:
@@ -1012,10 +1011,12 @@ def exhaustive_nonexistence(
             yield v, schema_name, mode, prefix, remaining
 
     if jobs > 1 and len(prefixes) > 1:
-        # About four batches per process: few round trips, yet a process
-        # that drew small subtrees still takes another batch.
-        chunksize = -(-len(prefixes) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # No more processes than subtrees, each with about four batches:
+        # few round trips, yet a process that drew small subtrees still
+        # takes another batch.
+        workers = min(jobs, len(prefixes))
+        chunksize = -(-len(prefixes) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(_sweep_subtree, payloads(), chunksize=chunksize)
             )

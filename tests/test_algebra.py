@@ -36,6 +36,7 @@ from kaleido.errors import (
     NonPrimeModulus,
     OrderTooSmall,
     ReducibleModulus,
+    UnsupportedOrder,
     ZeroElement,
 )
 
@@ -76,6 +77,14 @@ def test_is_prime_large():
     assert is_prime(2**61 - 1)
     # below the Miller-Rabin bound, so no trial division runs
     assert not is_prime((2**61 - 1) * (2**13 - 1))
+
+
+def test_is_prime_refuses_a_probable_prime_past_the_bound():
+    """Past the bound a failing base still proves n composite, but a
+    number that passes every base is refused, at once."""
+    assert not is_prime((2**61 - 1) * (2**89 - 1))
+    with pytest.raises(UnsupportedOrder, match=str(algebra._MR_BOUND)):
+        is_prime(2**89 - 1)
 
 
 def test_prime_factors():
@@ -397,8 +406,8 @@ def _irreducible_by_trial_division(poly, p):
 
 
 @pytest.mark.parametrize(
-    "p,degree", [(2, 2), (3, 2), (5, 2), (7, 2), (2, 3), (3, 3), (5, 3),
-                 (7, 3), (2, 4), (3, 4)],
+    "p,degree", [(2, 2), (3, 2), (5, 2), (7, 2), (11, 2), (13, 2), (2, 3),
+                 (3, 3), (5, 3), (7, 3), (11, 3), (2, 4), (3, 4), (5, 4)],
 )
 def test_irreducibility_matches_trial_division(p, degree):
     for low in product(range(p), repeat=degree):
@@ -408,22 +417,56 @@ def test_irreducibility_matches_trial_division(p, degree):
         ), poly
 
 
+# The first monic irreducible in canonical coefficient order for every
+# prime p < 200 at degrees 2 and 3 and p < 50 at degree 4, pinned from the
+# earlier residue-scan and divisor-enumeration test, so that a faster
+# test cannot move a canonical modulus.
+FIRST_IRREDUCIBLE = {
+    (2, 2): (1, 1, 1), (3, 2): (1, 0, 1), (5, 2): (1, 1, 1), (7, 2): (1, 0, 1),
+    (11, 2): (1, 0, 1), (13, 2): (1, 3, 1), (17, 2): (1, 1, 1),
+    (19, 2): (1, 0, 1), (23, 2): (1, 0, 1), (29, 2): (1, 1, 1),
+    (31, 2): (1, 0, 1), (37, 2): (1, 3, 1), (41, 2): (1, 1, 1),
+    (43, 2): (1, 0, 1), (47, 2): (1, 0, 1), (53, 2): (1, 1, 1),
+    (59, 2): (1, 0, 1), (61, 2): (1, 5, 1), (67, 2): (1, 0, 1),
+    (71, 2): (1, 0, 1), (73, 2): (1, 3, 1), (79, 2): (1, 0, 1),
+    (83, 2): (1, 0, 1), (89, 2): (1, 1, 1), (97, 2): (1, 3, 1),
+    (101, 2): (1, 1, 1), (103, 2): (1, 0, 1), (107, 2): (1, 0, 1),
+    (109, 2): (1, 6, 1), (113, 2): (1, 1, 1), (127, 2): (1, 0, 1),
+    (131, 2): (1, 0, 1), (137, 2): (1, 1, 1), (139, 2): (1, 0, 1),
+    (149, 2): (1, 1, 1), (151, 2): (1, 0, 1), (157, 2): (1, 3, 1),
+    (163, 2): (1, 0, 1), (167, 2): (1, 0, 1), (173, 2): (1, 1, 1),
+    (179, 2): (1, 0, 1), (181, 2): (1, 5, 1), (191, 2): (1, 0, 1),
+    (193, 2): (1, 3, 1), (197, 2): (1, 1, 1), (199, 2): (1, 0, 1),
+    (2, 3): (1, 0, 1, 1), (3, 3): (1, 0, 2, 1), (5, 3): (1, 0, 1, 1),
+    (7, 3): (1, 0, 1, 1), (11, 3): (1, 0, 4, 1), (13, 3): (1, 0, 4, 1),
+    (17, 3): (1, 0, 3, 1), (19, 3): (1, 0, 1, 1), (23, 3): (1, 0, 3, 1),
+    (29, 3): (1, 0, 2, 1), (31, 3): (1, 0, 3, 1), (37, 3): (1, 0, 5, 1),
+    (41, 3): (1, 0, 1, 1), (43, 3): (1, 0, 9, 1), (47, 3): (1, 0, 5, 1),
+    (53, 3): (1, 0, 2, 1), (59, 3): (1, 0, 1, 1), (61, 3): (1, 0, 3, 1),
+    (67, 3): (1, 0, 5, 1), (71, 3): (1, 0, 1, 1), (73, 3): (1, 0, 7, 1),
+    (79, 3): (1, 0, 2, 1), (83, 3): (1, 0, 3, 1), (89, 3): (1, 0, 4, 1),
+    (97, 3): (1, 0, 1, 1), (101, 3): (1, 0, 1, 1), (103, 3): (1, 0, 1, 1),
+    (107, 3): (1, 0, 1, 1), (109, 3): (1, 0, 1, 1), (113, 3): (1, 0, 1, 1),
+    (127, 3): (1, 0, 2, 1), (131, 3): (1, 0, 10, 1), (137, 3): (1, 0, 2, 1),
+    (139, 3): (1, 0, 5, 1), (149, 3): (1, 0, 9, 1), (151, 3): (1, 0, 4, 1),
+    (157, 3): (1, 0, 1, 1), (163, 3): (1, 0, 1, 1), (167, 3): (1, 0, 2, 1),
+    (173, 3): (1, 0, 3, 1), (179, 3): (1, 0, 4, 1), (181, 3): (1, 0, 2, 1),
+    (191, 3): (1, 0, 1, 1), (193, 3): (1, 0, 1, 1), (197, 3): (1, 0, 3, 1),
+    (199, 3): (1, 0, 2, 1),
+    (2, 4): (1, 0, 0, 1, 1), (3, 4): (1, 0, 1, 1, 1), (5, 4): (1, 0, 1, 1, 1),
+    (7, 4): (1, 0, 0, 1, 1), (11, 4): (1, 0, 0, 4, 1),
+    (13, 4): (1, 0, 0, 1, 1), (17, 4): (1, 0, 0, 3, 1),
+    (19, 4): (1, 0, 0, 6, 1), (23, 4): (1, 0, 0, 4, 1),
+    (29, 4): (1, 0, 0, 3, 1), (31, 4): (1, 0, 0, 1, 1),
+    (37, 4): (1, 0, 0, 5, 1), (41, 4): (1, 0, 0, 1, 1),
+    (43, 4): (1, 0, 0, 5, 1), (47, 4): (1, 0, 0, 5, 1),
+}
+
+
 def test_find_irreducible_results_unchanged():
-    # The first monic irreducible in canonical coefficient order.
     assert {
-        (p, d): find_irreducible(p, d)
-        for p in (2, 3, 5, 7, 11, 13)
-        for d in (2, 3, 4)
-    } == {
-        (2, 2): (1, 1, 1), (2, 3): (1, 0, 1, 1), (2, 4): (1, 0, 0, 1, 1),
-        (3, 2): (1, 0, 1), (3, 3): (1, 0, 2, 1), (3, 4): (1, 0, 1, 1, 1),
-        (5, 2): (1, 1, 1), (5, 3): (1, 0, 1, 1), (5, 4): (1, 0, 1, 1, 1),
-        (7, 2): (1, 0, 1), (7, 3): (1, 0, 1, 1), (7, 4): (1, 0, 0, 1, 1),
-        (11, 2): (1, 0, 1), (11, 3): (1, 0, 4, 1),
-        (11, 4): (1, 0, 0, 4, 1),
-        (13, 2): (1, 3, 1), (13, 3): (1, 0, 4, 1),
-        (13, 4): (1, 0, 0, 1, 1),
-    }
+        (p, d): find_irreducible(p, d) for p, d in FIRST_IRREDUCIBLE
+    } == FIRST_IRREDUCIBLE
 
 
 def test_product_group():

@@ -1,13 +1,14 @@
 """Command line round trips, one exercise per subcommand."""
 
 import json
+import resource
 import subprocess
 import sys
 
 import pytest
 
 from kaleido.algebra import PrimeField, make_group
-from kaleido.cli import main
+from kaleido.cli import _prime_power, main
 from kaleido.compose import compose_kdf, dm_to_json, field_dm
 from kaleido.designs import (
     DifferenceFamily,
@@ -18,6 +19,7 @@ from kaleido.designs import (
     kdf_to_json,
     pbd_to_text,
 )
+from kaleido.errors import MalformedInput
 from kaleido.schema import builtin_schema
 from kaleido.search import (
     generate_kdf_from_initial_block,
@@ -427,6 +429,66 @@ def test_search_asymptotic_at_a_prime_order_with_a_large_q_minus_1_factor(
     out = json.loads(proc.stdout)
     assert out["found"] is True
     assert verify_listed_block(make_group(PrimeField(q)), out["block"])
+
+
+def _prime_power_by_division(q):
+    """(p, d) with p prime and p^d = q, by dividing out q's least factor;
+    None when q is not a prime power."""
+    if q < 2:
+        return None
+    p = next(f for f in range(2, q + 1) if q % f == 0)
+    d = 0
+    while q % p == 0:
+        q //= p
+        d += 1
+    return (p, d) if q == 1 else None
+
+
+def test_prime_power_matches_trial_division():
+    for q in range(-10, 5000):
+        want = _prime_power_by_division(q)
+        if want is not None:
+            assert _prime_power(q) == want, q
+        else:
+            with pytest.raises(MalformedInput) as err:
+                _prime_power(q)
+            assert str(err.value) == f"{q} is not a prime power"
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "args,rc,err",
+    [
+        # (10^9 + 7)^2 and 1,000,003^3: the fields build, the blocks fail
+        (["verify", "block", "--q", "1000000014000000049",
+          "--block", "0,0;1,0;0,1;1,1;2,0;0,2;2,1"], 1, ""),
+        (["verify", "block", "--q", "1000009000027000027",
+          "--block", "0,0,0;1,0,0;2,0,0;3,0,0;4,0,0;5,0,0;6,0,0"], 1, ""),
+        # the product of the two primes after 10^15
+        (["search", "asymptotic", "--q", "1000000000000128000000000003367"],
+         2, "error: 1000000000000128000000000003367 is not a prime power"),
+        # 2^89 - 1, a prime past the Miller-Rabin bound
+        (["search", "asymptotic", "--q", "618970019642690137449562111"],
+         2, "error: cannot prove 618970019642690137449562111 prime"),
+    ],
+    ids=["p2", "p3", "semiprime", "m89"],
+)
+def test_large_orders_are_set_up_in_polylog_steps(args, rc, err):
+    """Field set-up neither lists residues nor factors q: each call
+    answers within a 1 GiB address space."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "kaleido", *args],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == rc, proc.stderr
+    assert proc.stderr.startswith(err), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_search_asymptotic_miss(capsys):

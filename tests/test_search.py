@@ -635,6 +635,33 @@ def test_sweep_v7_batched_matches_serial():
     assert batched.first_solution == serial.first_solution
 
 
+def test_sweep_pool_is_no_larger_than_its_subtrees(monkeypatch):
+    """A pool forks all its workers at the first submit, so the sweep asks
+    for no more than it has subtrees. The fake pool records the size and
+    maps serially; it starts no process."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(search_module, "ProcessPoolExecutor", SerialPool)
+    serial = exhaustive_nonexistence(7, "fano", jobs=1)
+    cert = exhaustive_nonexistence(7, "fano", jobs=10**6)
+    assert sizes == [cert.subtree_count] == [12]
+    assert cert.jobs == 10**6
+    assert cert.to_json() == dict(serial.to_json(), jobs=10**6)
+
+
 def test_sweep_v13_batched_certificate_matches_serial():
     serial = exhaustive_nonexistence(13, "fano", jobs=1).to_json()
     batched = exhaustive_nonexistence(13, "fano", jobs=2).to_json()
@@ -680,7 +707,7 @@ def test_sweep_guards():
 
 @pytest.mark.parametrize("v", [25, 2**61 - 1])
 def test_sweep_checks_the_order_bound_first(v, monkeypatch):
-    """A large order is refused before trial division runs on it."""
+    """A large order is refused before any primality test runs on it."""
     def no_trial_division(n):
         raise AssertionError(f"is_prime({n}) ran before the bound check")
 
