@@ -320,6 +320,10 @@ class Group:
         """a[i] - b[i] for each position i."""
         return list(map(self.sub, a, b))
 
+    def negatives(self, xs: Sequence) -> list:
+        """-x for each x in xs."""
+        return list(map(self.neg, xs))
+
     def times(self, x: Element, ys: Sequence) -> list:
         """x * y for each y in ys; fields only."""
         return list(map(self.mul, itertools.repeat(x), ys))
@@ -375,6 +379,10 @@ class CyclicGroup(Group):
     def differences(self, a, b):
         n = self.order
         return [(x - y) % n for x, y in zip(a, b)]
+
+    def negatives(self, xs):
+        n = self.order
+        return [-x % n for x in xs]
 
     def _build_elements(self):
         return range(self.order)
@@ -636,6 +644,11 @@ class ProductGroup(Group):
     def differences(self, a, b):
         left = self.left.differences([x for x, _ in a], [y for y, _ in b])
         right = self.right.differences([x for _, x in a], [y for _, y in b])
+        return list(zip(left, right))
+
+    def negatives(self, xs):
+        left = self.left.negatives([x for x, _ in xs])
+        right = self.right.negatives([y for _, y in xs])
         return list(zip(left, right))
 
     def _build_elements(self):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field as dc_field
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, islice, permutations
 from json.encoder import encode_basestring_ascii as _quote
 from operator import add, itemgetter
 from typing import Iterable, Optional, Sequence
@@ -92,11 +92,25 @@ def delta(points: Iterable, group: Group) -> tuple:
 # plain difference families
 
 
+# A failing report names at most this many off elements.
+_OFF_LIMIT = 100
+
+
 @dataclass
 class DFReport:
+    """A difference family's verdict.
+
+    ``off_elements`` lists the first ``_OFF_LIMIT`` nonzero elements, in
+    canonical order, not covered ``lam`` times. It is found by walking
+    the group's elements only until that many are named, at most the
+    number of covered elements plus ``_OFF_LIMIT`` steps when lam >= 1.
+    Cyclic and prime groups walk a ``range``; extension and product
+    groups still list all their elements first, so a failing family over
+    a large one of those pays for the list.
+    """
+
     valid: bool
     lam: int
-    coverage: dict
     off_elements: list  # (element, count) pairs where count != lam
     bad_blocks: list    # blocks of the wrong size or with repeats
 
@@ -114,17 +128,44 @@ class DFReport:
         return "; ".join(parts) or "invalid"
 
 
-def _position_differences(rows: Sequence, k: int, group: Group) -> dict:
-    """Differences of equal-length point rows, position pair by pair.
+def _columns(rows: Sequence, k: int) -> list[list]:
+    """Position i of every row, as column i, for each of k positions."""
+    return [list(map(itemgetter(i), rows)) for i in range(k)]
+
+
+def _covers_once(group: Group, positions: Iterable, cols: list) -> bool:
+    """Whether the rows' differences at these position pairs, taken both
+    ways, cover every nonzero element exactly once.
+
+    Each pair (i, j) gives one unordered difference per row, row[j] -
+    row[i]; its negative is the other ordered difference. So the n
+    unordered differences must number (order - 1) / 2, be distinct, and
+    have no negative among them. The last rules out d = -d as well,
+    zero included.
+    """
+    diffs = list(
+        chain.from_iterable(
+            group.differences(cols[j], cols[i]) for i, j in positions
+        )
+    )
+    if 2 * len(diffs) != group.order - 1:
+        return False
+    distinct = set(diffs)
+    return len(distinct) == len(diffs) and distinct.isdisjoint(
+        group.negatives(diffs)
+    )
+
+
+def _position_differences(group: Group, cols: list) -> dict:
+    """Differences of point rows, given by their columns, pair by pair.
 
     Maps each ordered pair (i, j) of distinct positions to the list of
     row[i] - row[j] over all rows. Each difference is computed once,
     column by column.
     """
-    cols = [list(map(itemgetter(i), rows)) for i in range(k)]
     return {
         (i, j): group.differences(cols[i], cols[j])
-        for i, j in permutations(range(k), 2)
+        for i, j in permutations(range(len(cols)), 2)
     }
 
 
@@ -140,21 +181,22 @@ def _df_report(
     ):
         off = []
     else:
-        # Only a failing family pays for a scan of the whole group.
-        off = [
+        walk = (
             (el, coverage.get(el, 0))
             for el in group.elements()
             if el != zero and coverage.get(el, 0) != lam
-        ]
+        )
+        off = list(islice(walk, _OFF_LIMIT))
     valid = not bad_blocks and not off and zero not in coverage
-    return DFReport(valid, lam, coverage, off, bad_blocks)
+    return DFReport(valid, lam, off, bad_blocks)
 
 
 def verify_df(blocks: Sequence, group: Group, k: int, lam: int) -> DFReport:
     """Check that blocks form a (v, k, lam) difference family over group.
 
     Every nonzero group element must occur exactly lam times among the
-    differences of all blocks.
+    differences of all blocks. At lam = 1 a family that passes is checked
+    by one set of its unordered differences; any other is counted.
     """
     good, bad_blocks = [], []
     for block in blocks:
@@ -163,8 +205,15 @@ def verify_df(blocks: Sequence, group: Group, k: int, lam: int) -> DFReport:
             bad_blocks.append(pts)
         else:
             good.append(pts)
+    cols = _columns(good, k)
+    if (
+        lam == 1
+        and not bad_blocks
+        and _covers_once(group, combinations(range(k), 2), cols)
+    ):
+        return DFReport(True, 1, [], [])
     coverage = Counter()
-    for diffs in _position_differences(good, k, group).values():
+    for diffs in _position_differences(group, cols).values():
         coverage.update(diffs)
     return _df_report(coverage, group, lam, bad_blocks)
 
@@ -226,15 +275,28 @@ def verify_kdf(kdf: KaleidoscopicDifferenceFamily) -> KDFReport:
 
     The blocks, as point sets, must form a (v, k, b) difference family.
     For every color, the lines of that color across all blocks must form a
-    (v, h, 1) difference family. The colors are counted from one list of
-    differences per position pair. When they all pass and the layout
-    tiles its position pairs, every nonzero element is covered once per
-    color, b times in all, so the family is not counted again; otherwise
-    it is counted from the same lists.
+    (v, h, 1) difference family. Each color is first checked by one set
+    of its unordered differences. When they all pass and the layout tiles
+    its position pairs, every nonzero element is covered once per color,
+    b times in all, and nothing is counted. Otherwise the colors and the
+    family are counted, one difference list per ordered position pair,
+    to name what is off.
     """
     group = kdf.group
     schema = kdf.schema
-    diffs = _position_differences(kdf.blocks, schema.k, group)
+    lam = schema.lambda_underlying
+    cols = _columns(kdf.blocks, schema.k)
+    if validate_schema(schema).valid and all(
+        _covers_once(group, combinations(line, 2), cols)
+        for line in schema.lines
+    ):
+        return KDFReport(
+            True,
+            DFReport(True, lam, [], []),
+            [DFReport(True, 1, [], []) for _ in schema.lines],
+            [],
+        )
+    diffs = _position_differences(group, cols)
     color_reports = []
     failing = []
     for color, line in enumerate(schema.lines):
@@ -245,13 +307,9 @@ def verify_kdf(kdf: KaleidoscopicDifferenceFamily) -> KDFReport:
         color_reports.append(rep)
         if not rep.valid:
             failing.append(color)
-    lam = schema.lambda_underlying
-    if not failing and validate_schema(schema).valid:
-        family = dict.fromkeys(color_reports[0].coverage, lam)
-    else:
-        family = Counter()
-        for column in diffs.values():
-            family.update(column)
+    family = Counter()
+    for column in diffs.values():
+        family.update(column)
     family_report = _df_report(family, group, lam, [])
     valid = family_report.valid and not failing
     return KDFReport(valid, family_report, color_reports, failing)

@@ -795,6 +795,7 @@ KERNEL_GROUPS = [
     PrimeField(7),
     F5_2,
     ExtensionField(3, find_irreducible(3, 3)),
+    ExtensionField(2, find_irreducible(2, 4)),
     Product(PrimeField(5), F5_2),
     Product(Product(Cyclic(4), PrimeField(3)), ExtensionField(2, (1, 1, 1))),
 ]
@@ -817,6 +818,7 @@ def test_kernels_match_their_definitions(case):
     g = make_group(desc)
     assert g.translates(x) == [g.add(x, y) for y in g.elements()]
     assert g.differences(a, b) == list(map(g.sub, a, b))
+    assert g.negatives(a) == list(map(g.neg, a))
     if g.is_field:
         assert g.times(x, a) == [g.mul(x, y) for y in a]
 

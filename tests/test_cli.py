@@ -491,6 +491,27 @@ def test_large_orders_are_set_up_in_polylog_steps(args, rc, err):
     assert "Traceback" not in proc.stderr
 
 
+def test_failing_family_over_a_large_prime_answers_in_small_memory(tmp_path):
+    """A one-block family over F_(10^9 + 7) fails without listing the
+    group: exit 1 within a 1 GiB address space."""
+    doc = tmp_path / "family.json"
+    doc.write_text(json.dumps({
+        "group": {"kind": "prime", "p": 1000000007},
+        "schema": "fano",
+        "blocks": [[0, 1, 2, 4, 5, 11, 8]],
+    }))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kaleido", "verify", "kdf", "--file", str(doc)],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["valid"] is False
+
+
 def test_search_asymptotic_miss(capsys):
     rc = main(["search", "asymptotic", "--q", "13", "--schema", "hesse"])
     assert rc == 1

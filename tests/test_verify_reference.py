@@ -1,15 +1,20 @@
 """The verifiers against plain-counting reference copies kept here.
 
-``verify_df``, ``verify_kdf`` and ``verify_kaleidoscope`` count flat keys
-in C and take shortcuts when everything checks out. The reference
-versions below count one difference or one incidence at a time, the way
-the package did before, and must give equal reports, field by field, on
-valid and on broken inputs.
+``verify_df`` and ``verify_kdf`` check a family that covers each
+difference once by one set of unordered differences per color, and count
+flat keys in C otherwise; ``verify_kaleidoscope`` takes a shortcut when
+everything checks out. The reference versions below count one difference
+or one incidence at a time, the way the package did before, and must give
+equal reports, field by field, on valid and on broken inputs. A report
+names only the first ``designs._OFF_LIMIT`` off elements of the
+reference's full list.
 """
 
 import dataclasses
 import functools
-from itertools import chain, combinations
+import tracemalloc
+from collections import Counter
+from itertools import chain, combinations, permutations
 
 import pytest
 
@@ -43,6 +48,7 @@ from kaleido.schema import KaleidoscopeSchema, builtin_schema
 from kaleido.search import (
     FANO_POWERS,
     HESSE_POWERS,
+    asymptotic_initial_block,
     form_block,
     generate_kdf_from_initial_block,
 )
@@ -76,7 +82,7 @@ def ref_verify_df(blocks, group, k, lam):
         if count != lam:
             off.append((el, count))
     valid = not bad_blocks and not off and group.zero not in coverage
-    return DFReport(valid, lam, coverage, off, bad_blocks)
+    return DFReport(valid, lam, off, bad_blocks)
 
 
 def ref_verify_kdf(kdf):
@@ -152,8 +158,8 @@ def assert_same_report(new, ref):
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert_same_report(g, w)
-        elif f.name == "coverage":
-            assert dict(got) == want
+        elif f.name == "off_elements":
+            assert got == want[: designs._OFF_LIMIT]
         else:
             assert got == want, f.name
 
@@ -246,6 +252,15 @@ def _spoiled_family(name, position=3):
     return KaleidoscopicDifferenceFamily(kdf.group, kdf.schema, blocks, {})
 
 
+def _refuse_counting(monkeypatch):
+    """Make counting raise, so only the set check can answer."""
+
+    def refuse(*args):
+        raise AssertionError("counted a family the set check should pass")
+
+    monkeypatch.setattr(designs, "_position_differences", refuse)
+
+
 def _with_planes(k, planes):
     return Kaleidoscope(k.points, k.schema, tuple(planes), k.group)
 
@@ -264,10 +279,13 @@ def test_valid_kaleidoscopes_match(name):
     assert check_scope(scope(name)).valid
 
 
-def test_order_13_difference_families_match():
+def test_order_13_difference_families_match(monkeypatch):
     z13 = _prime(13)
+    # A valid family at lam = 1 passes the set check, uncounted.
+    _refuse_counting(monkeypatch)
     for blocks, k in (
         ([(0, 1, 4), (0, 2, 7)], 3),
+        ([(0, 12, 9), (0, 2, 7)], 3),  # the first block negated
         ([(0, 1, 3, 9)], 4),
     ):
         new = verify_df(blocks, z13, k, 1)
@@ -330,6 +348,13 @@ def test_zero_difference_in_df_matches():
     assert not new.valid
     assert new.off_elements == [(4, 0)]
     assert_same_report(new, ref_verify_df(blocks, z8, 2, 2))
+    # In Z_3 at lam = 1, 3 - 0 is 0: one difference, (3 - 1) / 2 of
+    # them and distinct, so only its being its own negative tells.
+    z3 = make_group(Cyclic(3))
+    new = verify_df([(0, 3)], z3, 2, 1)
+    assert not new.valid
+    assert new.off_elements == [(1, 0), (2, 0)]
+    assert_same_report(new, ref_verify_df([(0, 3)], z3, 2, 1))
 
 
 def test_lambda_off_by_one_matches():
@@ -474,3 +499,140 @@ def test_untiled_layout_kaleidoscope_matches():
     planes = [LineTable(layout.lines_at(p)) for p in k.planes]
     rep = check_scope(Kaleidoscope(k.points, layout, tuple(planes), k.group))
     assert not rep.valid
+
+
+# ---------------------------------------------------------------------------
+# the set of unordered differences per color
+
+
+@pytest.mark.parametrize("name", ["7", "19", "19-hesse", "25", "49", "133"])
+def test_negated_block_is_valid_without_counting(name, monkeypatch):
+    kdf = family(name)
+    group = kdf.group
+    negated = (tuple(group.negatives(kdf.blocks[0])),) + kdf.blocks[1:]
+    kdf = KaleidoscopicDifferenceFamily(group, kdf.schema, negated)
+    _refuse_counting(monkeypatch)
+    rep = verify_kdf(kdf)
+    assert rep.valid
+    assert_same_report(rep, ref_verify_kdf(kdf))
+
+
+def _changed_blocks(kdf, how):
+    first, second, *rest = kdf.blocks
+    if how == "drop":
+        # distinct differences, none the negative of another, too few
+        return (second, *rest)
+    # The second block becomes a translate of the first and repeats its
+    # differences: as many as before, none the negative of another, but
+    # not distinct.
+    shift = kdf.group.elements()[1]
+    return (first, tuple(kdf.group.add(x, shift) for x in first), *rest)
+
+
+@pytest.mark.parametrize("how", ["translate", "drop"])
+@pytest.mark.parametrize("name", ["19", "31", "25", "133"])
+def test_block_list_change_matches(name, how):
+    kdf = family(name)
+    blocks = _changed_blocks(kdf, how)
+    rep = check_kdf(KaleidoscopicDifferenceFamily(kdf.group, FANO, blocks))
+    assert not rep.valid
+    assert rep.failing_colors == list(range(FANO.b))
+
+
+@pytest.mark.parametrize("v", [8, 14, 20])
+def test_even_order_families_match(v):
+    # Every row has two points v / 2 apart, a difference equal to its
+    # own negative.
+    zv = make_group(Cyclic(v))
+    half = v // 2
+    rows = [
+        (0, 1, 3, half, half + 1, half + 3, 2),
+        (0, half, 1, half + 1, 2, half + 2, 3),
+    ]
+    for blocks in (rows[:1], rows):
+        kdf = KaleidoscopicDifferenceFamily(zv, FANO, tuple(blocks))
+        assert not check_kdf(kdf).valid
+    for blocks, k, lam in (
+        ([(0, half)], 2, 1),
+        ([(0, half)], 2, 2),
+        ([(0, 1, half), (0, 2, half + 2)], 3, 1),
+        ([(0, d) for d in range(1, half)] + [(0, half)], 2, 1),
+    ):
+        new = verify_df(blocks, zv, k, lam)
+        assert not new.valid
+        assert_same_report(new, ref_verify_df(blocks, zv, k, lam))
+
+
+def _unordered(group, rows, pairs):
+    return [group.sub(row[j], row[i]) for row in rows for i, j in pairs]
+
+
+def _has_negative_pair(group, diffs):
+    return not set(diffs).isdisjoint(map(group.neg, diffs))
+
+
+def test_df_failing_only_by_a_negative_pair_matches():
+    # Three blocks over F_19 whose nine unordered differences are distinct
+    # and nonzero, so only a pair d, -d among them tells they fail.
+    f19 = _prime(19)
+    pairs = list(combinations(range(3), 2))
+    bases = [(0, a, b) for a, b in combinations(range(1, 19), 2)]
+    for blocks in combinations(bases, 3):
+        diffs = _unordered(f19, blocks, pairs)
+        if len(set(diffs)) == 9 and _has_negative_pair(f19, diffs):
+            break
+    else:
+        raise AssertionError("no such blocks")
+    new = verify_df(blocks, f19, 3, 1)
+    assert not new.valid
+    assert_same_report(new, ref_verify_df(blocks, f19, 3, 1))
+
+
+def test_kdf_failing_only_by_a_negative_pair_matches():
+    # A Fano row over F_7 whose every line has three distinct nonzero
+    # differences, but some line holds a pair d, -d.
+    f7 = _prime(7)
+    lines = [list(combinations(line, 2)) for line in FANO.lines]
+    for row in permutations(range(7)):
+        colors = [_unordered(f7, [row], pairs) for pairs in lines]
+        if all(len(set(d)) == 3 for d in colors) and any(
+            _has_negative_pair(f7, d) for d in colors
+        ):
+            break
+    else:
+        raise AssertionError("no such row")
+    rep = check_kdf(KaleidoscopicDifferenceFamily(f7, FANO, (row,)))
+    assert not rep.valid
+    assert rep.failing_colors
+
+
+# ---------------------------------------------------------------------------
+# large orders
+
+
+def test_verify_kdf_memory_at_q_100003():
+    """A valid family of 16,667 blocks is checked in a small peak."""
+    field = _prime(100003)
+    block = asymptotic_initial_block(field, "fano")
+    kdf = generate_kdf_from_initial_block(field, block.points)
+    tracemalloc.start()
+    try:
+        rep = verify_kdf(kdf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.valid
+    assert peak < 25_000_000, peak
+
+
+def test_failing_family_over_a_large_prime_names_a_prefix():
+    f = _prime(1000000007)
+    kdf = KaleidoscopicDifferenceFamily(f, FANO, (FANO19[1],))
+    rep = verify_kdf(kdf)
+    assert not rep.valid
+    assert rep.failing_colors == list(range(FANO.b))
+    # The block's 42 differences cover no element b = 7 times, so the
+    # report names the first elements in order with their counts.
+    counts = Counter(designs.delta(FANO19[1], f))
+    want = [(el, counts[el]) for el in range(1, designs._OFF_LIMIT + 1)]
+    assert rep.family_report.off_elements == want
