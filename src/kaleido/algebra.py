@@ -21,16 +21,17 @@ below about 3.3e24 and refuses a larger prime.
 Every group fixes one canonical element order, used whenever "smallest" is
 meant anywhere in the package: numeric for residues, lexicographic on
 coefficient tuples for extensions (constant term compared first), and
-lexicographic on pairs for products. ``Group.elements()`` returns every
-element in that order.
+lexicographic on pairs for products. A group is the sequence of its
+elements in that order, each built from its index when it is read.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 from .errors import (
     BadCongruence,
@@ -272,6 +273,14 @@ def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
     return True
 
 
+def _digits(n: int, p: int, d: int) -> tuple[int, ...]:
+    """The d base-p digits of n, most significant (constant term) first."""
+    out = [0] * d
+    for i in reversed(range(d)):
+        n, out[i] = divmod(n, p)
+    return tuple(out)
+
+
 def find_irreducible(p: int, degree: int) -> tuple[int, ...]:
     """Canonically smallest monic irreducible of the given degree over Z_p.
 
@@ -284,8 +293,7 @@ def find_irreducible(p: int, degree: int) -> tuple[int, ...]:
     if degree < 2:
         raise MalformedInput("degree must be at least 2")
     for n in itertools.count(p ** (degree - 1)):  # ends: one always exists
-        low = (n // p ** (degree - 1 - i) % p for i in range(degree))
-        candidate = (*low, 1)
+        candidate = (*_digits(n, p, degree), 1)
         if _is_irreducible(candidate, p):
             return candidate
 
@@ -294,8 +302,10 @@ def find_irreducible(p: int, degree: int) -> tuple[int, ...]:
 # groups
 
 
-class Group:
-    """Additive finite abelian group with a fixed canonical element order."""
+class Group(Sequence):
+    """Additive finite abelian group with a fixed canonical element order,
+    and the sequence of its elements in that order: ``_at(i)`` builds
+    element i, and none is stored. A slice is a list."""
 
     is_field = False
     descriptor: GroupDescriptor
@@ -328,20 +338,19 @@ class Group:
         """x * y for each y in ys; fields only."""
         return list(map(self.mul, itertools.repeat(x), ys))
 
+    def __len__(self) -> int:
+        return self.order
+
+    def __getitem__(self, i):
+        at = range(self.order)[i]
+        return list(map(self._at, at)) if type(at) is range else self._at(at)
+
+    def __iter__(self):
+        return map(self._at, range(self.order))
+
     def elements(self) -> Sequence[Element]:
-        """All elements in canonical order, as a cached sequence.
-
-        Cyclic groups and prime fields give ``range(order)``, which holds
-        no per-element state; the other groups give a list.
-        """
-        cached = getattr(self, "_elements", None)
-        if cached is None:
-            cached = self._build_elements()
-            self._elements = cached
-        return cached
-
-    def _build_elements(self) -> Sequence[Element]:
-        raise NotImplementedError
+        """All elements in canonical order: the group itself."""
+        return self
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Group) and self.descriptor == other.descriptor
@@ -384,8 +393,12 @@ class CyclicGroup(Group):
         n = self.order
         return [-x % n for x in xs]
 
-    def _build_elements(self):
-        return range(self.order)
+    def _at(self, n):
+        return n
+
+    def __contains__(self, x):
+        """True when x is a residue in canonical form, 0 <= x < order."""
+        return isinstance(x, int) and 0 <= x < self.order
 
     def to_json(self) -> dict:
         return {"kind": "cyclic", "v": self.order}
@@ -431,10 +444,6 @@ class PrimeFieldGroup(CyclicGroup):
 
     def pow_(self, a, n: int):
         return pow(a, n, self.order)
-
-    def __contains__(self, x):
-        """True when x is a residue in canonical form, 0 <= x < p."""
-        return isinstance(x, int) and 0 <= x < self.order
 
     def times(self, x, ys):
         p = self.order
@@ -547,14 +556,12 @@ class ExtensionFieldGroup(Group):
     def __contains__(self, x):
         """True when x is a tuple of degree-many residues mod p."""
         p = self.p
-        return (
-            isinstance(x, tuple)
-            and len(x) == self.degree
-            and all(isinstance(c, int) and 0 <= c < p for c in x)
+        return isinstance(x, tuple) and len(x) == self.degree and all(
+            isinstance(c, int) and 0 <= c < p for c in x
         )
 
-    def _build_elements(self):
-        return list(itertools.product(range(self.p), repeat=self.degree))
+    def _at(self, n):
+        return _digits(n, self.p, self.degree)
 
     def to_json(self) -> dict:
         modulus = list(self.descriptor.modulus)
@@ -651,10 +658,14 @@ class ProductGroup(Group):
         right = self.right.negatives([y for _, y in xs])
         return list(zip(left, right))
 
-    def _build_elements(self):
-        return [
-            (x, y) for x in self.left.elements() for y in self.right.elements()
-        ]
+    def _at(self, n):
+        a, b = divmod(n, self.right.order)
+        return (self.left[a], self.right[b])
+
+    def __contains__(self, x):
+        return isinstance(x, tuple) and len(x) == 2 and (
+            x[0] in self.left and x[1] in self.right
+        )
 
     def to_json(self) -> dict:
         return {
@@ -732,9 +743,7 @@ def primitive_element(field: Group) -> Element:
         return field.one
     factors = prime_factors(q - 1)
     cofactors = [(q - 1) // r for r in factors]
-    for x in field.elements():
-        if x == field.zero:
-            continue
+    for x in itertools.islice(field, 1, None):  # zero comes first
         if all(field.pow_(x, m) != field.one for m in cofactors):
             field._primitive = x
             return x

@@ -123,18 +123,15 @@ def _field_from_args(args) -> Group:
         raise MalformedInput("an order is required; pass --q")
     modulus = getattr(args, "modulus", None)
     p, d = _prime_power(q)
+    if modulus is None:
+        if d == 1:
+            return make_group(PrimeField(p))
+        return make_group(ExtensionField(p, find_irreducible(p, d)))
     if d == 1:
-        if modulus:
-            raise MalformedInput("--modulus only applies to prime powers")
-        return make_group(PrimeField(p))
-    if modulus:
-        coeffs = tuple(int(c) % p for c in modulus.split(","))
-        if len(coeffs) != d + 1:
-            raise MalformedInput(
-                f"--modulus needs degree {d} for order {q}"
-            )
-    else:
-        coeffs = find_irreducible(p, d)
+        raise MalformedInput("--modulus only applies to prime powers")
+    coeffs = tuple(int(c) % p for c in modulus.split(","))
+    if len(coeffs) != d + 1:
+        raise MalformedInput(f"--modulus needs degree {d} for order {q}")
     return make_group(ExtensionField(p, coeffs))
 
 

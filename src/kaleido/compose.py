@@ -87,7 +87,7 @@ def field_dm(field: Group, k: int) -> DifferenceMatrix:
             f"cannot pick {k} distinct multipliers in a field of order"
             f" {field.order}"
         )
-    sweep = field.elements()
+    sweep = list(field)  # read by every row
     rows = tuple(tuple(field.times(a, sweep)) for a in sweep[:k])
     return DifferenceMatrix(field, rows)
 
@@ -232,7 +232,7 @@ def pbd_compose(
         planes.extend(_relabeled(p, relabel) for p in ingredient.planes)
     if schema is None:
         raise MalformedInput("the covering design has no blocks")
-    return Kaleidoscope(tuple(range(pbd.v)), schema, tuple(planes), None)
+    return Kaleidoscope(range(pbd.v), schema, tuple(planes))
 
 
 # ---------------------------------------------------------------------------

@@ -104,9 +104,6 @@ class DFReport:
     canonical order, not covered ``lam`` times. It is found by walking
     the group's elements only until that many are named, at most the
     number of covered elements plus ``_OFF_LIMIT`` steps when lam >= 1.
-    Cyclic and prime groups walk a ``range``; extension and product
-    groups still list all their elements first, so a failing family over
-    a large one of those pays for the list.
     """
 
     valid: bool
@@ -331,16 +328,29 @@ class LineTable(tuple):
 
 @dataclass
 class Kaleidoscope:
-    """Colored planes on ``points``, all under the one layout ``schema``.
+    """Colored planes on ``points``, a group or ``range(n)``, all under
+    the one layout ``schema``.
 
     Each plane is a point row (a tuple of k points, position i at layout
     position i) or a ``LineTable``; ``lines_of`` gives either's lines.
     """
 
-    points: tuple
+    points: Sequence
     schema: KaleidoscopeSchema
     planes: tuple
-    group: Optional[Group] = None
+
+    def __post_init__(self):
+        pts = self.points
+        if not isinstance(pts, Group) and not (
+            type(pts) is range and pts.stop >= 0 and pts == range(pts.stop)
+        ):
+            raise MalformedInput("points must be a group or range(n)")
+
+    @property
+    def n(self) -> int:
+        """The point count; ``len`` overflows past 2^63 - 1."""
+        pts = self.points
+        return pts.stop if isinstance(pts, range) else pts.order
 
     def lines_of(self, plane) -> tuple[frozenset, ...]:
         """The plane's b lines, as point sets, in color order."""
@@ -364,9 +374,7 @@ def develop(kdf: KaleidoscopicDifferenceFamily) -> Kaleidoscope:
     for block in kdf.blocks:
         # Column i holds position i of every translate, in element order.
         planes.extend(zip(*map(group.translates, block)))
-    return Kaleidoscope(
-        tuple(group.elements()), kdf.schema, tuple(planes), group
-    )
+    return Kaleidoscope(group, kdf.schema, tuple(planes))
 
 
 @dataclass
@@ -392,7 +400,7 @@ class KaleidoscopeReport:
 def verify_kaleidoscope(k: Kaleidoscope) -> KaleidoscopeReport:
     """Count (pair, color) incidences and demand each equals one."""
     b = k.schema.b
-    n = len(k.points)
+    n = k.n
     if _each_pair_once(k, n):
         return KaleidoscopeReport(True, n * (n - 1) // 2 * b, b, None, [])
     return _kaleidoscope_violation(k)
@@ -439,17 +447,15 @@ def _each_pair_once(k: Kaleidoscope, n: int) -> bool:
     sum of its two codes. A color passes when its lines make n(n-1)/2
     pair keys in all, no key twice and no key of a point paired with
     itself. An unknown point, a line of another size, a point repeated
-    in a row or a repeated key reads False; so do repeats in
-    ``k.points``, which leave fewer than n(n-1)/2 pairs to make keys
-    from.
+    in a row or a repeated key reads False.
     """
     rows, tables = _rows_and_tables(k)
-    code = dict(zip(k.points, _sidon_codes(n)))
     schema = k.schema
     b, h, width = schema.b, schema.h, schema.k
     pairs = n * (n - 1) // 2
     if len(k.planes) * (h * (h - 1) // 2) != pairs:
         return False
+    code = dict(zip(k.points, _sidon_codes(n)))
     lines = list(chain.from_iterable(tables))
     if set(map(len, lines)) - {h}:
         return False
@@ -477,21 +483,22 @@ def _each_pair_once(k: Kaleidoscope, n: int) -> bool:
 
 
 def _kaleidoscope_violation(k: Kaleidoscope) -> KaleidoscopeReport:
-    """The report of a kaleidoscope that failed the pair count."""
-    point_set = set(k.points)
+    """The report of a kaleidoscope that failed the pair count. Points
+    are tested and walked through ``k.points``, never copied."""
+    points = k.points
     b = k.schema.b
     alien = []
     counts: dict = {}
     for plane in k.planes:
         for color, line in enumerate(k.lines_of(plane)):
             for x in line:
-                if x not in point_set:
+                if x not in points:
                     alien.append(x)
             for x, y in combinations(sorted(line), 2):
                 counts[(x, y, color)] = counts.get((x, y, color), 0) + 1
     if alien:
         return KaleidoscopeReport(False, len(counts), b, None, alien)
-    n = len(k.points)
+    n = k.n
     expected = n * (n - 1) // 2 * b
     over = [key for key, c in counts.items() if c != 1]
     if not over and len(counts) == expected:
@@ -501,14 +508,16 @@ def _kaleidoscope_violation(k: Kaleidoscope) -> KaleidoscopeReport:
         return KaleidoscopeReport(
             False, expected, b, ((x, y), color, counts[(x, y, color)]), []
         )
-    # Some pair-color slot is missing; find the first one.
-    pts = sorted(point_set)
-    for x, y in combinations(pts, 2):
-        for color in range(b):
-            if (x, y, color) not in counts:
-                return KaleidoscopeReport(
-                    False, expected, b, ((x, y), color, 0), []
-                )
+    # Some pair-color slot is missing; find the first one. Canonical
+    # order is sorted order, so i < j gives x < y as the counts key them.
+    for i in range(n):
+        for j in range(i + 1, n):
+            x, y = points[i], points[j]
+            for color in range(b):
+                if (x, y, color) not in counts:
+                    return KaleidoscopeReport(
+                        False, expected, b, ((x, y), color, 0), []
+                    )
     return KaleidoscopeReport(False, expected, b, None, [])
 
 
@@ -570,7 +579,7 @@ def replicate(
         base = schema.lines_at(ordered)
         for j in range(b):
             planes.append(LineTable(base[(c - j) % b] for c in range(b)))
-    return Kaleidoscope(tuple(range(design.v)), schema, tuple(planes), None)
+    return Kaleidoscope(range(design.v), schema, tuple(planes))
 
 
 # ---------------------------------------------------------------------------
@@ -655,18 +664,13 @@ class _Codes(dict):
 
 
 def kaleidoscope_to_json(k: Kaleidoscope) -> dict:
-    if k.group is not None:
-        points = k.group.to_json()
+    if isinstance(k.points, range):
+        points, enc = k.n, int
+    else:
+        points = k.points.to_json()
         # Each element is encoded once, and its JSON value is shared by
         # every plane, so ``dumps`` writes a list-valued one once per depth.
-        enc = _Codes(k.group.encoder()).__getitem__
-    else:
-        points = len(k.points)
-        if tuple(k.points) != tuple(range(points)):
-            raise MalformedInput(
-                "only integer point ranges serialize without a group"
-            )
-        enc = int
+        enc = _Codes(k.points.encoder()).__getitem__
     planes = []
     for plane in k.planes:
         if isinstance(plane, LineTable):
@@ -690,28 +694,20 @@ def kaleidoscope_from_json(obj) -> Kaleidoscope:
         raw_planes = obj["planes"]
     except KeyError as missing:
         raise MalformedInput(f"kaleidoscope lacks key {missing}") from None
-    group = None
-    if isinstance(raw_points, int) and not isinstance(raw_points, bool):
-        if raw_points < 0:
-            raise MalformedInput(f"point count {raw_points} is negative")
-        points = tuple(range(raw_points))
+    if isinstance(raw_points, dict):
+        points = make_group(descriptor_from_json(raw_points))
+        dec = points.decoder()
+    elif not _is_json_int(raw_points):
+        raise MalformedInput("points must be a count or a group descriptor")
+    elif raw_points < 0:
+        raise MalformedInput(f"point count {raw_points} is negative")
+    else:
+        points = range(raw_points)
 
         def dec(x):
-            if (
-                isinstance(x, bool)
-                or not isinstance(x, int)
-                or not 0 <= x < raw_points
-            ):
+            if type(x) is not int or x not in points:
                 raise MalformedInput(f"point {x!r} out of range")
             return x
-
-    elif isinstance(raw_points, dict):
-        group = make_group(descriptor_from_json(raw_points))
-        points = tuple(group.elements())
-        dec = group.decoder()
-
-    else:
-        raise MalformedInput("points must be a count or a group descriptor")
     if not isinstance(raw_planes, list):
         raise MalformedInput("planes must be a list")
     planes = []
@@ -733,7 +729,7 @@ def kaleidoscope_from_json(obj) -> Kaleidoscope:
             planes.append(row)
         else:
             raise MalformedInput("plane must be a point list or a line table")
-    return Kaleidoscope(points, schema, tuple(planes), group)
+    return Kaleidoscope(points, schema, tuple(planes))
 
 
 def pbd_to_text(pbd: PairwiseBalancedDesign) -> str:

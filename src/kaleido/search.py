@@ -27,6 +27,7 @@ import functools
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
@@ -319,12 +320,11 @@ def find_constrained_element(
     table = CyclotomicTable(field, 3)
     resolved = [(c.shift, _resolve_class(c.klass, table)) for c in constraints]
     checked = 0
-    for x in field.elements():
-        if max_candidates is not None and checked >= max_candidates:
-            return ConstrainedSearchResult(None, checked, False, False, None)
-        checked += 1
+    for checked, x in enumerate(islice(field, max_candidates), 1):
         if _meets(field, table, resolved, x):
             return ConstrainedSearchResult(x, checked, False, False, None)
+    if checked < field.order:
+        return ConstrainedSearchResult(None, checked, False, False, None)
     t = len(constraints)
     bound = Q_BOUNDS.get(t)
     contradicts = bound is not None and field.order > bound
@@ -582,9 +582,7 @@ def parametric_search(
     _check_limit("max_candidates", max_candidates)
     if form not in _FORMS:
         raise MalformedInput(f"unknown form {form!r}")
-    elems = field.elements()
-    if max_candidates is not None:
-        elems = elems[:max_candidates]
+    elems = islice(field, max_candidates)
     key = cubic_character(field)
     for idx, x in enumerate(elems):
         pts = _try_form_candidate(field, key, form, x)

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -828,3 +829,83 @@ def test_prime_translates_reduce_first():
     assert f.translates(10) == [3, 4, 5, 6, 0, 1, 2]
     assert f.translates(-2) == [5, 6, 0, 1, 2, 3, 4]
     assert f.times(-2, [1, 10]) == [5, 1]
+
+
+# ---------------------------------------------------------------------------
+# a group is the sequence of its elements
+
+
+def _listed(g):
+    """Every element in canonical order, built as a list the way groups
+    once stored them: residues as a range, extensions as the product of
+    the coefficient ranges, products as pairs of the factors' lists."""
+    if isinstance(g, ProductGroup):
+        return [(x, y) for x in _listed(g.left) for y in _listed(g.right)]
+    if isinstance(g, ExtensionFieldGroup):
+        return list(product(range(g.p), repeat=g.degree))
+    return list(range(g.order))
+
+
+SEQUENCE_GROUPS = [
+    Cyclic(12),
+    PrimeField(7),
+    ExtensionField(5, find_irreducible(5, 2)),
+    ExtensionField(3, find_irreducible(3, 3)),
+    ExtensionField(2, find_irreducible(2, 4)),
+    Product(PrimeField(7), PrimeField(5)),
+    Product(ExtensionField(3, find_irreducible(3, 2)), Cyclic(4)),
+]
+
+
+def _strangers(g):
+    """Values of an element's shape, and others, that are no element."""
+    if isinstance(g, ProductGroup):
+        x, y = g[-1]
+        return [
+            (_strangers(g.left)[0], y), (x, _strangers(g.right)[0]),
+            (x, y, x), (x,), [x, y], (True, y), "xy", None,
+        ]
+    if isinstance(g, ExtensionFieldGroup):
+        d, p = g.degree, g.p
+        return [
+            (p,) + (0,) * (d - 1), (0,) * (d - 1) + (-1,), (0,) * (d + 1),
+            (0,) * (d - 1), [0] * d, (True,) + (0,) * (d - 1), "0", None,
+        ]
+    return [g.order, -1, g.order + 5, True, "0", None, (0,), [0]]
+
+
+@pytest.mark.parametrize("desc", SEQUENCE_GROUPS, ids=repr)
+def test_group_is_the_sequence_of_its_elements(desc):
+    g = make_group(desc)
+    want = _listed(g)
+    n = len(want)
+    assert len(g) == n
+    assert g.elements() is g
+    assert list(g) == want
+    assert [g[i] for i in range(n)] == want
+    back = range(1, n + 1)
+    assert [g[-i] for i in back] == [want[-i] for i in back]
+    for i in (n, n + 1, -n - 1):
+        with pytest.raises(IndexError):
+            g[i]
+    for s in (slice(1, 5), slice(None, None, 3), slice(-4, None),
+              slice(None, None, -1), slice(5, 2), slice(-3, -1, 2)):
+        assert list(g[s]) == want[s], s
+    assert all(x in g for x in want)
+    for x in _strangers(g):
+        assert (x in g) == (x in want), x
+
+
+def test_reading_one_element_of_a_large_field_builds_only_that_one():
+    """Element 10^12 of F_((10^9 + 7)^2) is its base-p digits; listing the
+    field first would take about 10^18 tuples."""
+    p = 1_000_000_007
+    f = make_group(ExtensionField(p, find_irreducible(p, 2)))
+    tracemalloc.start()
+    try:
+        got = f[10**12], f[-1], (999, 5) in f, len(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == ((999, 10**12 - 999 * p), (p - 1, p - 1), True, p * p)
+    assert peak < 100_000, peak

@@ -512,6 +512,168 @@ def test_failing_family_over_a_large_prime_answers_in_small_memory(tmp_path):
     assert json.loads(proc.stdout)["valid"] is False
 
 
+# Runs the CLI and writes its own peak resident set, in KiB, as the last
+# line of stderr.
+_PEAK = (
+    "import resource, sys\n"
+    "from kaleido.cli import main\n"
+    "rc = main(sys.argv[1:])\n"
+    "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+    "print(f'peak_kib {peak}', file=sys.stderr)\n"
+    "sys.exit(rc)\n"
+)
+
+
+@pytest.mark.parametrize("q", [3163**2, 10007**2], ids=["3163^2", "10007^2"])
+def test_hesse_chain_at_a_large_prime_square_walks_the_field(q):
+    """The chains read field elements one at a time: at 10007^2 the
+    search once listed all 10^8 elements and ran out of memory."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK, "search", "asymptotic", "--q", str(q),
+         "--schema", "hesse", "--backtrack"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 0, proc.stderr
+    note, peak = proc.stderr.splitlines()
+    assert note == "found an initial block"
+    assert int(peak.split()[1]) < 60 * 1024, peak
+    assert json.loads(proc.stdout)["found"] is True
+
+
+@pytest.mark.parametrize(
+    "target, doc",
+    [
+        ("kaleidoscope", {"points": {"kind": "prime", "p": 1000000007},
+                          "schema": "fano", "planes": []}),
+        ("kaleidoscope", {"points": {"kind": "prime", "p": 2**61 - 1},
+                          "schema": "fano", "planes": []}),
+        # (10^12 + 39)^2 points: len() of them overflows
+        ("kaleidoscope", {"points": {"kind": "ext", "p": 1000000000039,
+                                     "modulus": [1, 0, 1]},
+                          "schema": "fano", "planes": []}),
+        ("kdf", {"group": {"kind": "ext", "p": 1000000007,
+                           "modulus": [1, 0, 1]},
+                 "schema": "fano",
+                 "blocks": [[[0, 0], [1, 0], [0, 1], [1, 1], [2, 0], [0, 2],
+                             [2, 1]]]}),
+    ],
+    ids=["scope-p", "scope-m61", "scope-ext", "kdf-ext"],
+)
+def test_failing_document_over_a_large_group_answers_in_small_memory(
+    target, doc, tmp_path
+):
+    """Each fails without listing or copying its points: exit 1 within
+    a 1 GiB address space."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kaleido", "verify", target, "--file",
+         str(path)],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["valid"] is False
+    if target == "kaleidoscope":
+        first = "((0, 0), (0, 1))" if "modulus" in str(doc) else "(0, 1)"
+        want = f"pair {first} carries color 0 0 times, wanted 1\n"
+        assert proc.stderr == want
+
+
+# ---------------------------------------------------------------------------
+# malformed documents name their fault
+
+
+_FANO7 = '"points": 7, "schema": "fano"'
+_SEVEN_LINES = '[[0, 1], [0, 2], [0, 3], [0, 4], [0, 5], [0, 6], [1, 2]]'
+
+
+@pytest.mark.parametrize(
+    "target, text, message",
+    [
+        ("kaleidoscope", '{%s, "planes": {}}' % _FANO7,
+         "planes must be a list"),
+        ("kaleidoscope", '{%s, "planes": [{"lines": 5}]}' % _FANO7,
+         "plane needs one line per color"),
+        ("kaleidoscope", '{%s, "planes": [{"lines": [[0, 1, 2]]}]}' % _FANO7,
+         "plane needs one line per color"),
+        ("kaleidoscope", '{%s, "planes": [{"lines": %s}]}'
+         % (_FANO7, _SEVEN_LINES), "line has the wrong size"),
+        ("kaleidoscope", '{%s, "planes": [5]}' % _FANO7,
+         "plane must be a point list or a line table"),
+        ("kaleidoscope", '{%s, "planes": [[0, 1, 2, 3, 4, 5, 9]]}' % _FANO7,
+         "point 9 out of range"),
+        ("kaleidoscope", '{%s, "planes": [[0, 1, 2, 3, 4, 5, true]]}'
+         % _FANO7, "point True out of range"),
+        ("pbd", "0 1 2\n", "line 1: expected 'v=<count>'"),
+        ("pbd", "v=x\n", "line 1: bad point count 'x'"),
+        ("pbd", "# a comment\n\nv=7\n0 a\n",
+         "line 4: blocks are space-separated ints"),
+        ("pbd", "# a comment only\n", "no 'v=' header found"),
+        ("pbd", "v=7\n0 1 1\n", "line 2: repeated point"),
+        ("schema", "[1, 2]", "layout must be a name or a JSON object"),
+        ("schema", '{"k": 7, "h": 3, "lines": 5}',
+         "layout lines must be a list"),
+        ("kdf", '{"group": {"kind": "prime", "p": 7}, "schema": 5,'
+         ' "blocks": []}', "layout must be a name or a JSON object"),
+    ],
+)
+def test_malformed_document_names_its_fault(
+    target, text, message, tmp_path, capsys
+):
+    path = tmp_path / "doc"
+    path.write_text(text)
+    flag = "--schema" if target == "schema" else "--file"
+    assert main(["verify", target, flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# --modulus
+
+
+@pytest.mark.parametrize("modulus", ["1,0,1", "2,0,1", "-5,7,1"])
+def test_modulus_names_the_field(modulus, capsys):
+    argv = ["compose", "dm", "--q", "49", "--k", "3", f"--modulus={modulus}"]
+    assert main(argv) == 0
+    group = _out(capsys)["group"]
+    want = [int(c) % 7 for c in modulus.split(",")]
+    assert group == {"kind": "ext", "p": 7, "modulus": want}
+
+
+@pytest.mark.parametrize(
+    "q, modulus, message",
+    [
+        ("49", "1,0,0,1", "--modulus needs degree 2 for order 49"),
+        ("49", "1,1", "--modulus needs degree 2 for order 49"),
+        ("49", "1,0,2", "extension modulus must be monic"),
+        ("49", "6,0,1", "[6, 0, 1] factors over Z_7"),
+        ("49", "1,x,1", "invalid literal for int() with base 10: 'x'"),
+        ("49", "", "invalid literal for int() with base 10: ''"),
+        ("43", "1,0,1", "--modulus only applies to prime powers"),
+        # an empty value is refused, not read as no modulus
+        ("43", "", "--modulus only applies to prime powers"),
+    ],
+    ids=["degree-3", "degree-1", "not-monic", "reducible", "not-int",
+         "empty", "prime", "prime-empty"],
+)
+def test_modulus_refusals(q, modulus, message, capsys):
+    argv = ["verify", "block", "--q", q, f"--modulus={modulus}",
+            "--block", "0,1,2,3,4,5,6"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_search_asymptotic_miss(capsys):
     rc = main(["search", "asymptotic", "--q", "13", "--schema", "hesse"])
     assert rc == 1

@@ -162,6 +162,11 @@ CASES = {
         "verify block --q 9 --block '0;1;2;3;4;5;6'",
         "bff0abdf8f7b79f4ab95e37a8445b0d81833bbb3c12b80f9a23962e6822b49e5",
     ),
+    "verify-block-empty-modulus": (
+        [],
+        "verify block --q 43 --modulus= --block 0,1,2,3,4,5,6",
+        "797eac0b62b0963ce0ce097fa478f38f7b99b37c5538bc3501ade8cd89d1c084",
+    ),
     "verify-schema-builtin": (
         [],
         "verify schema --schema hesse",

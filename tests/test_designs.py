@@ -166,13 +166,34 @@ def test_verify_kaleidoscope_counts_pairs():
     assert rep.colors == 7
 
 
+@pytest.mark.parametrize(
+    "points",
+    [(0, 1, 2), [0, 1, 2], range(1, 4), range(0, 6, 2), range(3, 3),
+     range(-3), None],
+    ids=repr,
+)
+def test_kaleidoscope_points_are_a_group_or_a_range(points):
+    with pytest.raises(MalformedInput, match="points must be"):
+        Kaleidoscope(points, FANO, ())
+
+
+@pytest.mark.parametrize("points", [range(0), range(0, 7, 1), Z19], ids=repr)
+def test_kaleidoscope_point_count_is_read_without_len(points):
+    scope = Kaleidoscope(points, FANO, ())
+    assert scope.n == len(points)
+    big = Kaleidoscope(range(2**64), FANO, ())
+    assert big.n == 2**64
+    with pytest.raises(OverflowError):
+        len(big.points)
+
+
 def test_verify_kaleidoscope_detects_tamper():
     scope = develop(_fkdf19())
     planes = list(scope.planes)
     lines = list(scope.lines_of(planes[0]))
     lines[0], lines[1] = lines[1], lines[0]
     planes[0] = LineTable(lines)
-    bad = Kaleidoscope(scope.points, scope.schema, tuple(planes), None)
+    bad = Kaleidoscope(scope.points, scope.schema, tuple(planes))
     rep = verify_kaleidoscope(bad)
     assert not rep.valid
     assert rep.first_violation is not None

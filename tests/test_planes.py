@@ -158,10 +158,10 @@ def test_row_with_a_repeated_point_fails_the_pair_count():
     """
     layout = KaleidoscopeSchema("pairs", 3, 2, ((0, 1), (0, 2), (1, 2)))
     rows = ((0, 0, 1), (1, 2, 2), (2, 0, 0))
-    bad = Kaleidoscope((0, 1, 2), layout, rows, None)
+    bad = Kaleidoscope(range(3), layout, rows)
     assert not verify_kaleidoscope(bad).valid
     good = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    scope = Kaleidoscope((0, 1, 2), layout, good, None)
+    scope = Kaleidoscope(range(3), layout, good)
     assert verify_kaleidoscope(scope).valid
 
 
@@ -172,7 +172,7 @@ def test_rows_are_cut_by_the_layout_of_their_kaleidoscope():
     lines = list(FANO.lines)
     lines[lines.index((0, 1, 3))] = (0, 1, 5)  # no longer tiles the pairs
     other = KaleidoscopeSchema("untiled", 7, 3, tuple(lines))
-    moved = Kaleidoscope(scope.points, other, scope.planes, scope.group)
+    moved = Kaleidoscope(scope.points, other, scope.planes)
     assert all(moved.lines_of(p) == other.lines_at(p) for p in moved.planes)
     assert not verify_kaleidoscope(moved).valid
     # The flat pair count and the reference recount agree.
@@ -184,7 +184,7 @@ def test_wrong_row_length_raises():
     scope = develop(_fano19())
     planes = list(scope.planes)
     planes[4] = planes[4][:6]
-    broken = Kaleidoscope(scope.points, FANO, tuple(planes), scope.group)
+    broken = Kaleidoscope(scope.points, FANO, tuple(planes))
     with pytest.raises(MalformedInput):
         verify_kaleidoscope(broken)
 
@@ -197,7 +197,7 @@ def test_an_edited_plane_is_written_as_the_lines_it_is_judged_by():
     lines = list(scope.lines_of(planes[0]))
     lines[0], lines[1] = lines[1], lines[0]
     planes[0] = LineTable(lines)
-    bad = Kaleidoscope(scope.points, FANO, tuple(planes), scope.group)
+    bad = Kaleidoscope(scope.points, FANO, tuple(planes))
     rep = verify_kaleidoscope(bad)
     assert not rep.valid
     back = kaleidoscope_from_json(kaleidoscope_to_json(bad))

@@ -262,7 +262,7 @@ def _refuse_counting(monkeypatch):
 
 
 def _with_planes(k, planes):
-    return Kaleidoscope(k.points, k.schema, tuple(planes), k.group)
+    return Kaleidoscope(k.points, k.schema, tuple(planes))
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +425,9 @@ def test_replicated_alien_and_repeated_points_match():
     lines[0] = frozenset({0, 1, 7})
     planes[0] = LineTable(lines)
     assert check_scope(_with_planes(k, planes)).alien_points == [7]
-    repeated = Kaleidoscope((0, 1, 2, 3, 4, 5, 6, 6), FANO, k.planes, None)
-    assert not check_scope(repeated).valid
+    # Points are a group or range(n), so a repeated point cannot be built.
+    with pytest.raises(MalformedInput, match="points must be"):
+        Kaleidoscope((0, 1, 2, 3, 4, 5, 6, 6), FANO, k.planes)
 
 
 def _moved_between_lines(k):
@@ -497,7 +498,7 @@ def test_untiled_layout_kaleidoscope_matches():
     layout = _untiled_layout()
     k = scope("19")
     planes = [LineTable(layout.lines_at(p)) for p in k.planes]
-    rep = check_scope(Kaleidoscope(k.points, layout, tuple(planes), k.group))
+    rep = check_scope(Kaleidoscope(k.points, layout, tuple(planes)))
     assert not rep.valid
 
 
