@@ -371,7 +371,7 @@ def _cmd_compose_pbd(args) -> Outcome:
         size: catalog.load_kaleidoscope(size, args.schema) for size in sizes
     }
     scope = pbd_compose(pbd, ingredients)
-    note = f"assembled {len(scope.planes)} planes on {len(scope.points)} points"
+    note = f"assembled {len(scope.planes)} planes on {scope.n} points"
     return kaleidoscope_to_json(scope), note, True
 
 
@@ -385,7 +385,7 @@ def _cmd_develop(args) -> Outcome:
         scope = develop(kdf)
     except InvalidKDF as err:
         return _refusal(err)
-    note = f"developed {len(scope.planes)} planes on {len(scope.points)} points"
+    note = f"developed {len(scope.planes)} planes on {scope.n} points"
     return kaleidoscope_to_json(scope), note, True
 
 
@@ -603,7 +603,13 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         result, note, ok = args.func(args)
-        _emit(result, note)
+        try:
+            _emit(result, note)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # The reader left early. Point stdout at devnull so that the
+            # interpreter's final flush cannot raise again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK if ok else EXIT_INVALID
     except (KaleidoError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

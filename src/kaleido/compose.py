@@ -223,10 +223,10 @@ def pbd_compose(
                     f"catalog entry for size {size}: {krep.summary()}"
                 )
             checked.add(size)
-        if len(ingredient.points) != size:
+        if ingredient.n != size:
             raise IngredientInvalid(
                 f"catalog entry for size {size} has"
-                f" {len(ingredient.points)} points"
+                f" {ingredient.n} points"
             )
         relabel = dict(zip(ingredient.points, sorted(block)))
         planes.extend(_relabeled(p, relabel) for p in ingredient.planes)
@@ -318,10 +318,10 @@ class Catalog:
                     f"catalog entry k{order}_{schema_name}:"
                     f" {rep.summary()}"
                 )
-        if len(scope.points) != order:
+        if scope.n != order:
             raise IngredientInvalid(
                 f"catalog entry k{order}_{schema_name} has"
-                f" {len(scope.points)} points"
+                f" {scope.n} points"
             )
         return scope
 
@@ -339,7 +339,7 @@ class Catalog:
             rep = verify_kaleidoscope(scope)
             if not rep.valid:
                 raise IngredientInvalid(rep.summary())
-            order = len(scope.points)
+            order = scope.n
             name = _schema_filename(schema_to_json(scope.schema))
         else:
             raise MalformedInput("expected a family or kaleidoscope object")

@@ -130,9 +130,9 @@ def _columns(rows: Sequence, k: int) -> list[list]:
     return [list(map(itemgetter(i), rows)) for i in range(k)]
 
 
-def _covers_once(group: Group, positions: Iterable, cols: list) -> bool:
-    """Whether the rows' differences at these position pairs, taken both
-    ways, cover every nonzero element exactly once.
+def _covers_once(group: Group, cols: list) -> bool:
+    """Whether the rows' differences at every pair of the given columns,
+    taken both ways, cover every nonzero element exactly once.
 
     Each pair (i, j) gives one unordered difference per row, row[j] -
     row[i]; its negative is the other ordered difference. So the n
@@ -142,7 +142,8 @@ def _covers_once(group: Group, positions: Iterable, cols: list) -> bool:
     """
     diffs = list(
         chain.from_iterable(
-            group.differences(cols[j], cols[i]) for i, j in positions
+            group.differences(cols[j], cols[i])
+            for i, j in combinations(range(len(cols)), 2)
         )
     )
     if 2 * len(diffs) != group.order - 1:
@@ -188,12 +189,27 @@ def _df_report(
     return DFReport(valid, lam, off, bad_blocks)
 
 
+def _judged(group: Group, cols: list, lam: int, bad_blocks: list) -> DFReport:
+    """Judge point rows, given by their columns, as a difference family
+    of index lam.
+
+    At lam = 1 with no malformed block, rows that pass ``_covers_once``
+    are valid uncounted; any other family is counted.
+    """
+    if lam == 1 and not bad_blocks and _covers_once(group, cols):
+        return DFReport(True, 1, [], [])
+    coverage = Counter()
+    for diffs in _position_differences(group, cols).values():
+        coverage.update(diffs)
+    return _df_report(coverage, group, lam, bad_blocks)
+
+
 def verify_df(blocks: Sequence, group: Group, k: int, lam: int) -> DFReport:
     """Check that blocks form a (v, k, lam) difference family over group.
 
     Every nonzero group element must occur exactly lam times among the
-    differences of all blocks. At lam = 1 a family that passes is checked
-    by one set of its unordered differences; any other is counted.
+    differences of all blocks. Blocks of the wrong size or with a repeated
+    point are set aside as malformed and the rest are ``_judged``.
     """
     good, bad_blocks = [], []
     for block in blocks:
@@ -202,17 +218,7 @@ def verify_df(blocks: Sequence, group: Group, k: int, lam: int) -> DFReport:
             bad_blocks.append(pts)
         else:
             good.append(pts)
-    cols = _columns(good, k)
-    if (
-        lam == 1
-        and not bad_blocks
-        and _covers_once(group, combinations(range(k), 2), cols)
-    ):
-        return DFReport(True, 1, [], [])
-    coverage = Counter()
-    for diffs in _position_differences(group, cols).values():
-        coverage.update(diffs)
-    return _df_report(coverage, group, lam, bad_blocks)
+    return _judged(group, _columns(good, k), lam, bad_blocks)
 
 
 @dataclass
@@ -268,46 +274,28 @@ class KDFReport:
 
 
 def verify_kdf(kdf: KaleidoscopicDifferenceFamily) -> KDFReport:
-    """Check the block family and each color class.
+    """Check each color class and the block family.
 
-    The blocks, as point sets, must form a (v, k, b) difference family.
-    For every color, the lines of that color across all blocks must form a
-    (v, h, 1) difference family. Each color is first checked by one set
-    of its unordered differences. When they all pass and the layout tiles
-    its position pairs, every nonzero element is covered once per color,
-    b times in all, and nothing is counted. Otherwise the colors and the
-    family are counted, one difference list per ordered position pair,
-    to name what is off.
+    For every color, the lines of that color across all blocks must form
+    a (v, h, 1) difference family; each is ``_judged`` as one, on its
+    own columns. The blocks, as point sets, must form a (v, k, b)
+    difference family. When no color fails and the layout tiles its
+    position pairs, every nonzero element is covered once per color, b
+    times in all, so the family is valid uncounted; otherwise it is
+    ``_judged`` at lam = b, counted to name what is off.
     """
     group = kdf.group
     schema = kdf.schema
     lam = schema.lambda_underlying
     cols = _columns(kdf.blocks, schema.k)
-    if validate_schema(schema).valid and all(
-        _covers_once(group, combinations(line, 2), cols)
-        for line in schema.lines
-    ):
-        return KDFReport(
-            True,
-            DFReport(True, lam, [], []),
-            [DFReport(True, 1, [], []) for _ in schema.lines],
-            [],
-        )
-    diffs = _position_differences(group, cols)
-    color_reports = []
-    failing = []
-    for color, line in enumerate(schema.lines):
-        coverage = Counter()
-        for pair in permutations(line, 2):
-            coverage.update(diffs[pair])
-        rep = _df_report(coverage, group, 1, [])
-        color_reports.append(rep)
-        if not rep.valid:
-            failing.append(color)
-    family = Counter()
-    for column in diffs.values():
-        family.update(column)
-    family_report = _df_report(family, group, lam, [])
+    color_reports = [
+        _judged(group, [cols[i] for i in line], 1, []) for line in schema.lines
+    ]
+    failing = [c for c, rep in enumerate(color_reports) if not rep.valid]
+    if not failing and validate_schema(schema).valid:
+        family_report = DFReport(True, lam, [], [])
+    else:
+        family_report = _judged(group, cols, lam, [])
     valid = family_report.valid and not failing
     return KDFReport(valid, family_report, color_reports, failing)
 
@@ -533,6 +521,8 @@ class PairwiseBalancedDesign:
     blocks: tuple[frozenset, ...]
 
     def __post_init__(self):
+        if self.v < 0:
+            raise MalformedInput(f"point count {self.v} is negative")
         for block in self.blocks:
             for x in block:
                 if not isinstance(x, int) or not 0 <= x < self.v:
@@ -645,8 +635,10 @@ def kdf_from_json(obj) -> KaleidoscopicDifferenceFamily:
         raise MalformedInput("blocks must be a list")
     dec = group.decoder()
     blocks = tuple(_decoded(block, dec, "block") for block in raw)
-    provenance = obj.get("provenance") or {}
-    if not isinstance(provenance, dict):
+    provenance = obj.get("provenance")
+    if provenance is None:
+        provenance = {}
+    elif not isinstance(provenance, dict):
         raise MalformedInput("provenance must be an object")
     return KaleidoscopicDifferenceFamily(group, schema, blocks, provenance)
 
@@ -761,6 +753,10 @@ def pbd_from_text(text: str) -> PairwiseBalancedDesign:
                 raise MalformedInput(
                     f"line {lineno}: bad point count {line[2:]!r}"
                 ) from None
+            if v < 0:
+                raise MalformedInput(
+                    f"line {lineno}: point count {v} is negative"
+                )
             continue
         try:
             pts = [int(tok) for tok in line.split()]

@@ -1,6 +1,7 @@
 """Command line round trips, one exercise per subcommand."""
 
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -617,11 +618,18 @@ _SEVEN_LINES = '[[0, 1], [0, 2], [0, 3], [0, 4], [0, 5], [0, 6], [1, 2]]'
          "line 4: blocks are space-separated ints"),
         ("pbd", "# a comment only\n", "no 'v=' header found"),
         ("pbd", "v=7\n0 1 1\n", "line 2: repeated point"),
+        ("pbd", "v=-3\n", "line 1: point count -3 is negative"),
         ("schema", "[1, 2]", "layout must be a name or a JSON object"),
         ("schema", '{"k": 7, "h": 3, "lines": 5}',
          "layout lines must be a list"),
         ("kdf", '{"group": {"kind": "prime", "p": 7}, "schema": 5,'
          ' "blocks": []}', "layout must be a name or a JSON object"),
+        *(
+            ("kdf", '{"group": {"kind": "prime", "p": 7}, "schema": "fano",'
+             ' "blocks": [], "provenance": %s}' % value,
+             "provenance must be an object")
+            for value in ("[]", "0", "false", '""')
+        ),
     ],
 )
 def test_malformed_document_names_its_fault(
@@ -1119,3 +1127,31 @@ def test_python_dash_m_kaleido():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["solutions"] == 8
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nonexistence", "--v", "7"],
+        ["search", "asymptotic", "--q", "100003", "--emit-kdf"],
+    ],
+    ids=["nonexistence", "emit-kdf"],
+)
+def test_closed_stdout_exits_with_the_outcome_code(argv):
+    """A reader that leaves before the result is written costs the
+    output, not the exit code, and prints no traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kaleido", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr

@@ -255,6 +255,11 @@ def test_pbd_verify():
     assert not verify_pbd(bad).valid
 
 
+def test_pbd_refuses_a_negative_point_count():
+    with pytest.raises(MalformedInput, match="point count -3 is negative"):
+        PairwiseBalancedDesign(-3, ())
+
+
 def test_pbd_text_round_trip():
     lines = tuple(
         frozenset({i % 7, (i + 1) % 7, (i + 3) % 7}) for i in range(7)

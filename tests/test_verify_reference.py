@@ -502,6 +502,38 @@ def test_untiled_layout_kaleidoscope_matches():
     assert not rep.valid
 
 
+def _identity_case(case):
+    kind, name = case.split(":")
+    if kind == "valid":
+        return family(name)
+    if kind == "spoiled":
+        return _spoiled_family(name)
+    kdf = family(name)
+    return KaleidoscopicDifferenceFamily(
+        kdf.group, _untiled_layout(), kdf.blocks
+    )
+
+
+@pytest.mark.parametrize(
+    "case",
+    [f"valid:{name}" for name in FAMILIES]
+    + [f"spoiled:{name}" for name in ["19", "19-hesse", "25", "133"]]
+    + ["untiled:19"],
+)
+def test_kdf_is_judged_as_plain_difference_families(case):
+    """Each color is judged as the (v, h, 1) family of its lines, and the
+    family as the (v, k, b) family of its blocks."""
+    kdf = _identity_case(case)
+    schema = kdf.schema
+    rep = verify_kdf(kdf)
+    for c, color_report in enumerate(rep.color_reports):
+        lines = [schema.lines_at(row)[c] for row in kdf.blocks]
+        assert color_report == verify_df(lines, kdf.group, schema.h, 1)
+    assert rep.family_report == verify_df(
+        kdf.blocks, kdf.group, schema.k, schema.lambda_underlying
+    )
+
+
 # ---------------------------------------------------------------------------
 # the set of unordered differences per color
 
