@@ -731,7 +731,15 @@ def make_group(desc: GroupDescriptor) -> Group:
 
 
 def primitive_element(field: Group) -> Element:
-    """Canonically smallest element whose multiplicative order is q - 1."""
+    """Canonically smallest element whose multiplicative order is q - 1.
+
+    The walk skips the elements that no primitive element can be. Over
+    F_p[t]/(f) of degree d, elements 1 .. p - 1 are c t^(d-1). A primitive
+    x has a norm x^((q-1)/(p-1)) that generates F_p^*. When f(0) = 1 the
+    norm of t is (-1)^d, so c t^(d-1) has norm c^d, a d-th power. If
+    gcd(d, p - 1) > 1 the d-th powers are a proper subgroup of F_p^*, so
+    none of these elements is primitive and the walk starts at p.
+    """
     if not field.is_field:
         raise MalformedInput("primitive elements need a field")
     cached = getattr(field, "_primitive", None)
@@ -743,7 +751,11 @@ def primitive_element(field: Group) -> Element:
         return field.one
     factors = prime_factors(q - 1)
     cofactors = [(q - 1) // r for r in factors]
-    for x in itertools.islice(field, 1, None):  # zero comes first
+    p, d = field.p, field.degree
+    start = 1  # zero comes first
+    if d > 1 and field.descriptor.modulus[0] == 1 and math.gcd(d, p - 1) > 1:
+        start = p
+    for x in map(field._at, range(start, q)):
         if all(field.pow_(x, m) != field.one for m in cofactors):
             field._primitive = x
             return x

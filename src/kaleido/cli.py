@@ -614,6 +614,11 @@ def main(argv=None) -> int:
     except (KaleidoError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_MALFORMED
+    except MemoryError:
+        # The frames that held the memory are gone by now, so printing
+        # the one line has room again.
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_MALFORMED
 
 
 if __name__ == "__main__":

@@ -321,6 +321,9 @@ class Kaleidoscope:
 
     Each plane is a point row (a tuple of k points, position i at layout
     position i) or a ``LineTable``; ``lines_of`` gives either's lines.
+    The planes that ``develop`` and ``kaleidoscope_from_json`` build share
+    their point objects: equal points are one object, so a point that
+    recurs in many planes is held once.
     """
 
     points: Sequence
@@ -347,21 +350,43 @@ class Kaleidoscope:
         return self.schema.lines_at(plane)
 
 
+class _Memo(dict):
+    """Key -> f(key), made on the first lookup and kept.
+
+    The default f is the identity, so each key looked up maps to the
+    first equal object seen: a builder that passes its points through one
+    such memo keeps one object per point.
+    """
+
+    def __init__(self, f=lambda x: x):
+        super().__init__()
+        self._f = f
+
+    def __missing__(self, key):
+        value = self[key] = self._f(key)
+        return value
+
+
 def develop(kdf: KaleidoscopicDifferenceFamily) -> Kaleidoscope:
     """Translate every block by every group element.
 
     Each translate is stored as its point row, cut by the family's
-    layout when its lines are read. Refuses families that fail
-    verification, since the result would not be a kaleidoscope.
+    layout when its lines are read. Equal points of the planes are one
+    object, so the planes hold one reference per incidence and one object
+    per point. Refuses families that fail verification, since the result
+    would not be a kaleidoscope.
     """
     report = verify_kdf(kdf)
     if not report.valid:
         raise InvalidKDF(report.summary())
     group = kdf.group
+    same = _Memo().__getitem__
     planes = []
     for block in kdf.blocks:
         # Column i holds position i of every translate, in element order.
-        planes.extend(zip(*map(group.translates, block)))
+        planes.extend(
+            zip(*[list(map(same, group.translates(x))) for x in block])
+        )
     return Kaleidoscope(group, kdf.schema, tuple(planes))
 
 
@@ -372,12 +397,26 @@ class KaleidoscopeReport:
     colors: int
     first_violation: Optional[tuple]  # ((x, y), color, count)
     alien_points: list
+    # (plane index, points its lines lie on, k): a line table whose lines
+    # are not a plane, named only when every pair count is right
+    bad_plane: Optional[tuple] = None
 
     def summary(self) -> str:
         if self.valid:
             return "valid"
         if self.alien_points:
             return f"planes use unknown points {self.alien_points[:3]!r}"
+        if self.bad_plane is not None:
+            index, spanned, k = self.bad_plane
+            if spanned != k:
+                return (
+                    f"plane {index} is not a plane: its lines lie on"
+                    f" {spanned} points, wanted {k}"
+                )
+            return (
+                f"plane {index} is not a plane: a pair of its points lies"
+                " on more than one of its lines"
+            )
         (x, y), color, count = self.first_violation
         return (
             f"pair ({x!r}, {y!r}) carries color {color} {count} times,"
@@ -386,7 +425,12 @@ class KaleidoscopeReport:
 
 
 def verify_kaleidoscope(k: Kaleidoscope) -> KaleidoscopeReport:
-    """Count (pair, color) incidences and demand each equals one."""
+    """Count (pair, color) incidences and demand each equals one, and
+    demand that each line table be a plane (``_is_plane``).
+
+    A point row needs no such check: the layout, which tiles its position
+    pairs, cuts the row's k distinct points into a plane.
+    """
     b = k.schema.b
     n = k.n
     if _each_pair_once(k, n):
@@ -426,8 +470,19 @@ def _sidon_codes(n: int) -> list[int]:
     return [2 * p * i + i * i % p for i in range(n)]
 
 
+def _is_plane(lines, k: int) -> bool:
+    """Whether the lines lie on exactly k points and put each pair of
+    those points on exactly one of them."""
+    pairs = [pair for line in lines for pair in combinations(sorted(line), 2)]
+    return (
+        len(pairs) == len(set(pairs)) == k * (k - 1) // 2
+        and len(frozenset().union(*lines)) == k
+    )
+
+
 def _each_pair_once(k: Kaleidoscope, n: int) -> bool:
-    """True when every color's lines cover every point pair exactly once.
+    """True when every color's lines cover every point pair exactly once
+    and every line table is a plane.
 
     Rows are read position by position and line tables slot by slot
     (see ``_rows_and_tables``, whose ``MalformedInput`` passes through).
@@ -451,6 +506,8 @@ def _each_pair_once(k: Kaleidoscope, n: int) -> bool:
         row_codes = list(map(code.__getitem__, chain.from_iterable(rows)))
         line_codes = list(map(code.__getitem__, chain.from_iterable(lines)))
     except KeyError:
+        return False
+    if not all(_is_plane(table, width) for table in tables):
         return False
     # A Sidon set's sums tell x + x apart from every other pair's sum.
     doubles = {c + c for c in code.values()}
@@ -490,6 +547,12 @@ def _kaleidoscope_violation(k: Kaleidoscope) -> KaleidoscopeReport:
     expected = n * (n - 1) // 2 * b
     over = [key for key, c in counts.items() if c != 1]
     if not over and len(counts) == expected:
+        width = k.schema.k
+        for index, plane in enumerate(k.planes):
+            if isinstance(plane, LineTable) and not _is_plane(plane, width):
+                spanned = len(frozenset().union(*plane))
+                bad = (index, spanned, width)
+                return KaleidoscopeReport(False, expected, b, None, [], bad)
         return KaleidoscopeReport(True, expected, b, None, [])
     if over:
         x, y, color = min(over)
@@ -586,11 +649,11 @@ def df_to_json(df: DifferenceFamily) -> dict:
     }
 
 
-def _decoded(raw, dec, what: str) -> tuple:
-    """A JSON list of elements, decoded one by one."""
+def _decoded(raw, dec, what: str):
+    """A JSON list of elements, decoded one by one as it is read."""
     if not isinstance(raw, (list, tuple)):
         raise MalformedInput(f"{what} must be a list of elements")
-    return tuple(map(dec, raw))
+    return map(dec, raw)
 
 
 def df_from_json(obj) -> DifferenceFamily:
@@ -634,25 +697,13 @@ def kdf_from_json(obj) -> KaleidoscopicDifferenceFamily:
     if not isinstance(raw, list):
         raise MalformedInput("blocks must be a list")
     dec = group.decoder()
-    blocks = tuple(_decoded(block, dec, "block") for block in raw)
+    blocks = tuple(tuple(_decoded(block, dec, "block")) for block in raw)
     provenance = obj.get("provenance")
     if provenance is None:
         provenance = {}
     elif not isinstance(provenance, dict):
         raise MalformedInput("provenance must be an object")
     return KaleidoscopicDifferenceFamily(group, schema, blocks, provenance)
-
-
-class _Codes(dict):
-    """Element -> JSON value, encoded on the first lookup and kept."""
-
-    def __init__(self, encode):
-        super().__init__()
-        self._encode = encode
-
-    def __missing__(self, x):
-        code = self[x] = self._encode(x)
-        return code
 
 
 def kaleidoscope_to_json(k: Kaleidoscope) -> dict:
@@ -662,7 +713,7 @@ def kaleidoscope_to_json(k: Kaleidoscope) -> dict:
         points = k.points.to_json()
         # Each element is encoded once, and its JSON value is shared by
         # every plane, so ``dumps`` writes a list-valued one once per depth.
-        enc = _Codes(k.points.encoder()).__getitem__
+        enc = _Memo(k.points.encoder()).__getitem__
     planes = []
     for plane in k.planes:
         if isinstance(plane, LineTable):
@@ -678,6 +729,12 @@ def kaleidoscope_to_json(k: Kaleidoscope) -> dict:
 
 
 def kaleidoscope_from_json(obj) -> Kaleidoscope:
+    """Decode a kaleidoscope document.
+
+    Equal points of the planes, in rows and line tables alike, are
+    decoded to one object, the first one read, so the planes hold one
+    reference per incidence and one object per point.
+    """
     if not isinstance(obj, dict):
         raise MalformedInput("kaleidoscope must be a JSON object")
     try:
@@ -702,6 +759,7 @@ def kaleidoscope_from_json(obj) -> Kaleidoscope:
             return x
     if not isinstance(raw_planes, list):
         raise MalformedInput("planes must be a list")
+    same = _Memo().__getitem__
     planes = []
     for raw in raw_planes:
         if isinstance(raw, dict):
@@ -709,14 +767,15 @@ def kaleidoscope_from_json(obj) -> Kaleidoscope:
             if not isinstance(raw_lines, list) or len(raw_lines) != schema.b:
                 raise MalformedInput("plane needs one line per color")
             lines = LineTable(
-                frozenset(_decoded(line, dec, "line")) for line in raw_lines
+                frozenset(map(same, _decoded(line, dec, "line")))
+                for line in raw_lines
             )
             for line in lines:
                 if len(line) != schema.h:
                     raise MalformedInput("line has the wrong size")
             planes.append(lines)
         elif isinstance(raw, list):
-            row = tuple(map(dec, raw))
+            row = tuple(map(same, map(dec, raw)))
             _check_row(schema, row)
             planes.append(row)
         else:

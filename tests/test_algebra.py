@@ -1,9 +1,12 @@
 """Field and group arithmetic, cyclotomic classes, transversals."""
 
 import json
+import math
 import random
+import subprocess
+import sys
 import tracemalloc
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -601,6 +604,88 @@ def test_primitive_elements():
     assert primitive_element(make_group(PrimeField(19))) == 2
     assert primitive_element(make_group(PrimeField(7))) == 3
     assert primitive_element(make_group(PrimeField(13))) == 2
+
+
+def _plain_primitive_walk(field):
+    """The first element, in canonical order after zero, whose order is
+    q - 1: every element is tried."""
+    q = field.order
+    cofactors = [(q - 1) // r for r in prime_factors(q - 1)]
+    return next(
+        x
+        for x in islice(field, 1, None)
+        if all(field.pow_(x, m) != field.one for m in cofactors)
+    )
+
+
+def _irreducible_with_constant(p, degree, c0):
+    """The canonically smallest monic irreducible with constant term c0."""
+    for n in range(p ** (degree - 1)):
+        digits = [n // p ** i % p for i in range(degree - 2, -1, -1)]
+        modulus = (c0, *digits, 1)
+        if _is_irreducible(modulus, p):
+            return modulus
+    return None
+
+
+@pytest.mark.parametrize("degree, bound", [(2, 2000), (3, 600), (4, 100)])
+def test_primitive_element_skip_matches_the_plain_walk(degree, bound):
+    """Over F_p[t]/(f) with f(0) = 1 and gcd(d, p - 1) > 1 the walk
+    starts at element p; it must still find the plain walk's element.
+    Moduli with another constant term, where c t^(d-1) can be primitive,
+    take the plain walk and are pinned too."""
+    skipped = 0
+    for p in filter(is_prime, range(bound)):
+        moduli = {find_irreducible(p, degree)}
+        if p < bound // 5:
+            for c0 in {2 % p, p - 1}:
+                moduli.add(_irreducible_with_constant(p, degree, c0))
+        for modulus in moduli - {None}:
+            field = make_group(ExtensionField(p, modulus))
+            got = primitive_element(field)
+            assert got == _plain_primitive_walk(field), (p, modulus)
+            if modulus[0] == 1 and math.gcd(degree, p - 1) > 1:
+                skipped += 1
+                assert field.index(got) >= p
+    assert skipped >= 20
+
+
+# Prints the primitive element of the field p^degree, p and degree read
+# from argv.
+_PRIMITIVE = (
+    "import sys\n"
+    "from kaleido.algebra import ExtensionField, find_irreducible, make_group,"
+    " primitive_element\n"
+    "p, degree = map(int, sys.argv[1:])\n"
+    "field = make_group(ExtensionField(p, find_irreducible(p, degree)))\n"
+    "print(list(primitive_element(field)))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "p, degree, want",
+    [(10**9 + 7, 2, [1, 4]), (1000003, 3, [0, 1, 18])],
+    ids=["(10^9+7)^2", "1000003^3"],
+)
+def test_primitive_element_at_large_prime_powers(p, degree, want):
+    """The walk no longer tries the p - 1 elements c t^(d-1) first, each
+    at the cost of a field power: it answers at once where it took
+    Theta(p) steps."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _PRIMITIVE, str(p), str(degree)],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got == want
+    field = make_group(ExtensionField(p, find_irreducible(p, degree)))
+    x = tuple(got)
+    q = field.order
+    assert all(
+        field.pow_(x, (q - 1) // r) != field.one for r in prime_factors(q - 1)
+    )
 
 
 def test_cubes_mod_19():

@@ -513,6 +513,28 @@ def test_failing_family_over_a_large_prime_answers_in_small_memory(tmp_path):
     assert json.loads(proc.stdout)["valid"] is False
 
 
+def test_running_out_of_memory_is_one_error_line():
+    """The family at q = 10,000,141 needs about 1 GB; within 400 MB of
+    address space the command stops with one error line and exit 2, not
+    a MemoryError traceback."""
+    cap = 400_000 * 1024
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "kaleido", "search", "asymptotic",
+         "--q", "10000141", "--emit-kdf"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=limit,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: out of memory\n"
+    assert proc.stdout == ""
+
+
 # Runs the CLI and writes its own peak resident set, in KiB, as the last
 # line of stderr.
 _PEAK = (

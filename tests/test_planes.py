@@ -9,8 +9,10 @@ the bytes written before rows were stored (digests taken from
 line-table planes).
 """
 
+import functools
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -287,3 +289,151 @@ def test_catalog_files_keep_their_bytes(tmp_path):
         text = cat.add(obj).read_text()
         assert text == json.dumps(obj, sort_keys=True, indent=1) + "\n"
         assert _sha(text) == digest
+
+
+def test_a_line_table_on_too_many_points_fails_in_the_cli(tmp_path, capsys):
+    """Planes 0 and 1 of the F_19 development, written as line tables
+    with their color-3 lines swapped: every pair count is right, but
+    plane 0 lies on 9 points. The document is refused with exit 1."""
+    scope = develop(_fano19())
+    planes = list(scope.planes)
+    a, b = list(scope.lines_of(planes[0])), list(scope.lines_of(planes[1]))
+    a[3], b[3] = b[3], a[3]
+    planes[0], planes[1] = LineTable(a), LineTable(b)
+    swapped = Kaleidoscope(scope.points, FANO, tuple(planes))
+    path = tmp_path / "swap.json"
+    path.write_text(dumps(kaleidoscope_to_json(swapped)))
+    assert main(["verify", "kaleidoscope", "--file", str(path)]) == 1
+    captured = capsys.readouterr()
+    want = "plane 0 is not a plane: its lines lie on 9 points, wanted 7"
+    assert json.loads(captured.out)["summary"] == want
+    assert captured.err == want + "\n"
+
+
+def test_replicated_and_composed_line_tables_are_planes():
+    seven = PairwiseBalancedDesign(7, (frozenset(range(7)),))
+    nine = PairwiseBalancedDesign(9, (frozenset(range(9)),))
+    for scope in (
+        replicate(seven, FANO),
+        replicate(nine, HESSE),
+        replicate(_ag27(), FANO),
+        pbd_compose(_ag27(), {7: replicate(seven, FANO)}),
+    ):
+        assert all(isinstance(p, LineTable) for p in scope.planes)
+        assert all(designs._is_plane(p, scope.schema.k) for p in scope.planes)
+        assert verify_kaleidoscope(scope).valid
+
+
+# ---------------------------------------------------------------------------
+# one object per point
+
+
+@functools.cache
+def _scope361():
+    """The order-361 kaleidoscope: the F_19 Hesse family composed with
+    itself through the field's difference matrix, developed."""
+    kdf = compose_kdf(_hesse19(), _hesse19(), field_dm(F19, HESSE.k))
+    return kdf, develop(kdf)
+
+
+def _point_objects(scope) -> int:
+    """How many distinct objects the planes' points are."""
+    return len({
+        id(x)
+        for plane in scope.planes
+        for line in scope.lines_of(plane)
+        for x in line
+    })
+
+
+def _held(build, arg):
+    """build(arg), and the bytes it holds afterwards, traced."""
+    tracemalloc.start()
+    try:
+        out = build(arg)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return out, held
+
+
+# Each builder held 12.9 MiB for the 361 kaleidoscope when it made a
+# point object per incidence (194,940 pairs); one per point holds 2.5.
+HELD_361 = 5 << 20
+
+
+def test_developed_planes_keep_one_object_per_point():
+    kdf, _ = _scope361()
+    scope, held = _held(develop, kdf)
+    assert len(scope.planes) == 21660
+    assert _point_objects(scope) == 361
+    assert held < HELD_361, held
+
+
+def test_decoded_planes_keep_one_object_per_point():
+    _, scope = _scope361()
+    doc = json.loads(dumps(kaleidoscope_to_json(scope)))
+    back, held = _held(kaleidoscope_from_json, doc)
+    assert back.planes == scope.planes
+    assert _point_objects(back) == 361
+    assert held < HELD_361, held
+
+
+def test_decoded_line_tables_share_the_rows_point_objects():
+    _, scope = _scope361()
+    doc = json.loads(dumps(kaleidoscope_to_json(scope)))
+    tables = range(0, len(doc["planes"]), 7)
+    for i in tables:
+        row = tuple(map(tuple, doc["planes"][i]))
+        doc["planes"][i] = {
+            "lines": [sorted(map(list, line)) for line in HESSE.lines_at(row)]
+        }
+    back = kaleidoscope_from_json(doc)
+    assert all(isinstance(back.planes[i], LineTable) for i in tables)
+    assert verify_kaleidoscope(back).valid
+    assert _point_objects(back) == 361
+    row_points = {id(x) for p in back.planes if type(p) is tuple for x in p}
+    assert row_points == {
+        id(x) for i in tables for line in back.planes[i] for x in line
+    }
+
+
+def _repeated_pair_point(doc):
+    doc["planes"][5][3] = list(doc["planes"][5][0])
+
+
+def _true_in_a_row(doc):
+    doc["planes"][5][3] = [True, 0]
+
+
+def _true_in_a_line(doc):
+    row = tuple(map(tuple, doc["planes"][5]))
+    lines = [sorted(map(list, line)) for line in HESSE.lines_at(row)]
+    lines[2][1] = [0, True]
+    doc["planes"][5] = {"lines": lines}
+
+
+@pytest.mark.parametrize(
+    "spoil, error",
+    [
+        (_repeated_pair_point, DuplicateElements),
+        (_true_in_a_row, MalformedInput),
+        (_true_in_a_line, MalformedInput),
+    ],
+    ids=["repeated-point", "true-in-row", "true-in-line"],
+)
+def test_shared_points_still_refuse_bad_rows(spoil, error):
+    _, scope = _scope361()
+    doc = json.loads(dumps(kaleidoscope_to_json(scope)))
+    spoil(doc)
+    with pytest.raises(error):
+        kaleidoscope_from_json(doc)
+
+
+def test_shared_points_still_refuse_true_among_integer_points():
+    doc = json.loads(dumps(kaleidoscope_to_json(replicate(
+        PairwiseBalancedDesign(7, (frozenset(range(7)),)), FANO
+    ))))
+    doc["planes"][0]["lines"][0][0] = True
+    with pytest.raises(MalformedInput):
+        kaleidoscope_from_json(doc)

@@ -132,6 +132,19 @@ def ref_verify_kaleidoscope(k):
     expected = n * (n - 1) // 2 * b
     over = [key for key, c in counts.items() if c != 1]
     if not over and len(counts) == expected:
+        # Each line table must be a plane: k points, each pair on one line.
+        width = k.schema.k
+        for index, plane in enumerate(k.planes):
+            if not isinstance(plane, LineTable):
+                continue
+            spanned = set(chain.from_iterable(plane))
+            pairs = Counter(
+                pair for line in plane for pair in combinations(sorted(line), 2)
+            )
+            wanted = set(combinations(sorted(spanned), 2))
+            if len(spanned) != width or pairs != Counter(wanted):
+                bad = (index, len(spanned), width)
+                return KaleidoscopeReport(False, expected, b, None, [], bad)
         return KaleidoscopeReport(True, expected, b, None, [])
     if over:
         x, y, color = min(over)
@@ -449,6 +462,52 @@ def _moved_between_lines(k):
                     planes[p] = LineTable(lines)
                     return planes
     raise AssertionError("no such move")
+
+
+def _swapped_between_planes(k, first, second, color):
+    """Planes with the lines of one color swapped between two planes.
+
+    Each color keeps its lines, so every pair count stays right; only
+    the two planes' own structure can tell.
+    """
+    planes = list(k.planes)
+    a, b = list(k.lines_of(planes[first])), list(k.lines_of(planes[second]))
+    a[color], b[color] = b[color], a[color]
+    planes[first], planes[second] = LineTable(a), LineTable(b)
+    return _with_planes(k, planes)
+
+
+def test_line_tables_that_span_too_many_points_match():
+    """Two developed planes swap their color-3 lines: plane 0 then lies
+    on 9 points, and is no Fano plane."""
+    rep = check_scope(_swapped_between_planes(scope("19"), 0, 1, 3))
+    assert not rep.valid
+    assert rep.first_violation is None and rep.alien_points == []
+    assert rep.bad_plane == (0, 9, 7)
+    assert rep.summary() == (
+        "plane 0 is not a plane: its lines lie on 9 points, wanted 7"
+    )
+
+
+def test_line_tables_that_repeat_a_pair_match():
+    """Two copies of one replicated block swap a color: each copy then
+    holds one of the block's lines twice and lacks another, on the same
+    7 points."""
+    seven = replicate(PairwiseBalancedDesign(7, (frozenset(range(7)),)), FANO)
+    rep = check_scope(_swapped_between_planes(seven, 2, 5, 0))
+    assert not rep.valid
+    assert rep.bad_plane == (2, 7, 7)
+    assert rep.summary() == (
+        "plane 2 is not a plane: a pair of its points lies on more than one"
+        " of its lines"
+    )
+
+
+@pytest.mark.parametrize("name", ["19", "25", "133"])
+def test_developed_planes_as_line_tables_match(name):
+    k = scope(name)
+    tables = _with_planes(k, [LineTable(k.lines_of(p)) for p in k.planes])
+    assert check_scope(tables).valid
 
 
 def test_wrong_line_sizes_match():
