@@ -322,9 +322,37 @@ class Group(Sequence):
         raise NotImplementedError
 
     # Whole-column kernels. Each is defined by the per-element method it
-    # maps, which subclasses may replace by a faster equivalent. Every
-    # group gives its own ``translates(x)``: x + g for every element g, in
-    # canonical order.
+    # maps, which subclasses may replace by a faster equivalent. The
+    # translates need none: each class states its ``radices`` (most
+    # significant first) and an element's ``digits``, which add digitwise.
+
+    radices: tuple[int, ...]
+
+    def digits(self, x: Element) -> tuple[int, ...]:
+        raise NotImplementedError
+
+    def translates(self, x: Element) -> list:
+        """x + g for every element g, in canonical order."""
+        return self.translate_column(x, list(self))
+
+    def translate_column(self, x: Element, elems: Sequence) -> list:
+        """``translates(x)`` as entries of elems, the group in canonical
+        order. Digits add with no carry, so with r the last radix, the
+        column is the blocks of r elements in the order x's outer digits
+        rotate them, each rotated left by x's last digit: two slices each.
+        """
+        *outer, r = self.radices
+        *high, low = self.digits(x)
+        starts = [0]
+        for radix, digit in zip(outer, high):
+            turn = [*range(digit, radix), *range(digit)]
+            starts = [s * radix + t for s in starts for t in turn]
+        column = []
+        for s in starts:
+            s *= r
+            column += elems[s + low : s + r]
+            column += elems[s : s + low]
+        return column
 
     def differences(self, a: Sequence, b: Sequence) -> list:
         """a[i] - b[i] for each position i."""
@@ -368,6 +396,7 @@ class CyclicGroup(Group):
             raise MalformedInput(f"cyclic order must be a positive int, got {v!r}")
         self.descriptor = Cyclic(v)
         self.order = v
+        self.radices = (v,)
         self.zero = 0
 
     def add(self, a, b):
@@ -379,11 +408,8 @@ class CyclicGroup(Group):
     def sub(self, a, b):
         return (a - b) % self.order
 
-    def translates(self, x):
-        # Adding x rotates the residues 0..n-1 left by x mod n.
-        n = self.order
-        x %= n
-        return [*range(x, n), *range(x)]
+    def digits(self, x):
+        return (x % self.order,)
 
     def differences(self, a, b):
         n = self.order
@@ -431,6 +457,7 @@ class PrimeFieldGroup(CyclicGroup):
             raise NonPrimeModulus(f"{p!r} is not prime")
         self.descriptor = PrimeField(p)
         self.p = self.order = p
+        self.radices = (p,)
         self.zero = 0
         self.one = 1 % p
 
@@ -469,6 +496,7 @@ class ExtensionFieldGroup(Group):
         self.degree = len(mod) - 1
         self.order = p ** self.degree
         d = self.degree
+        self.radices = (p,) * d
         self.zero = (0,) * d
         self.one = (1,) + (0,) * (d - 1)
         # Reduction table: _red[j] is t^(d+j) written in the power basis.
@@ -512,14 +540,9 @@ class ExtensionFieldGroup(Group):
         p = self.p
         return tuple((x - y) % p for x, y in zip(a, b))
 
-    def translates(self, x):
-        # Coefficient i of x + g runs over the residues rotated by x[i] as
-        # g runs over its coefficients in order, so the translates are the
-        # lexicographic product of the rotated ranges.
+    def digits(self, x):
         p = self.p
-        return list(
-            itertools.product(*([*range(c % p, p), *range(c % p)] for c in x))
-        )
+        return tuple(c % p for c in x)
 
     def mul(self, a, b):
         p = self.p
@@ -629,6 +652,7 @@ class ProductGroup(Group):
         self.right = right
         self.descriptor = Product(left.descriptor, right.descriptor)
         self.order = left.order * right.order
+        self.radices = left.radices + right.radices
         self.zero = (left.zero, right.zero)
 
     def add(self, a, b):
@@ -640,13 +664,8 @@ class ProductGroup(Group):
     def sub(self, a, b):
         return (self.left.sub(a[0], b[0]), self.right.sub(a[1], b[1]))
 
-    def translates(self, x):
-        # elements() is the lexicographic product of the factors' orders.
-        return list(
-            itertools.product(
-                self.left.translates(x[0]), self.right.translates(x[1])
-            )
-        )
+    def digits(self, x):
+        return self.left.digits(x[0]) + self.right.digits(x[1])
 
     def differences(self, a, b):
         left = self.left.differences([x for x, _ in a], [y for y, _ in b])

@@ -354,10 +354,7 @@ def _cmd_compose_dm(args) -> Outcome:
 def _cmd_compose_kdf(args) -> Outcome:
     left = kdf_from_json(_load_json(args.left))
     right = kdf_from_json(_load_json(args.right))
-    if args.dm:
-        m = dm_from_json(_load_json(args.dm))
-    else:
-        m = field_dm(right.group, left.schema.k)
+    m = dm_from_json(_load_json(args.dm)) if args.dm else None
     out = compose_kdf(left, right, m)
     note = f"composed family over order {out.group.order}"
     return kdf_to_json(out), note, True

@@ -142,13 +142,14 @@ def _check_dm_ingredient(m: DifferenceMatrix, k: int, group: Group):
 def compose_kdf(
     kdf: KaleidoscopicDifferenceFamily,
     kdfp: KaleidoscopicDifferenceFamily,
-    m: DifferenceMatrix,
+    m: Optional[DifferenceMatrix] = None,
 ) -> KaleidoscopicDifferenceFamily:
     """Product of two colored families with one shared layout.
 
     Positions are preserved, so the color-j lines of a composed block pick
     exactly the matrix rows indexed by the layout's j-th line. Ingredients
-    are verified first.
+    are verified first, the families before the matrix, which defaults to
+    ``field_dm`` over the second family's field, built once both pass.
     """
     if not kdf.schema.same_layout(kdfp.schema):
         raise SchemaMismatch("the families use different layouts")
@@ -156,6 +157,8 @@ def compose_kdf(
         rep = verify_kdf(ingredient)
         if not rep.valid:
             raise IngredientInvalid(f"{name} family: {rep.summary()}")
+    if m is None:
+        m = field_dm(kdfp.group, kdf.schema.k)
     _check_dm_ingredient(m, kdf.schema.k, kdfp.group)
     product = ProductGroup(kdf.group, kdfp.group)
     schema = kdf.schema

@@ -371,22 +371,21 @@ def develop(kdf: KaleidoscopicDifferenceFamily) -> Kaleidoscope:
     """Translate every block by every group element.
 
     Each translate is stored as its point row, cut by the family's
-    layout when its lines are read. Equal points of the planes are one
-    object, so the planes hold one reference per incidence and one object
-    per point. Refuses families that fail verification, since the result
-    would not be a kaleidoscope.
+    layout when its lines are read. The group is listed once, and each
+    point's translates are a column of slices of that list
+    (``Group.translate_column``), so the planes hold one reference per
+    incidence and one object per point. Refuses families that fail
+    verification, since the result would not be a kaleidoscope.
     """
     report = verify_kdf(kdf)
     if not report.valid:
         raise InvalidKDF(report.summary())
     group = kdf.group
-    same = _Memo().__getitem__
+    elems = list(group)
     planes = []
     for block in kdf.blocks:
         # Column i holds position i of every translate, in element order.
-        planes.extend(
-            zip(*[list(map(same, group.translates(x))) for x in block])
-        )
+        planes.extend(zip(*[group.translate_column(x, elems) for x in block]))
     return Kaleidoscope(group, kdf.schema, tuple(planes))
 
 

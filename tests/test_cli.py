@@ -513,6 +513,30 @@ def test_failing_family_over_a_large_prime_answers_in_small_memory(tmp_path):
     assert json.loads(proc.stdout)["valid"] is False
 
 
+def test_compose_refuses_a_failing_family_before_the_default_matrix(
+    tmp_path, kdf7_file
+):
+    """An empty family over F_(10^9 + 7) is refused before the default
+    matrix lists that field: exit 2 within a 1 GiB address space."""
+    doc = tmp_path / "empty.json"
+    doc.write_text(json.dumps({
+        "group": {"kind": "prime", "p": 1000000007},
+        "schema": "fano",
+        "blocks": [],
+    }))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kaleido", "compose", "kdf",
+         "--left", kdf7_file, "--right", str(doc)],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: second family:"), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_running_out_of_memory_is_one_error_line():
     """The family at q = 10,000,141 needs about 1 GB; within 400 MB of
     address space the command stops with one error line and exit 2, not

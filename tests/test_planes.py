@@ -9,8 +9,10 @@ the bytes written before rows were stored (digests taken from
 line-table planes).
 """
 
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import tracemalloc
 
@@ -18,17 +20,19 @@ import pytest
 
 from kaleido import designs
 from kaleido import tables
-from kaleido.algebra import ExtensionField, PrimeField, make_group
+from kaleido.algebra import Cyclic, ExtensionField, PrimeField, make_group
 from kaleido.cli import main
 from kaleido.compose import Catalog, compose_kdf, field_dm, pbd_compose
 from kaleido.designs import (
     Kaleidoscope,
+    KaleidoscopicDifferenceFamily,
     LineTable,
     PairwiseBalancedDesign,
     develop,
     dumps,
     kaleidoscope_from_json,
     kaleidoscope_to_json,
+    kdf_from_json,
     kdf_to_json,
     replicate,
     verify_kaleidoscope,
@@ -100,6 +104,47 @@ def test_develop_over_an_extension_factor_matches_the_element_loop():
         for g in group.elements()
     ]
     assert list(develop(kdf).planes) == want
+
+
+def _z19():
+    """The F_19 Fano family over Z_19, a group that is no field."""
+    blocks = ((0, 1, 2, 4, 5, 11, 8), (0, 7, 14, 9, 16, 1, 18),
+              (0, 8, 16, 13, 2, 12, 7))
+    return KaleidoscopicDifferenceFamily(make_group(Cyclic(19)), FANO, blocks)
+
+
+def _f361():
+    """The F_361 family that ``search asymptotic --q 361 --backtrack``
+    emits."""
+    out, note = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(note):
+        argv = ["search", "asymptotic", "--q", "361", "--backtrack",
+                "--emit-kdf"]
+        assert main(argv) == 0
+    return kdf_from_json(json.loads(out.getvalue()))
+
+
+def _f7_x_f19():
+    return compose_kdf(_fano7(), _fano19(), field_dm(F19, FANO.k))
+
+
+@pytest.mark.parametrize(
+    "make", [_z19, _fano19, _f361, _f7_x_f19],
+    ids=["Z19", "F19", "F361", "F7xF19"],
+)
+def test_develop_matches_the_element_loop(make):
+    """Rows cut from one element list are the rows x + g, block by block
+    and g in canonical order, and hold one object per point."""
+    kdf = make()
+    group = kdf.group
+    want = [
+        tuple(group.add(x, g) for x in block)
+        for block in kdf.blocks
+        for g in group
+    ]
+    scope = develop(kdf)
+    assert list(scope.planes) == want
+    assert len({id(x) for plane in scope.planes for x in plane}) == len(group)
 
 
 def test_decoded_rows_are_rows_cut_by_the_layout():
