@@ -8,8 +8,9 @@ coefficient ints with the constant term first, so ``(4, 1)`` over
 Each group class owns its JSON boundary: ``to_json()`` gives its
 descriptor object, and ``encoder()`` and ``decoder()`` give the functions
 that write and read one element. A document resolves them once and
-calls them per element. A residue is a JSON int, an extension element a
-list of coefficients and a product element a two-item list.
+calls them per element, or reads whole rows of elements at once by
+``decode_rows``. A residue is a JSON int, an extension element a list
+of coefficients and a product element a two-item list.
 
 Extension fields of degree 2 and 3 multiply in closed form
 (``QuadraticFieldGroup``, ``CubicFieldGroup``). Higher degrees convolve
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Union
@@ -298,6 +300,23 @@ def find_irreducible(p: int, degree: int) -> tuple[int, ...]:
             return candidate
 
 
+class _Memo(dict):
+    """Key -> f(key), made on the first lookup and kept.
+
+    The default f is the identity, so each key looked up maps to the
+    first equal object seen: a builder that passes its points through one
+    such memo keeps one object per point.
+    """
+
+    def __init__(self, f=lambda x: x):
+        super().__init__()
+        self._f = f
+
+    def __missing__(self, key):
+        value = self[key] = self._f(key)
+        return value
+
+
 # ---------------------------------------------------------------------------
 # groups
 
@@ -358,9 +377,44 @@ class Group(Sequence):
         """a[i] - b[i] for each position i."""
         return list(map(self.sub, a, b))
 
-    def negatives(self, xs: Sequence) -> list:
-        """-x for each x in xs."""
-        return list(map(self.neg, xs))
+    def unsigned_differences(self, a: Sequence, b: Sequence) -> list:
+        """The canonically smaller of a[i] - b[i] and its negative,
+        b[i] - a[i], for each position i."""
+        return list(map(min, self.differences(a, b), self.differences(b, a)))
+
+    def decode_rows(self, rows: list, same=None):
+        """Every element of rows, JSON lists of elements, decoded in row
+        order and passed through ``same`` if it is given: a lazy iterator.
+        It raises ``MalformedInput``, at once or as it is read, on an
+        element it cannot decode, not always the first in the rows; a
+        caller that must name that one decodes element by element.
+
+        Here an element is spelled as a list of ints, one per radix (an
+        extension field, or a product of two cyclic groups). Every
+        coordinate is first checked to be an exact int, since a JSON true
+        or 1.0 equals 1. With ``same``, for points that recur, as in the
+        planes of a kaleidoscope, each distinct spelling is decoded once.
+        Without it, for rows that hold most elements once, as the blocks
+        of a family do, the coordinates are reduced in one flat pass.
+        """
+        elements = itertools.chain.from_iterable
+        try:
+            exact = set(map(type, elements(elements(rows)))) <= {int}
+        except TypeError:  # an element with no coordinates: a number or null
+            exact = False
+        if not exact:
+            raise MalformedInput("expected elements spelled as integer lists")
+        if same is not None:
+            dec = self.decoder()
+            spelled = _Memo(lambda key: same(dec(key)))
+            return map(spelled.__getitem__, map(tuple, elements(rows)))
+        radices = self.radices
+        width = len(radices)
+        if width != len(self.zero) or set(map(len, elements(rows))) - {width}:
+            raise MalformedInput(f"expected elements of {width} integers")
+        coordinates = elements(elements(rows))
+        reduced = map(operator.mod, coordinates, itertools.cycle(radices))
+        return zip(*[reduced] * width)
 
     def times(self, x: Element, ys: Sequence) -> list:
         """x * y for each y in ys; fields only."""
@@ -415,9 +469,21 @@ class CyclicGroup(Group):
         n = self.order
         return [(x - y) % n for x, y in zip(a, b)]
 
-    def negatives(self, xs):
+    def unsigned_differences(self, a, b):
+        # A difference d mod n has the negative n - d, the smaller past n // 2.
         n = self.order
-        return [-x % n for x in xs]
+        half = n // 2
+        return [
+            d if (d := (x - y) % n) <= half else n - d for x, y in zip(a, b)
+        ]
+
+    def decode_rows(self, rows, same=None):
+        """As ``Group.decode_rows``, for elements spelled as exact ints."""
+        elements = itertools.chain.from_iterable
+        if set(map(type, elements(rows))) - {int}:
+            raise MalformedInput("expected integer elements")
+        decoded = map(self.order.__rmod__, elements(rows))
+        return decoded if same is None else map(same, decoded)
 
     def _at(self, n):
         return n
@@ -543,6 +609,14 @@ class ExtensionFieldGroup(Group):
     def digits(self, x):
         p = self.p
         return tuple(c % p for c in x)
+
+    def differences(self, a, b):
+        # Coefficient by coefficient: zip(*a) gives a's coefficient columns.
+        p = self.p
+        columns = zip(zip(*a), zip(*b))
+        return list(
+            zip(*[[(x - y) % p for x, y in zip(ca, cb)] for ca, cb in columns])
+        )
 
     def mul(self, a, b):
         p = self.p
@@ -672,10 +746,13 @@ class ProductGroup(Group):
         right = self.right.differences([x for _, x in a], [y for _, y in b])
         return list(zip(left, right))
 
-    def negatives(self, xs):
-        left = self.left.negatives([x for x, _ in xs])
-        right = self.right.negatives([y for _, y in xs])
-        return list(zip(left, right))
+    def unsigned_differences(self, a, b):
+        la, lb = [x for x, _ in a], [x for x, _ in b]
+        ra, rb = [y for _, y in a], [y for _, y in b]
+        left, right = self.left.differences, self.right.differences
+        ab = zip(left(la, lb), right(ra, rb))
+        ba = zip(left(lb, la), right(rb, ra))
+        return list(map(min, ab, ba))
 
     def _at(self, n):
         a, b = divmod(n, self.right.order)

@@ -25,6 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 from .algebra import (
     Group,
+    _Memo,
     _is_json_int,
     descriptor_from_json,
     is_prime,
@@ -40,6 +41,7 @@ from .errors import (
 from .schema import (
     KaleidoscopeSchema,
     _check_row,
+    _check_rows,
     _first_pair_violation,
     schema_from_json,
     schema_to_json,
@@ -134,24 +136,20 @@ def _covers_once(group: Group, cols: list) -> bool:
     """Whether the rows' differences at every pair of the given columns,
     taken both ways, cover every nonzero element exactly once.
 
-    Each pair (i, j) gives one unordered difference per row, row[j] -
-    row[i]; its negative is the other ordered difference. So the n
-    unordered differences must number (order - 1) / 2, be distinct, and
-    have no negative among them. The last rules out d = -d as well,
-    zero included.
+    Each pair of columns gives one unordered difference per row, the
+    pair {d, -d} of its two ordered differences, named by its smaller
+    member (``Group.unsigned_differences``). So the n unordered
+    differences must number (order - 1) / 2, and their names must be n
+    distinct nonzero elements: then the n pairs are disjoint and cover
+    2n nonzero elements. The order is then odd, so no d equals -d.
     """
-    diffs = list(
-        chain.from_iterable(
-            group.differences(cols[j], cols[i])
-            for i, j in combinations(range(len(cols)), 2)
-        )
-    )
-    if 2 * len(diffs) != group.order - 1:
+    pairs = list(combinations(cols, 2))
+    if 2 * sum(len(a) for a, _ in pairs) != group.order - 1:
         return False
-    distinct = set(diffs)
-    return len(distinct) == len(diffs) and distinct.isdisjoint(
-        group.negatives(diffs)
-    )
+    names = set()
+    for a, b in pairs:
+        names.update(group.unsigned_differences(b, a))
+    return 2 * len(names) == group.order - 1 and group.zero not in names
 
 
 def _position_differences(group: Group, cols: list) -> dict:
@@ -252,8 +250,7 @@ class KaleidoscopicDifferenceFamily:
     provenance: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        for row in self.blocks:
-            _check_row(self.schema, row)
+        _check_rows(self.schema, self.blocks)
 
 
 @dataclass
@@ -268,7 +265,8 @@ class KDFReport:
             return "valid"
         if self.failing_colors:
             return f"colors {self.failing_colors} fail: " + "; ".join(
-                self.color_reports[c].summary() for c in self.failing_colors[:3]
+                f"color {c}: {self.color_reports[c].summary()}"
+                for c in self.failing_colors[:3]
             )
         return "block family fails: " + self.family_report.summary()
 
@@ -278,11 +276,12 @@ def verify_kdf(kdf: KaleidoscopicDifferenceFamily) -> KDFReport:
 
     For every color, the lines of that color across all blocks must form
     a (v, h, 1) difference family; each is ``_judged`` as one, on its
-    own columns. The blocks, as point sets, must form a (v, k, b)
-    difference family. When no color fails and the layout tiles its
-    position pairs, every nonzero element is covered once per color, b
-    times in all, so the family is valid uncounted; otherwise it is
-    ``_judged`` at lam = b, counted to name what is off.
+    own columns, and a valid color passes ``_covers_once`` by one set
+    of folded differences, uncounted. The blocks, as point sets, must
+    form a (v, k, b) difference family. When no color fails and the
+    layout tiles its position pairs, every nonzero element is covered
+    once per color, b times in all, so the family is valid uncounted;
+    otherwise it is ``_judged`` at lam = b, counted to name what is off.
     """
     group = kdf.group
     schema = kdf.schema
@@ -348,23 +347,6 @@ class Kaleidoscope:
         if isinstance(plane, LineTable):
             return plane
         return self.schema.lines_at(plane)
-
-
-class _Memo(dict):
-    """Key -> f(key), made on the first lookup and kept.
-
-    The default f is the identity, so each key looked up maps to the
-    first equal object seen: a builder that passes its points through one
-    such memo keeps one object per point.
-    """
-
-    def __init__(self, f=lambda x: x):
-        super().__init__()
-        self._f = f
-
-    def __missing__(self, key):
-        value = self[key] = self._f(key)
-        return value
 
 
 def develop(kdf: KaleidoscopicDifferenceFamily) -> Kaleidoscope:
@@ -655,6 +637,25 @@ def _decoded(raw, dec, what: str):
     return map(dec, raw)
 
 
+def _point_rows(raw: list, k: int, points: Group, same=None):
+    """The rows of raw decoded a column at a time, or None.
+
+    Each row must be a JSON list of k elements, and the elements must be
+    spelled as ``points.decode_rows`` decodes them; the decoded points
+    pass through ``same``, if given, and are cut into rows of k. When
+    anything is irregular the answer is None, and the caller decodes row
+    by row, which raises the first fault in document order.
+    """
+    if set(map(type, raw)) - {list} or set(map(len, raw)) - {k}:
+        return None
+    try:
+        decoded = points.decode_rows(raw, same)
+        # zip over k copies of one iterator cuts the points into rows.
+        return tuple(zip(*[decoded] * k))
+    except MalformedInput:
+        return None
+
+
 def df_from_json(obj) -> DifferenceFamily:
     if not isinstance(obj, dict):
         raise MalformedInput("difference family must be a JSON object")
@@ -685,6 +686,13 @@ def kdf_to_json(kdf: KaleidoscopicDifferenceFamily) -> dict:
 
 
 def kdf_from_json(obj) -> KaleidoscopicDifferenceFamily:
+    """Decode a colored family document.
+
+    Blocks that are all lists of k elements are decoded a column at a
+    time (``_point_rows``); other documents are decoded block by block,
+    so a malformed one raises the first fault in document order, as the
+    row checks of ``KaleidoscopicDifferenceFamily`` do after it.
+    """
     if not isinstance(obj, dict):
         raise MalformedInput("family must be a JSON object")
     try:
@@ -695,8 +703,10 @@ def kdf_from_json(obj) -> KaleidoscopicDifferenceFamily:
         raise MalformedInput(f"family object lacks key {missing}") from None
     if not isinstance(raw, list):
         raise MalformedInput("blocks must be a list")
-    dec = group.decoder()
-    blocks = tuple(tuple(_decoded(block, dec, "block")) for block in raw)
+    blocks = _point_rows(raw, schema.k, group)
+    if blocks is None:
+        dec = group.decoder()
+        blocks = tuple(tuple(_decoded(block, dec, "block")) for block in raw)
     provenance = obj.get("provenance")
     if provenance is None:
         provenance = {}
@@ -732,7 +742,11 @@ def kaleidoscope_from_json(obj) -> Kaleidoscope:
 
     Equal points of the planes, in rows and line tables alike, are
     decoded to one object, the first one read, so the planes hold one
-    reference per incidence and one object per point.
+    reference per incidence and one object per point. Planes over a
+    group that are all lists of k elements are decoded a column at a
+    time (``_point_rows``) and checked by ``_check_rows``; any other
+    document is decoded plane by plane, which raises the first fault in
+    document order.
     """
     if not isinstance(obj, dict):
         raise MalformedInput("kaleidoscope must be a JSON object")
@@ -759,6 +773,21 @@ def kaleidoscope_from_json(obj) -> Kaleidoscope:
     if not isinstance(raw_planes, list):
         raise MalformedInput("planes must be a list")
     same = _Memo().__getitem__
+    planes = None
+    if isinstance(points, Group):
+        planes = _point_rows(raw_planes, schema.k, points, same)
+    if planes is None:
+        planes = _planes_row_by_row(raw_planes, schema, dec, same)
+    else:
+        _check_rows(schema, planes)
+    return Kaleidoscope(points, schema, planes)
+
+
+def _planes_row_by_row(
+    raw_planes: list, schema: KaleidoscopeSchema, dec, same
+) -> tuple:
+    """Decode planes one by one, each point by ``dec`` and then ``same``,
+    raising the first fault in document order."""
     planes = []
     for raw in raw_planes:
         if isinstance(raw, dict):
@@ -779,7 +808,7 @@ def kaleidoscope_from_json(obj) -> Kaleidoscope:
             planes.append(row)
         else:
             raise MalformedInput("plane must be a point list or a line table")
-    return Kaleidoscope(points, schema, tuple(planes))
+    return tuple(planes)
 
 
 def pbd_to_text(pbd: PairwiseBalancedDesign) -> str:

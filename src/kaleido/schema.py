@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .algebra import _is_json_int
 from .errors import DuplicateElements, MalformedInput
@@ -149,6 +149,17 @@ def _check_row(schema: KaleidoscopeSchema, points: tuple) -> None:
         )
     if len(set(points)) != len(points):
         raise DuplicateElements(f"repeated point in block {points}")
+
+
+def _check_rows(schema: KaleidoscopeSchema, rows: Sequence) -> None:
+    """``_check_row`` on every row, in two whole-column passes: the
+    rows' lengths, and the sizes of their point sets, must all be k.
+    Only when they are not are the rows checked one by one, so the first
+    faulty row is the one named."""
+    k = {schema.k}
+    if set(map(len, rows)) - k or set(map(len, map(set, rows))) - k:
+        for row in rows:
+            _check_row(schema, row)
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,7 @@ CASES = {
     "verify-kdf-invalid": (
         [],
         "verify kdf --file bad-kdf19.json",
-        "3c593eec5a438936c88dddde2ae8f3ad0ca930f62474549fd2340bc97e4a8381",
+        "badccc6c63449ab61eb14e9fa3cdb176feded3a1f78c994dfe35238f177519ed",
     ),
     "verify-kdf-truncated-json": (
         [],
@@ -293,7 +293,7 @@ CASES = {
     "develop-invalid": (
         [],
         "develop --file bad-kdf19.json",
-        "f24f080bbbccab924df6c57949435d041a403dea1790f65c799819665cb97a7e",
+        "a458a062c4d58980f930a7ec31ca183d60deef2bd7d7ae55073fe3cbefca352d",
     ),
     "replicate-valid": (
         [],

@@ -116,6 +116,17 @@ def test_verify_kdf_catches_mutation():
     assert rep.failing_colors
 
 
+def test_kdf_summary_names_each_failing_color():
+    blocks = ((0, 1, 2, 4, 5, 11, 9),) + _fkdf19().blocks[1:]
+    rep = verify_kdf(KaleidoscopicDifferenceFamily(Z19, FANO, blocks))
+    assert rep.failing_colors == [3, 5, 6]
+    assert rep.summary() == (
+        "colors [3, 5, 6] fail: color 3: difference 3 covered 0 times,"
+        " wanted 1; color 5: difference 2 covered 2 times, wanted 1;"
+        " color 6: difference 6 covered 0 times, wanted 1"
+    )
+
+
 @pytest.mark.parametrize(
     "row, error",
     [((0, 1, 2), MalformedInput), ((0, 1, 2, 3, 4, 5, 0), DuplicateElements)],

@@ -12,6 +12,7 @@ reference's full list.
 
 import dataclasses
 import functools
+import random
 import tracemalloc
 from collections import Counter
 from itertools import chain, combinations, permutations
@@ -601,7 +602,7 @@ def test_kdf_is_judged_as_plain_difference_families(case):
 def test_negated_block_is_valid_without_counting(name, monkeypatch):
     kdf = family(name)
     group = kdf.group
-    negated = (tuple(group.negatives(kdf.blocks[0])),) + kdf.blocks[1:]
+    negated = (tuple(map(group.neg, kdf.blocks[0])),) + kdf.blocks[1:]
     kdf = KaleidoscopicDifferenceFamily(group, kdf.schema, negated)
     _refuse_counting(monkeypatch)
     rep = verify_kdf(kdf)
@@ -696,6 +697,75 @@ def test_kdf_failing_only_by_a_negative_pair_matches():
     rep = check_kdf(KaleidoscopicDifferenceFamily(f7, FANO, (row,)))
     assert not rep.valid
     assert rep.failing_colors
+
+
+def _counts_once(group, cols):
+    """Counting: every ordered difference of two columns, row by row,
+    tallied, must show each nonzero element exactly once."""
+    counts = Counter()
+    for a, b in permutations(cols, 2):
+        counts.update(map(group.sub, a, b))
+    return counts == Counter(x for x in group.elements() if x != group.zero)
+
+
+def _positions(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def _cover_case(name):
+    """A group and the columns of rows that cover it once; an even
+    order, which no rows cover once, gets the columns of two rows."""
+    if name.startswith("Z"):
+        v = int(name[1:])
+        rows = {
+            13: [(0, 1, 4), (0, 2, 7)],
+            21: [(0, 1, 4, 14, 16)],
+        }.get(v, [(0, 1, 3), (0, 2, 7)])
+        return make_group(Cyclic(v)), _positions(rows)
+    kdf = family({"F19": "19", "F25": "25", "F7xF19": "133"}[name])
+    cols = designs._columns(kdf.blocks, FANO.k)
+    return kdf.group, [cols[i] for i in FANO.lines[1]]
+
+
+def _shaken(group, cols, rng):
+    """The columns, or a copy changed in one of a few ways."""
+    cols = [list(col) for col in cols]
+    rows, width = len(cols[0]), len(cols)
+    r, c = rng.randrange(rows), rng.randrange(width)
+    how = rng.randrange(6)
+    if how == 1:  # one entry anywhere
+        cols[c][r] = group[rng.randrange(group.order)]
+    elif how == 2:  # a row negated: the same unordered differences
+        for col in cols:
+            col[r] = group.neg(col[r])
+    elif how == 3:  # a row translated: the same differences
+        shift = group[rng.randrange(group.order)]
+        for col in cols:
+            col[r] = group.add(col[r], shift)
+    elif how == 4:  # a point repeated in its row: a zero difference
+        cols[c][r] = cols[(c + 1) % width][r]
+    elif how == 5:  # random columns of the same shape
+        cols = [
+            [group[rng.randrange(group.order)] for _ in range(rows)]
+            for _ in range(width)
+        ]
+    return cols
+
+
+@pytest.mark.parametrize(
+    "name", ["Z13", "Z21", "Z14", "Z16", "F19", "F25", "F7xF19"]
+)
+def test_folded_differences_agree_with_counting(name):
+    group, base = _cover_case(name)
+    rng = random.Random(name)
+    verdicts = Counter()
+    for _ in range(150):
+        cols = _shaken(group, base, rng)
+        got = designs._covers_once(group, cols)
+        assert got == _counts_once(group, cols)
+        verdicts[got] += 1
+    # Odd orders see both verdicts; no even order is covered once.
+    assert verdicts[False] and bool(verdicts[True]) == (group.order % 2 == 1)
 
 
 # ---------------------------------------------------------------------------
