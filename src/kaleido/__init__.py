@@ -15,7 +15,6 @@ from .algebra import (
     Group,
     PrimeField,
     Product,
-    cubic_character,
     descriptor_from_json,
     find_irreducible,
     is_prime,

@@ -62,7 +62,6 @@ __all__ = [
     "find_irreducible",
     "primitive_element",
     "CyclotomicTable",
-    "cubic_character",
     "transversal",
 ]
 
@@ -871,89 +870,57 @@ def _check_class_count(field: Group, e: int) -> None:
         raise BadCongruence(f"{e} does not divide {q} - 1")
 
 
-def _power_character(field: Group, e: int):
-    """The e-th power character x -> x^((q-1)/e), raising on bad input.
-
-    Its values are the e-th roots of unity, and two nonzero elements lie
-    in the same class exactly when their values are equal.
-    """
-    _check_class_count(field, e)
-    exp = (field.order - 1) // e
-    zero = field.zero
-    power = field.pow_
-
-    def chi(x: Element) -> Element:
-        if x == zero:
-            raise ZeroElement("zero belongs to no cyclotomic class")
-        if x not in field:
-            raise MalformedInput(f"{x!r} is not an element of this field")
-        return power(x, exp)
-
-    return chi
-
-
 class CyclotomicTable:
-    """Classifies nonzero field elements into e classes.
+    """The e cyclotomic classes of a field: a key, and labels on demand.
 
     Class i is the coset g^i * H where H is the subgroup of e-th powers and
-    g is the canonical primitive element. An element's class is read off
-    its e-th power character: x^((q-1)/e) = w^i with w = g^((q-1)/e)
-    exactly when x lies in class i, so one power and a lookup among the e
-    powers of w give the index, which is memoised. Class indices are
-    multiplicative.
+    g is the canonical primitive element. ``key`` is the e-th power
+    character x -> x^((q-1)/e): its values are the e-th roots of unity,
+    and two nonzero elements lie in the same class exactly when their keys
+    are equal. It costs one power per call, needs no primitive element and
+    is not memoised, so a check that only compares classes builds nothing.
 
-    A table pays for a primitive element. That is worth it when the labels
-    matter (constraints name classes such as "the class of 2") or when a
-    search repeats lookups. A check that only asks whether elements share
-    a cube class needs no labels: ``cubic_character`` answers it with one
-    power per element.
+    ``index`` gives the label: x^((q-1)/e) = w^i with w = g^((q-1)/e)
+    exactly when x lies in class i. Its first call finds g and the e
+    powers of w; each label is memoised. Class indices are multiplicative.
+    Both raise ``ZeroElement`` on zero and ``MalformedInput`` on a value
+    that is not an element of the field.
     """
 
     def __init__(self, field: Group, e: int):
-        self._char = _power_character(field, e)
+        _check_class_count(field, e)
         self.field = field
         self.e = e
-        self.q = field.order
-        self.primitive = primitive_element(field)
-        omega = field.pow_(self.primitive, (self.q - 1) // e)
-        lookup = {}
-        w = field.one
-        for i in range(e):
-            lookup[w] = i
-            w = field.mul(w, omega)
-        self._char_lookup = lookup
+        exp = (field.order - 1) // e
+        zero = field.zero
+        power = field.pow_
+
+        def key(x: Element) -> Element:
+            if x == zero:
+                raise ZeroElement("zero belongs to no cyclotomic class")
+            if x not in field:
+                raise MalformedInput(f"{x!r} is not an element of this field")
+            return power(x, exp)
+
+        self.key = key
+        self._labels: dict = {}
         self._index: dict = {}
 
     def index(self, x: Element) -> int:
         """Class index of x. Zero is in no class."""
         got = self._index.get(x)
         if got is None:
-            got = self._char_lookup[self._char(x)]
-            self._index[x] = got
+            value = self.key(x)
+            labels = self._labels
+            if not labels:
+                f = self.field
+                omega = self.key(primitive_element(f))
+                w = f.one
+                for i in range(self.e):
+                    labels[w] = i
+                    w = f.mul(w, omega)
+            got = self._index[x] = labels[value]
         return got
-
-    def class_of_int(self, n: int) -> int:
-        """Class of the field element 1 + 1 + ... (n ones). n mod p != 0."""
-        f = self.field
-        x = f.zero
-        for _ in range(n):
-            x = f.add(x, f.one)
-        return self.index(x)
-
-
-def cubic_character(field: Group):
-    """The cubic character x -> x^((q-1)/3) of a field, as a class key.
-
-    Its values are the three cube roots of unity, and two nonzero
-    elements lie in the same cube class exactly when their characters are
-    equal. So any question of the form "do these elements share a class?"
-    is answered with one power per element, with no primitive element and
-    no table. The values are not class indices; use a ``CyclotomicTable``
-    where the labels themselves matter. The returned function raises
-    ``ZeroElement`` on zero and ``MalformedInput`` on a value that is not
-    an element of the field, as ``CyclotomicTable.index`` does.
-    """
-    return _power_character(field, 3)
 
 
 def transversal(field: Group, mode: str = "canonical") -> list[Element]:

@@ -9,11 +9,13 @@ reduces to searching for one good block.
 The line predicate compares class keys. Three nonzero differences lie in
 three distinct cube classes exactly when the cubic character
 d -> d^((q-1)/3) takes three distinct values on them, whatever the
-classes are called. So every check keys on the character and builds no
-class table, unless a class label is named or lookups repeat: the
-constraint chains name labels such as "the class of 2", and the prefix
-search looks the same differences up again and again, so both key on the
-memoised ``CyclotomicTable.index``.
+classes are called. Each field has one ``CyclotomicTable``: its ``key``
+is that character and needs no primitive element, and its ``index``
+gives labels, finding the primitive element on the first call. The
+block checks and the parametric search key on ``key``. The constraint
+chains name labels such as "the class of 2", and the prefix search looks
+the same differences up again and again, so both key on the memoised
+``index``.
 
 The asymptotic constraint chains are data (``_CHAINS``), their classes
 labels of ``search constrained``. Chain and prefix searches run one
@@ -37,7 +39,6 @@ from .algebra import (
     Group,
     PrimeField,
     _is_json_int,
-    cubic_character,
     is_prime,
     make_group,
     primitive_element,
@@ -128,7 +129,8 @@ def _check_block_field(field: Group) -> None:
 def _line_spreads(points3, field: Group, key) -> bool:
     """True when the three differences get three distinct class keys.
 
-    ``key`` is ``CyclotomicTable.index`` or a ``cubic_character``.
+    ``key`` is a ``CyclotomicTable``'s ``key`` (one power per call) or
+    its memoised ``index``; either tells classes apart.
     """
     a, b, c = points3
     k1 = key(field.sub(a, b))
@@ -192,7 +194,7 @@ def verify_listed_block(
     block searches.
     """
     schema, row = _listed_row(field, points, schema)
-    key = cubic_character(field)
+    key = CyclotomicTable(field, 3).key
     return _failing_line(row, schema.lines, field, key) is None
 
 
@@ -210,7 +212,8 @@ def generate_kdf_from_initial_block(
     other than 1 (mod 6) are refused, as by ``verify_listed_block``.
     """
     schema, row = _listed_row(field, points, schema)
-    idx = _failing_line(row, schema.lines, field, cubic_character(field))
+    key = CyclotomicTable(field, 3).key
+    idx = _failing_line(row, schema.lines, field, key)
     if idx is not None:
         raise NotAnInitialBlock(
             f"line {idx} of {row!r} does not spread over the three classes"
@@ -250,6 +253,13 @@ class CyclotomicConstraint:
 _SYMBOLIC = re.compile(r"(\d*)([ij])(?:\+(\d+))?")
 
 
+def _small_ints(field: Group, n: int) -> list:
+    out = [field.zero]
+    for _ in range(n):
+        out.append(field.add(out[-1], field.one))
+    return out
+
+
 def _resolve_class(klass, table: CyclotomicTable) -> int:
     if _is_json_int(klass):
         return klass % 3
@@ -264,7 +274,7 @@ def _resolve_class(klass, table: CyclotomicTable) -> int:
     coef = int(match.group(1)) if match.group(1) else 1
     n = 2 if match.group(2) == "i" else 3
     try:
-        base = table.class_of_int(n)
+        base = table.index(_small_ints(table.field, n)[n])
     except ZeroElement:
         raise MalformedInput(
             f"class label {klass!r} names the class of {n}, which is zero"
@@ -333,13 +343,6 @@ def find_constrained_element(
 
 # ---------------------------------------------------------------------------
 # direct constructions from constraint chains
-
-
-def _small_ints(field: Group, n: int) -> list:
-    out = [field.zero]
-    for _ in range(n):
-        out.append(field.add(out[-1], field.one))
-    return out
 
 
 def _first_block(field, schema, key, levels, assemble, backtrack, picked=()):
@@ -413,10 +416,10 @@ def asymptotic_initial_block(
         raise MalformedInput(
             f"no chain construction for layout {schema_name!r}"
         )
-    two_a_cube = schema_name == "fano" and table.class_of_int(2) == 0
+    small = _small_ints(field, 3)
+    two_a_cube = schema_name == "fano" and table.index(small[2]) == 0
     row, chain = _CHAINS["fano, 2 a cube" if two_a_cube else schema_name]
     names = tuple(chain)
-    small = _small_ints(field, 3)
 
     def element(term, picked):
         """The field element a row or shift entry names, given the picks."""
@@ -577,13 +580,15 @@ def parametric_search(
 
     Candidates run in canonical order, screened by the form's reduced
     line list and then confirmed in full. Returns none when no x works,
-    or when ``max_candidates`` runs out before one does.
+    or when ``max_candidates`` runs out before one does. Fields of order
+    other than 1 (mod 6) are refused, as by the other block searches.
     """
+    _check_block_field(field)
     _check_limit("max_candidates", max_candidates)
     if form not in _FORMS:
         raise MalformedInput(f"unknown form {form!r}")
     elems = islice(field, max_candidates)
-    key = cubic_character(field)
+    key = CyclotomicTable(field, 3).key
     for idx, x in enumerate(elems):
         pts = _try_form_candidate(field, key, form, x)
         if pts is not None:
@@ -607,7 +612,7 @@ def consecutive_block_primes(limit: int) -> list[int]:
     for p in range(7, limit + 1):
         if p % 6 != 1 or not is_prime(p):
             continue
-        chi = cubic_character(make_group(PrimeField(p)))
+        chi = CyclotomicTable(make_group(PrimeField(p)), 3).key
         if chi(2 % p) == 1:
             continue
         if chi(6 % p) != 1 or chi(20 % p) != 1:

@@ -1,25 +1,27 @@
-"""The cubic character as a class key, checked against class indices.
+"""A class table's key, the power character, checked against class indices.
 
 The walk-keyed line predicate below is the reference: it compares class
 indices taken from a walk over the powers of the primitive element (the
 ``power_walk`` fixture), which uses no power character. The package's
-checks key the same predicate on the cubic character instead, and must
-accept exactly the same lines and blocks.
+checks key the same predicate on ``CyclotomicTable.key`` instead, and
+must accept exactly the same lines and blocks.
 """
 
 import functools
+import json
+import subprocess
+import sys
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from kaleido import tables
+from kaleido import algebra, tables
 from kaleido.algebra import (
     Cyclic,
     CyclotomicTable,
     ExtensionField,
     PrimeField,
-    cubic_character,
     find_irreducible,
     make_group,
 )
@@ -86,7 +88,7 @@ def test_character_predicate_matches_table_on_every_triple(
     # comparison isolates the two class keys.
     field.sub = functools.lru_cache(maxsize=None)(field.sub)
     classes = power_walk(field, 3)
-    chi = functools.lru_cache(maxsize=None)(cubic_character(field))
+    chi = functools.lru_cache(maxsize=None)(CyclotomicTable(field, 3).key)
     spreading = 0
     for trip in combinations(field.elements(), 3):
         want = walk_line_spreads(trip, field, classes)
@@ -96,17 +98,22 @@ def test_character_predicate_matches_table_on_every_triple(
 
 
 def test_character_values_are_the_cube_roots_of_unity(power_walk):
-    for p, degree in TRIPLE_FIELDS:
-        field = _field(p, degree)
-        chi = cubic_character(field)
-        classes = power_walk(field, 3)
-        by_class = {}
-        for x in field.elements():
-            if x != field.zero:
-                by_class.setdefault(classes[x], set()).add(chi(x))
-        values = [v for vs in by_class.values() for v in vs]
-        assert len(by_class) == 3 and len(values) == 3, (p, degree)
-        assert by_class[0] == {field.one}
+    """The key takes one value per class, and 1 on class 0: for e = 3
+    over every field above, and for e = 6 over those with 6 | q - 1."""
+    for e in (3, 6):
+        for p, degree in TRIPLE_FIELDS:
+            field = _field(p, degree)
+            if (field.order - 1) % e:
+                continue
+            chi = CyclotomicTable(field, e).key
+            classes = power_walk(field, e)
+            by_class = {}
+            for x in field.elements():
+                if x != field.zero:
+                    by_class.setdefault(classes[x], set()).add(chi(x))
+            values = [v for vs in by_class.values() for v in vs]
+            assert len(by_class) == e and len(values) == e, (p, degree, e)
+            assert by_class[0] == {field.one}
 
 
 def _ext(p, modulus):
@@ -235,7 +242,7 @@ def test_character_errors_match_table_errors(field, x, error):
     with pytest.raises(error):
         table.index(x)
     with pytest.raises(error):
-        cubic_character(field)(x)
+        table.key(x)
 
 
 @pytest.mark.parametrize(
@@ -249,8 +256,57 @@ def test_character_errors_match_table_errors(field, x, error):
 def test_character_needs_three_classes(group, error):
     with pytest.raises(error):
         CyclotomicTable(group, 3)
-    with pytest.raises(error):
-        cubic_character(group)
     if group.is_field:
         with pytest.raises(error):
             verify_listed_block(group, tuple(range(7)))
+
+
+# -- labels on demand -----------------------------------------------------------
+
+
+class _NoPrimitive(Exception):
+    pass
+
+
+def _refuse_primitive(field):
+    raise _NoPrimitive
+
+
+@pytest.mark.parametrize("e", [3, 6])
+def test_table_finds_a_primitive_element_only_for_labels(e, monkeypatch):
+    monkeypatch.setattr(algebra, "primitive_element", _refuse_primitive)
+    table = CyclotomicTable(F37, e)
+    assert table.key(1) == 1
+    assert len({table.key(x) for x in range(1, 37)}) == e
+    with pytest.raises(_NoPrimitive):
+        table.index(2)
+
+
+# F_p[t]/(t^2 + 2), p = 10^9 + 7: the modulus has constant term 2, so
+# the primitive-element walk cannot skip the c t block and takes Theta(p)
+# field powers (over 15 s on a 2-vCPU Xeon VM). Neither command may find
+# one.
+_LARGE_SQUARE = ["--q", str((10**9 + 7) ** 2), "--modulus", "2,0,1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "block", *_LARGE_SQUARE,
+         "--block", "0,0;1,0;0,1;1,1;2,0;0,2;2,1"],
+        ["search", "parametric", *_LARGE_SQUARE, "--form", "fano-affine",
+         "--budget", "50"],
+    ],
+    ids=["verify-block", "search-parametric"],
+)
+def test_key_only_commands_answer_at_a_large_square(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "kaleido", *argv],
+        capture_output=True,
+        text=True,
+        timeout=8,
+    )
+    assert proc.returncode == 1, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["q"] == (10**9 + 7) ** 2
+    assert out.get("valid", out.get("found")) is False

@@ -1053,6 +1053,10 @@ def test_search_in_characteristic_two_names_the_cause(argv, message, capsys):
         ["asymptotic", "--q", "5", "--schema", "hesse", "--backtrack"],
         ["constrained", "--q", "5", "--schema", "fano", "--prefix", ""],
         ["constrained", "--q", "11", "--prefix", ""],
+        # 3 divides q - 1, but q is even
+        ["parametric", "--q", "4", "--form", "fano-powers"],
+        ["parametric", "--q", "16", "--form", "fano-powers"],
+        ["parametric", "--q", "64", "--form", "fano-powers"],
     ],
 )
 def test_block_search_names_the_missing_congruence(argv, capsys):

@@ -104,6 +104,17 @@ def test_generate_family_refuses_a_field_not_1_mod_6(p, d):
     assert str(err.value) == f"field order {p ** d} is not 1 mod 6"
 
 
+@pytest.mark.parametrize("d", [2, 4, 6], ids=["q4", "q16", "q64"])
+def test_parametric_search_refuses_a_field_not_1_mod_6(d):
+    # 3 divides q - 1, but q is even: refused before any candidate, as by
+    # the other block searches
+    field = make_group(ExtensionField(2, find_irreducible(2, d)))
+    for form in (FANO_AFFINE, FANO_POWERS, HESSE_POWERS):
+        with pytest.raises(BadCongruence) as err:
+            parametric_search(field, form)
+        assert str(err.value) == f"field order {2 ** d} is not 1 mod 6"
+
+
 # PG(2, 3): the 13 translates of {0, 1, 3, 9} mod 13, lines of 4 points;
 # and the three point pairs of a triangle, lines of 2.
 PG23 = KaleidoscopeSchema(
