@@ -13,7 +13,9 @@ calls them per element, or reads whole rows of elements at once by
 of coefficients and a product element a two-item list.
 
 Extension fields of degree 2 and 3 multiply in closed form
-(``QuadraticFieldGroup``, ``CubicFieldGroup``). Higher degrees convolve
+(``QuadraticFieldGroup``, ``CubicFieldGroup``) and take powers by square
+and multiply with that product inline; a negative exponent powers the
+inverse. Higher degrees convolve
 the coefficient tuples and reduce by a table of t^d, t^(d+1), ...
 written in the power basis. Set-up is polylog in q = p^d: a field checks
 its modulus by Ben-Or's test in that product, and ``is_prime`` is exact
@@ -419,6 +421,22 @@ class Group(Sequence):
         """x * y for each y in ys; fields only."""
         return list(map(self.mul, itertools.repeat(x), ys))
 
+    def character(self, e: int):
+        """The e-th power character x -> x^((q-1)/e) as a function of one
+        element; fields only. It raises ``ZeroElement`` on zero and
+        ``MalformedInput`` on a value that is not an element."""
+        exp = (self.order - 1) // e
+        zero, power = self.zero, self.pow_
+
+        def key(x: Element) -> Element:
+            if x == zero:
+                raise ZeroElement("zero belongs to no cyclotomic class")
+            if x not in self:
+                raise MalformedInput(f"{x!r} is not an element of this field")
+            return power(x, exp)
+
+        return key
+
     def __len__(self) -> int:
         return self.order
 
@@ -535,11 +553,27 @@ class PrimeFieldGroup(CyclicGroup):
         return pow(a, self.order - 2, self.order)
 
     def pow_(self, a, n: int):
+        if n < 0 and a % self.order == 0:
+            raise ZeroElement("zero has no inverse")
         return pow(a, n, self.order)
 
     def times(self, x, ys):
         p = self.order
         return [x * y % p for y in ys]
+
+    def character(self, e):
+        # Group.character with the membership test and power inline.
+        p = self.order
+        exp = (p - 1) // e
+
+        def key(x):
+            if x == 0:
+                raise ZeroElement("zero belongs to no cyclotomic class")
+            if not (isinstance(x, int) and 0 <= x < p):
+                raise MalformedInput(f"{x!r} is not an element of this field")
+            return pow(x, exp, p)
+
+        return key
 
     def to_json(self) -> dict:
         return {"kind": "prime", "p": self.p}
@@ -640,6 +674,9 @@ class ExtensionFieldGroup(Group):
         return self.pow_(a, self.order - 2)
 
     def pow_(self, a, n: int):
+        """a^n by square and multiply; a negative n powers the inverse."""
+        if n < 0:
+            a, n = self.inv(a), -n
         result = self.one
         base = a
         while n:
@@ -686,6 +723,7 @@ class QuadraticFieldGroup(ExtensionFieldGroup):
 
     With t^2 = r0 + r1 t, where (r0, r1) is ``_red[0]``,
     (a0 + a1 t)(b0 + b1 t) = (a0 b0 + r0 a1 b1) + (a0 b1 + a1 b0 + r1 a1 b1) t.
+    ``pow_`` squares and multiplies with this product written inline.
     """
 
     def mul(self, a, b):
@@ -696,6 +734,24 @@ class QuadraticFieldGroup(ExtensionFieldGroup):
         hi = a1 * b1
         return ((a0 * b0 + r0 * hi) % p, (a0 * b1 + a1 * b0 + r1 * hi) % p)
 
+    def pow_(self, a, n):
+        # Left to right over the bits of n: square y, then for a 1 bit
+        # multiply by a, as y0 a + y1 (a t) with a t = (r0 a1, a0 + r1 a1).
+        if n < 0:
+            a, n = self.inv(a), -n
+        if not n:
+            return self.one
+        r0, r1 = self._red[0]
+        p = self.p
+        a0, a1 = y0, y1 = a[0] % p, a[1] % p
+        b0, b1 = r0 * a1 % p, (a0 + r1 * a1) % p
+        for bit in bin(n)[3:]:
+            hi = y1 * y1
+            y0, y1 = (y0 * y0 + r0 * hi) % p, (2 * y0 + r1 * y1) * y1 % p
+            if bit == "1":
+                y0, y1 = (y0 * a0 + y1 * b0) % p, (y0 * a1 + y1 * b1) % p
+        return (y0, y1)
+
 
 class CubicFieldGroup(ExtensionFieldGroup):
     """An extension of degree 3, multiplied in closed form.
@@ -703,6 +759,7 @@ class CubicFieldGroup(ExtensionFieldGroup):
     With c0..c4 the coefficients of the plain product and t^3, t^4 written
     in the power basis as ``_red[0]`` and ``_red[1]``, coefficient i of
     the product is c_i + c3 ``_red[0][i]`` + c4 ``_red[1][i]``.
+    ``pow_`` squares and multiplies with this product written inline.
     """
 
     def mul(self, a, b):
@@ -717,6 +774,34 @@ class CubicFieldGroup(ExtensionFieldGroup):
             (a0 * b1 + a1 * b0 + c3 * r1 + c4 * s1) % p,
             (a0 * b2 + a1 * b1 + a2 * b0 + c3 * r2 + c4 * s2) % p,
         )
+
+    def pow_(self, a, n):
+        # As QuadraticFieldGroup.pow_: a square per bit of n, and for a 1
+        # bit y0 a + y1 (a t) + y2 (a t^2), where x t is
+        # (r0 x2, x0 + r1 x2, x1 + r2 x2) for x = a and then x = a t.
+        if n < 0:
+            a, n = self.inv(a), -n
+        if not n:
+            return self.one
+        (r0, r1, r2), (s0, s1, s2) = self._red
+        p = self.p
+        a0, a1, a2 = y0, y1, y2 = a[0] % p, a[1] % p, a[2] % p
+        b0, b1, b2 = a2 * r0 % p, (a0 + a2 * r1) % p, (a1 + a2 * r2) % p
+        d0, d1, d2 = b2 * r0 % p, (b0 + b2 * r1) % p, (b1 + b2 * r2) % p
+        for bit in bin(n)[3:]:
+            c3, c4 = 2 * y1 * y2, y2 * y2
+            y0, y1, y2 = (
+                (y0 * y0 + c3 * r0 + c4 * s0) % p,
+                (2 * y0 * y1 + c3 * r1 + c4 * s1) % p,
+                (2 * y0 * y2 + y1 * y1 + c3 * r2 + c4 * s2) % p,
+            )
+            if bit == "1":
+                y0, y1, y2 = (
+                    (y0 * a0 + y1 * b0 + y2 * d0) % p,
+                    (y0 * a1 + y1 * b1 + y2 * d1) % p,
+                    (y0 * a2 + y1 * b2 + y2 * d2) % p,
+                )
+        return (y0, y1, y2)
 
 
 class ProductGroup(Group):
@@ -877,8 +962,9 @@ class CyclotomicTable:
     g is the canonical primitive element. ``key`` is the e-th power
     character x -> x^((q-1)/e): its values are the e-th roots of unity,
     and two nonzero elements lie in the same class exactly when their keys
-    are equal. It costs one power per call, needs no primitive element and
-    is not memoised, so a check that only compares classes builds nothing.
+    are equal. It is the field's ``character(e)``: one power per call,
+    with no primitive element and no memo, so a check that only compares
+    classes builds nothing.
 
     ``index`` gives the label: x^((q-1)/e) = w^i with w = g^((q-1)/e)
     exactly when x lies in class i. Its first call finds g and the e
@@ -891,18 +977,7 @@ class CyclotomicTable:
         _check_class_count(field, e)
         self.field = field
         self.e = e
-        exp = (field.order - 1) // e
-        zero = field.zero
-        power = field.pow_
-
-        def key(x: Element) -> Element:
-            if x == zero:
-                raise ZeroElement("zero belongs to no cyclotomic class")
-            if x not in field:
-                raise MalformedInput(f"{x!r} is not an element of this field")
-            return power(x, exp)
-
-        self.key = key
+        self.key = field.character(e)
         self._labels: dict = {}
         self._index: dict = {}
 

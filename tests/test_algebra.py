@@ -159,6 +159,36 @@ def test_prime_field_basics():
         f.inv(0)
 
 
+# Run in a subprocess with a timeout, so that a square-and-multiply loop
+# that never ends (a negative n shifted right stays -1) fails the test
+# instead of hanging the suite. The fields use the degree-2, degree-3 and
+# generic extension kernels and the prime field's builtin pow.
+_NEGATIVE_POWERS = """
+from kaleido.algebra import ExtensionField, PrimeField, make_group
+from kaleido.errors import ZeroElement
+for desc in (ExtensionField(5, (2, 0, 1)), ExtensionField(7, (4, 0, 0, 1)),
+             ExtensionField(3, (2, 1, 0, 0, 1)), PrimeField(37)):
+    f = make_group(desc)
+    x = f[2]
+    print(f.pow_(x, -1) == f.inv(x), f.pow_(x, -5) == f.pow_(f.inv(x), 5))
+    try:
+        f.pow_(f.zero, -1)
+    except ZeroElement:
+        print("ZeroElement")
+"""
+
+
+def test_negative_exponents_invert_first():
+    proc = subprocess.run(
+        [sys.executable, "-c", _NEGATIVE_POWERS],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["True True", "ZeroElement"] * 4 + [""]
+
+
 def test_prime_field_rejects_composite():
     with pytest.raises(NonPrimeModulus):
         make_group(PrimeField(21))
@@ -248,10 +278,43 @@ def test_quadratic_mul_matches_convolution_on_seeded_pairs(p):
 QUADRATIC_PRIMES = [p for p in range(5, 45) if is_prime(p)]
 
 
+def _agree_at_edge_exponents(fast, slow, rng):
+    """Powers at the exponents where a kernel is likeliest to slip, equal
+    to the generic class's and, for a negative n, to powers of ``inv``.
+
+    The exponents are the ends of the unit group, the character
+    exponents (q - 1)/3 and (q - 1)/6, one of 201 bits, and -1 and -5.
+    """
+    q = fast.order
+    exponents = [0, 1, 2, q - 2, q - 1, q, (q - 1) // 3, -1, -5]
+    if (q - 1) % 6 == 0:
+        exponents.append((q - 1) // 6)
+    exponents.append(rng.getrandbits(200) | 1 << 200)
+    units = [fast.one, fast[1], fast[fast.p], fast[q - 1]]
+    units += [fast[rng.randrange(1, q)] for _ in range(8)]
+    for x in units:
+        inverse = fast.inv(x)
+        assert inverse == slow.inv(x) == fast.pow_(x, -1), x
+        assert fast.mul(inverse, x) == fast.one, x
+        for n in exponents:
+            got = fast.pow_(x, n)
+            assert got == slow.pow_(x, n), (x, n)
+            if n < 0:
+                assert got == slow.pow_(inverse, -n) == fast.pow_(inverse, -n)
+    for n in exponents:
+        if n >= 0:
+            want = fast.one if n == 0 else fast.zero
+            assert fast.pow_(fast.zero, n) == slow.pow_(fast.zero, n) == want
+        else:
+            with pytest.raises(ZeroElement):
+                fast.pow_(fast.zero, n)
+
+
 @pytest.mark.parametrize("p", QUADRATIC_PRIMES)
 def test_quadratic_field_agrees_with_the_generic_class(p):
-    """Every p^2 = 1 (mod 6) below 2,000: powers, the primitive element
-    and the cube classes are those of the generic convolution loop."""
+    """Every p^2 = 1 (mod 6) below 2,000: powers, at random and at the
+    edge exponents, the primitive element and the cube classes are those
+    of the generic convolution loop."""
     modulus = find_irreducible(p, 2)
     fast = make_group(ExtensionField(p, modulus))
     slow = ExtensionFieldGroup(p, modulus)
@@ -263,6 +326,7 @@ def test_quadratic_field_agrees_with_the_generic_class(p):
         x = (rng.randrange(p), rng.randrange(p))
         n = rng.randrange(2 * q)
         assert fast.pow_(x, n) == slow.pow_(x, n), (x, n)
+    _agree_at_edge_exponents(fast, slow, rng)
     assert primitive_element(fast) == primitive_element(slow)
     fast_tab, slow_tab = CyclotomicTable(fast, 3), CyclotomicTable(slow, 3)
     for x in fast.elements()[1:]:
@@ -348,8 +412,9 @@ def test_cubic_mul_matches_convolution_on_seeded_pairs():
 
 @pytest.mark.parametrize("p", [7, 13])
 def test_cubic_field_agrees_with_the_generic_class(p):
-    """Powers, the primitive element and the cube classes of p^3 = 1
-    (mod 6) are those of the generic convolution loop."""
+    """Powers, at random and at the edge exponents, the primitive element
+    and the cube classes of p^3 = 1 (mod 6) are those of the generic
+    convolution loop."""
     for modulus in _cubic_moduli(p):
         fast = make_group(ExtensionField(p, modulus))
         slow = ExtensionFieldGroup(p, modulus)
@@ -361,6 +426,7 @@ def test_cubic_field_agrees_with_the_generic_class(p):
             x = tuple(rng.randrange(p) for _ in range(3))
             n = rng.randrange(2 * q)
             assert fast.pow_(x, n) == slow.pow_(x, n), (x, n)
+        _agree_at_edge_exponents(fast, slow, rng)
         assert primitive_element(fast) == primitive_element(slow)
         fast_tab, slow_tab = CyclotomicTable(fast, 3), CyclotomicTable(slow, 3)
         for x in fast.elements()[1:]:

@@ -215,34 +215,65 @@ def test_listed_block_rejects_a_repeated_point():
         verify_listed_block(F37, (0, 1, 2, 13, 14, 34, 34))
 
 
+def reference_key(field, e):
+    """The class key as ``CyclotomicTable`` built it for every field before
+    a field class could give its own: zero first, then membership, then
+    the field's power."""
+    exp = (field.order - 1) // e
+    zero = field.zero
+    power = field.pow_
+
+    def key(x):
+        if x == zero:
+            raise ZeroElement("zero belongs to no cyclotomic class")
+        if x not in field:
+            raise MalformedInput(f"{x!r} is not an element of this field")
+        return power(x, exp)
+
+    return key
+
+
+# (x, the exception that x raises, or None for a value), over each field.
+_Z, _M = ZeroElement, MalformedInput
+_SHARED = [(0, _Z), (False, _Z), (0.0, _Z), (True, None), (1, None),
+           (36, None), (-1, _M), (2.5, _M), ("1", _M), (None, _M)]
+_KEY_CASES = [
+    (F37, "", [*_SHARED, (37, _M)]),
+    (F100003, "q100003-",
+     [*_SHARED, (37, None), (100003, _M), (100004, _M)]),
+]
+
+
 @pytest.mark.parametrize(
     "field,x,error",
     [
-        pytest.param(F37, 0, ZeroElement, id="0-ZeroElement"),
-        pytest.param(F37, 37, MalformedInput, id="37-MalformedInput"),
-        pytest.param(F37, -1, MalformedInput, id="-1-MalformedInput"),
-        pytest.param(F37, 2.5, MalformedInput, id="2.5-MalformedInput"),
-        pytest.param(F100003, 0, ZeroElement, id="q100003-0-ZeroElement"),
         pytest.param(
-            F100003, 100003, MalformedInput, id="q100003-100003-MalformedInput"
-        ),
-        pytest.param(
-            F100003, 100004, MalformedInput, id="q100003-100004-MalformedInput"
-        ),
-        pytest.param(
-            F100003, -1, MalformedInput, id="q100003--1-MalformedInput"
-        ),
-        pytest.param(
-            F100003, 2.5, MalformedInput, id="q100003-2.5-MalformedInput"
-        ),
+            field, x, error,
+            id=f"{prefix}{x!r}-{error.__name__ if error else 'value'}",
+        )
+        for field, prefix, cases in _KEY_CASES
+        for x, error in cases
     ],
 )
 def test_character_errors_match_table_errors(field, x, error):
+    """The table's key and index, and the field's character at e = 3 and
+    6, give the reference key's value, or raise its exception."""
     table = CyclotomicTable(field, 3)
-    with pytest.raises(error):
-        table.index(x)
-    with pytest.raises(error):
-        table.key(x)
+    for e, key in ((3, table.key), (6, field.character(6))):
+        want = reference_key(field, e)
+        if error is None:
+            got = key(x)
+            assert got == want(x) and type(got) is type(want(x)), (e, x)
+            continue
+        with pytest.raises(error):
+            want(x)
+        with pytest.raises(error):
+            key(x)
+    if error is None:
+        assert table.index(x) == table.index(int(x))
+    else:
+        with pytest.raises(error):
+            table.index(x)
 
 
 @pytest.mark.parametrize(
