@@ -13,9 +13,9 @@ calls them per element, or reads whole rows of elements at once by
 of coefficients and a product element a two-item list.
 
 Extension fields of degree 2 and 3 multiply in closed form
-(``QuadraticFieldGroup``, ``CubicFieldGroup``) and take powers by square
-and multiply with that product inline; a negative exponent powers the
-inverse. Higher degrees convolve
+(``QuadraticFieldGroup``, ``CubicFieldGroup``); degree 2 also takes
+powers by square and multiply with that product inline. In every field a
+negative exponent powers the inverse. Higher degrees convolve
 the coefficient tuples and reduce by a table of t^d, t^(d+1), ...
 written in the power basis. Set-up is polylog in q = p^d: a field checks
 its modulus by Ben-Or's test in that product, and ``is_prime`` is exact
@@ -669,7 +669,7 @@ class ExtensionFieldGroup(Group):
         return tuple(r % p for r in res)
 
     def inv(self, a):
-        if a == self.zero:
+        if not any(c % self.p for c in a):
             raise ZeroElement("zero has no inverse")
         return self.pow_(a, self.order - 2)
 
@@ -759,7 +759,6 @@ class CubicFieldGroup(ExtensionFieldGroup):
     With c0..c4 the coefficients of the plain product and t^3, t^4 written
     in the power basis as ``_red[0]`` and ``_red[1]``, coefficient i of
     the product is c_i + c3 ``_red[0][i]`` + c4 ``_red[1][i]``.
-    ``pow_`` squares and multiplies with this product written inline.
     """
 
     def mul(self, a, b):
@@ -774,34 +773,6 @@ class CubicFieldGroup(ExtensionFieldGroup):
             (a0 * b1 + a1 * b0 + c3 * r1 + c4 * s1) % p,
             (a0 * b2 + a1 * b1 + a2 * b0 + c3 * r2 + c4 * s2) % p,
         )
-
-    def pow_(self, a, n):
-        # As QuadraticFieldGroup.pow_: a square per bit of n, and for a 1
-        # bit y0 a + y1 (a t) + y2 (a t^2), where x t is
-        # (r0 x2, x0 + r1 x2, x1 + r2 x2) for x = a and then x = a t.
-        if n < 0:
-            a, n = self.inv(a), -n
-        if not n:
-            return self.one
-        (r0, r1, r2), (s0, s1, s2) = self._red
-        p = self.p
-        a0, a1, a2 = y0, y1, y2 = a[0] % p, a[1] % p, a[2] % p
-        b0, b1, b2 = a2 * r0 % p, (a0 + a2 * r1) % p, (a1 + a2 * r2) % p
-        d0, d1, d2 = b2 * r0 % p, (b0 + b2 * r1) % p, (b1 + b2 * r2) % p
-        for bit in bin(n)[3:]:
-            c3, c4 = 2 * y1 * y2, y2 * y2
-            y0, y1, y2 = (
-                (y0 * y0 + c3 * r0 + c4 * s0) % p,
-                (2 * y0 * y1 + c3 * r1 + c4 * s1) % p,
-                (2 * y0 * y2 + y1 * y1 + c3 * r2 + c4 * s2) % p,
-            )
-            if bit == "1":
-                y0, y1, y2 = (
-                    (y0 * a0 + y1 * b0 + y2 * d0) % p,
-                    (y0 * a1 + y1 * b1 + y2 * d1) % p,
-                    (y0 * a2 + y1 * b2 + y2 * d2) % p,
-                )
-        return (y0, y1, y2)
 
 
 class ProductGroup(Group):

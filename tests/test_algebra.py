@@ -161,8 +161,9 @@ def test_prime_field_basics():
 
 # Run in a subprocess with a timeout, so that a square-and-multiply loop
 # that never ends (a negative n shifted right stays -1) fails the test
-# instead of hanging the suite. The fields use the degree-2, degree-3 and
-# generic extension kernels and the prime field's builtin pow.
+# instead of hanging the suite. The fields use the degree-2 kernel, the
+# generic one at degrees 3 and 4, and the prime field's builtin pow. Zero
+# is also spelled with a coefficient p, which must raise all the same.
 _NEGATIVE_POWERS = """
 from kaleido.algebra import ExtensionField, PrimeField, make_group
 from kaleido.errors import ZeroElement
@@ -171,10 +172,17 @@ for desc in (ExtensionField(5, (2, 0, 1)), ExtensionField(7, (4, 0, 0, 1)),
     f = make_group(desc)
     x = f[2]
     print(f.pow_(x, -1) == f.inv(x), f.pow_(x, -5) == f.pow_(f.inv(x), 5))
-    try:
-        f.pow_(f.zero, -1)
-    except ZeroElement:
-        print("ZeroElement")
+    d = len(f.zero) if isinstance(f.zero, tuple) else 0
+    zeros = [f.zero] + ([tuple(f.p * (i == j) for i in range(d))
+                         for j in range(d)] if d else [f.p])
+    for z in zeros:
+        for call in (lambda: f.inv(z), lambda: f.pow_(z, -1)):
+            try:
+                call()
+            except ZeroElement:
+                continue
+            print("no error", z)
+    print("ZeroElement")
 """
 
 
@@ -284,6 +292,8 @@ def _agree_at_edge_exponents(fast, slow, rng):
 
     The exponents are the ends of the unit group, the character
     exponents (q - 1)/3 and (q - 1)/6, one of 201 bits, and -1 and -5.
+    Zero, also spelled with one coefficient p, raises ``ZeroElement``
+    under ``inv`` and a negative n.
     """
     q = fast.order
     exponents = [0, 1, 2, q - 2, q - 1, q, (q - 1) // 3, -1, -5]
@@ -301,13 +311,19 @@ def _agree_at_edge_exponents(fast, slow, rng):
             assert got == slow.pow_(x, n), (x, n)
             if n < 0:
                 assert got == slow.pow_(inverse, -n) == fast.pow_(inverse, -n)
-    for n in exponents:
-        if n >= 0:
-            want = fast.one if n == 0 else fast.zero
-            assert fast.pow_(fast.zero, n) == slow.pow_(fast.zero, n) == want
-        else:
-            with pytest.raises(ZeroElement):
-                fast.pow_(fast.zero, n)
+    p, d = fast.p, len(fast.zero)
+    zeros = [fast.zero] + [tuple(p * (i == j) for i in range(d)) for j in range(d)]
+    for z in zeros:
+        for n in exponents:
+            if n >= 0:
+                want = fast.one if n == 0 else fast.zero
+                assert fast.pow_(z, n) == slow.pow_(z, n) == want, (z, n)
+            else:
+                for group in (fast, slow):
+                    with pytest.raises(ZeroElement):
+                        group.pow_(z, n)
+        with pytest.raises(ZeroElement):
+            fast.inv(z)
 
 
 @pytest.mark.parametrize("p", QUADRATIC_PRIMES)
