@@ -830,13 +830,7 @@ class ProductGroup(Group):
         return lambda x: [left(x[0]), right(x[1])]
 
     def decoder(self):
-        """Decode a pair factor by factor.
-
-        Over two cyclic factors a JSON pair of ints is decoded at once.
-        ``type(...) is int`` turns away bools as well as every other type,
-        so any input that path does not take gets the general decoder's
-        result or its error.
-        """
+        """Decode a pair factor by factor."""
         left, right = self.left.decoder(), self.right.decoder()
 
         def dec(obj):
@@ -844,20 +838,7 @@ class ProductGroup(Group):
                 raise MalformedInput(f"expected a pair, got {obj!r}")
             return (left(obj[0]), right(obj[1]))
 
-        if not isinstance(self.left, CyclicGroup) or not isinstance(
-            self.right, CyclicGroup
-        ):
-            return dec
-        n1, n2 = self.left.order, self.right.order
-
-        def int_pair(obj):
-            if type(obj) is list and len(obj) == 2:
-                a, b = obj
-                if type(a) is int and type(b) is int:
-                    return (a % n1, b % n2)
-            return dec(obj)
-
-        return int_pair
+        return dec
 
 
 def make_group(desc: GroupDescriptor) -> Group:
@@ -886,10 +867,12 @@ def primitive_element(field: Group) -> Element:
 
     The walk skips the elements that no primitive element can be. Over
     F_p[t]/(f) of degree d, elements 1 .. p - 1 are c t^(d-1). A primitive
-    x has a norm x^((q-1)/(p-1)) that generates F_p^*. When f(0) = 1 the
-    norm of t is (-1)^d, so c t^(d-1) has norm c^d, a d-th power. If
-    gcd(d, p - 1) > 1 the d-th powers are a proper subgroup of F_p^*, so
-    none of these elements is primitive and the walk starts at p.
+    x has a norm x^((q-1)/(p-1)) that generates F_p^*. The norm of t is
+    (-1)^d f(0), so c t^(d-1) has norm c^d a with a = f(0)^(d-1), as
+    d(d-1) is even. If a is an r-th power for a prime r dividing
+    gcd(d, p - 1), so is every c^d a: all lie in the proper subgroup of
+    r-th powers, none of these elements is primitive, and the walk starts
+    at p. When f(0) = 1, a = 1.
     """
     if not field.is_field:
         raise MalformedInput("primitive elements need a field")
@@ -904,8 +887,11 @@ def primitive_element(field: Group) -> Element:
     cofactors = [(q - 1) // r for r in factors]
     p, d = field.p, field.degree
     start = 1  # zero comes first
-    if d > 1 and field.descriptor.modulus[0] == 1 and math.gcd(d, p - 1) > 1:
-        start = p
+    if d > 1:
+        a = pow(field.descriptor.modulus[0], d - 1, p)
+        shared = prime_factors(math.gcd(d, p - 1))
+        if any(pow(a, (p - 1) // r, p) == 1 for r in shared):
+            start = p
     for x in map(field._at, range(start, q)):
         if all(field.pow_(x, m) != field.one for m in cofactors):
             field._primitive = x

@@ -307,11 +307,14 @@ def _cmd_search_constrained(args) -> Outcome:
             raise MalformedInput(
                 "--constraints and --file do not apply to --prefix"
             )
+        args.schema = args.schema or "hesse"
         prefix = _parse_block(field, args.prefix) if args.prefix else None
         block = prefix_block_search(field, args.schema, prefix)
         return _found_block(field, args, block, "no block extends the prefix")
     if args.emit_kdf:
         raise MalformedInput("--emit-kdf applies only to --prefix")
+    if args.schema is not None:
+        raise MalformedInput("--schema applies only to --prefix")
     if args.constraints:
         raw = json.loads(args.constraints)
     elif args.file:
@@ -530,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="block prefix to extend, e.g. 0,1,2,3; empty for the default",
     )
-    sp.add_argument("--schema", default="hesse", choices=("fano", "hesse"))
+    sp.add_argument("--schema", choices=("fano", "hesse"))
     sp.add_argument("--budget", type=int)
     sp.add_argument("--emit-kdf", action="store_true")
     sp.set_defaults(func=_cmd_search_constrained)

@@ -152,17 +152,14 @@ def _covers_once(group: Group, cols: list) -> bool:
     return 2 * len(names) == group.order - 1 and group.zero not in names
 
 
-def _position_differences(group: Group, cols: list) -> dict:
-    """Differences of point rows, given by their columns, pair by pair.
-
-    Maps each ordered pair (i, j) of distinct positions to the list of
-    row[i] - row[j] over all rows. Each difference is computed once,
-    column by column.
-    """
-    return {
-        (i, j): group.differences(cols[i], cols[j])
-        for i, j in permutations(range(len(cols)), 2)
-    }
+def _counted_differences(group: Group, cols: list) -> Counter:
+    """How often each element is row[i] - row[j], over all rows and every
+    ordered pair (i, j) of distinct positions, the rows given by their
+    columns. Each pair's differences are computed column by column."""
+    coverage = Counter()
+    for a, b in permutations(cols, 2):
+        coverage.update(group.differences(a, b))
+    return coverage
 
 
 def _df_report(
@@ -196,9 +193,7 @@ def _judged(group: Group, cols: list, lam: int, bad_blocks: list) -> DFReport:
     """
     if lam == 1 and not bad_blocks and _covers_once(group, cols):
         return DFReport(True, 1, [], [])
-    coverage = Counter()
-    for diffs in _position_differences(group, cols).values():
-        coverage.update(diffs)
+    coverage = _counted_differences(group, cols)
     return _df_report(coverage, group, lam, bad_blocks)
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
@@ -640,23 +640,11 @@ class NonexistenceCertificate:
     jobs: int
 
     def to_json(self) -> dict:
-        return {
-            "v": self.v,
-            "schema": self.schema,
-            "blocks": self.blocks,
-            "normalizations": list(self.normalizations),
-            "subtree_count": self.subtree_count,
-            "nodes_visited": self.nodes_visited,
-            "solutions": self.solutions,
-            "first_solution": (
-                [list(b) for b in self.first_solution]
-                if self.first_solution is not None
-                else None
-            ),
-            "exhausted": self.exhausted,
-            "mode": self.mode,
-            "jobs": self.jobs,
-        }
+        obj = asdict(self)
+        obj["normalizations"] = list(self.normalizations)
+        if self.first_solution is not None:
+            obj["first_solution"] = [list(b) for b in self.first_solution]
+        return obj
 
 
 _NORMALIZATIONS = (

@@ -1,6 +1,8 @@
 """Helpers shared by the test modules."""
 
 import multiprocessing
+import subprocess
+import sys
 
 import pytest
 
@@ -27,6 +29,49 @@ def _power_walk(field, e, steps=None):
 @pytest.fixture
 def power_walk():
     return _power_walk
+
+
+# Put before a child's script: at exit the child writes the high-water mark
+# of its own resident set, in KiB, as the last line of stderr. Its
+# ru_maxrss would not do: at exec, Linux folds the resident size of the
+# process it was spawned from into it, so under a test runner it reads the
+# runner's size.
+_REPORT_PEAK = """\
+import atexit, sys
+
+def _report_peak():
+    with open("/proc/self/status") as fh:
+        hwm = next(line for line in fh if line.startswith("VmHWM:"))
+    print("peak_kib", hwm.split()[1], file=sys.stderr)
+
+atexit.register(_report_peak)
+"""
+
+
+def _run_with_peak(script, *args, **kwargs):
+    """Run script with args in a fresh Python, text output captured.
+
+    Returns the completed process, its stderr stripped of the peak line,
+    and the child's own peak resident set in KiB (None if it wrote none).
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", _REPORT_PEAK + script, *args],
+        capture_output=True,
+        text=True,
+        **kwargs,
+    )
+    head, mark, tail = proc.stderr.rpartition("peak_kib ")
+    if not mark:
+        return proc, None
+    proc.stderr = head
+    return proc, int(tail)
+
+
+@pytest.fixture
+def run_with_peak():
+    if not sys.platform.startswith("linux"):
+        pytest.skip("reads VmHWM from /proc")
+    return _run_with_peak
 
 
 @pytest.fixture(autouse=True)

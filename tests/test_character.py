@@ -313,10 +313,8 @@ def test_table_finds_a_primitive_element_only_for_labels(e, monkeypatch):
         table.index(2)
 
 
-# F_p[t]/(t^2 + 2), p = 10^9 + 7: the modulus has constant term 2, so
-# the primitive-element walk cannot skip the c t block and takes Theta(p)
-# field powers (over 15 s on a 2-vCPU Xeon VM). Neither command may find
-# one.
+# F_p[t]/(t^2 + 2), p = 10^9 + 7: the modulus has constant term 2. Neither
+# command needs a primitive element, so neither may look for one.
 _LARGE_SQUARE = ["--q", str((10**9 + 7) ** 2), "--modulus", "2,0,1"]
 
 
@@ -341,3 +339,22 @@ def test_key_only_commands_answer_at_a_large_square(argv):
     out = json.loads(proc.stdout)
     assert out["q"] == (10**9 + 7) ** 2
     assert out.get("valid", out.get("found")) is False
+
+
+def test_a_class_label_at_a_large_square_with_constant_term_two():
+    """A label needs the primitive element. Over t^2 + 2 the c t block has
+    norms 2 c^2, squares since 2 is a square mod 10^9 + 7, so the walk
+    skips it; it once took Theta(p) field powers and did not finish."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "kaleido", "search", "constrained",
+         *_LARGE_SQUARE, "--constraints", '[{"shift": [0, 0], "class": 1}]',
+         "--budget", "2"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 1, proc.stderr
+    out = json.loads(proc.stdout)
+    assert (out["q"], out["checked"], out["found"]) == (
+        (10**9 + 7) ** 2, 2, False
+    )

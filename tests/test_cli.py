@@ -559,34 +559,24 @@ def test_running_out_of_memory_is_one_error_line():
     assert proc.stdout == ""
 
 
-# Runs the CLI and writes its own peak resident set, in KiB, as the last
-# line of stderr.
-_PEAK = (
-    "import resource, sys\n"
+_CLI = (
+    "import sys\n"
     "from kaleido.cli import main\n"
-    "rc = main(sys.argv[1:])\n"
-    "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-    "print(f'peak_kib {peak}', file=sys.stderr)\n"
-    "sys.exit(rc)\n"
+    "sys.exit(main(sys.argv[1:]))\n"
 )
 
 
 @pytest.mark.parametrize("q", [3163**2, 10007**2], ids=["3163^2", "10007^2"])
-def test_hesse_chain_at_a_large_prime_square_walks_the_field(q):
+def test_hesse_chain_at_a_large_prime_square_walks_the_field(q, run_with_peak):
     """The chains read field elements one at a time: at 10007^2 the
     search once listed all 10^8 elements and ran out of memory."""
-    proc = subprocess.run(
-        [sys.executable, "-c", _PEAK, "search", "asymptotic", "--q", str(q),
-         "--schema", "hesse", "--backtrack"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        preexec_fn=_limit_memory,
+    proc, peak = run_with_peak(
+        _CLI, "search", "asymptotic", "--q", str(q), "--schema", "hesse",
+        "--backtrack", timeout=60, preexec_fn=_limit_memory,
     )
     assert proc.returncode == 0, proc.stderr
-    note, peak = proc.stderr.splitlines()
-    assert note == "found an initial block"
-    assert int(peak.split()[1]) < 60 * 1024, peak
+    assert proc.stderr == "found an initial block\n"
+    assert peak < 60 * 1024, peak
     assert json.loads(proc.stdout)["found"] is True
 
 
@@ -840,6 +830,18 @@ def test_search_constrained_emit_kdf_without_prefix(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_search_constrained_schema_without_prefix(capsys):
+    # The layout names the block --prefix extends; a chain search has none.
+    rc = main(
+        ["search", "constrained", "--q", "19",
+         "--constraints", '[{"shift": 0, "class": "i"}]', "--schema", "fano"]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --schema applies only to --prefix\n"
 
 
 def test_search_constrained_budget(capsys):

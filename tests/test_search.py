@@ -3,8 +3,6 @@
 import hashlib
 import json
 import random
-import subprocess
-import sys
 from itertools import permutations
 
 import pytest
@@ -250,10 +248,6 @@ def test_asymptotic_valid_or_none(p):
             assert verify_listed_block(f, blk.points)
 
 
-# The child reports the high-water mark of its own address space. Its
-# ru_maxrss would not do: at exec, Linux folds the resident size of the
-# process it was spawned from into it, so under a test runner it reads the
-# runner's size.
 _LARGE_FIELD_CHAINS = """
 import json
 from kaleido.algebra import PrimeField, make_group
@@ -261,31 +255,20 @@ from kaleido.search import asymptotic_initial_block, verify_listed_block
 f = make_group(PrimeField(10000141))
 blocks = [asymptotic_initial_block(f, s).points for s in ("fano", "hesse")]
 assert all(verify_listed_block(f, b) for b in blocks)
-with open("/proc/self/status") as fh:
-    hwm = [line for line in fh if line.startswith("VmHWM:")]
-print(json.dumps({"blocks": blocks, "rss_kb": int(hwm[0].split()[1])}))
+print(json.dumps(blocks))
 """
 
 
-@pytest.mark.skipif(
-    not sys.platform.startswith("linux"), reason="reads VmHWM from /proc"
-)
-def test_asymptotic_chains_at_ten_million_hold_no_field_state():
+def test_asymptotic_chains_at_ten_million_hold_no_field_state(run_with_peak):
     """Both chains at q = 10,000,141 in a fresh process, under 60 MB peak:
     nothing the size of the field is built."""
-    proc = subprocess.run(
-        [sys.executable, "-c", _LARGE_FIELD_CHAINS],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc, peak = run_with_peak(_LARGE_FIELD_CHAINS, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout)
-    assert got["blocks"] == [
+    assert json.loads(proc.stdout) == [
         [0, 1, 10000140, 88, 10000053, 526, 9999615],
         [0, 1, 2, 3, 60, 264, 2073, 1172, 524],
     ]
-    assert got["rss_kb"] < 60 * 1024
+    assert peak < 60 * 1024, peak
 
 
 def test_asymptotic_unknown_layout():

@@ -272,7 +272,7 @@ def _refuse_counting(monkeypatch):
     def refuse(*args):
         raise AssertionError("counted a family the set check should pass")
 
-    monkeypatch.setattr(designs, "_position_differences", refuse)
+    monkeypatch.setattr(designs, "_counted_differences", refuse)
 
 
 def _with_planes(k, planes):
