@@ -8,9 +8,10 @@ coefficient ints with the constant term first, so ``(4, 1)`` over
 Each group class owns its JSON boundary: ``to_json()`` gives its
 descriptor object, and ``encoder()`` and ``decoder()`` give the functions
 that write and read one element. A document resolves them once and
-calls them per element, or reads whole rows of elements at once by
-``decode_rows``. A residue is a JSON int, an extension element a list
-of coefficients and a product element a two-item list.
+calls them per element, or reads and writes whole rows of elements at
+once by ``decode_rows`` and ``encode_rows``. A residue is a JSON int, an
+extension element a list of coefficients and a product element a
+two-item list.
 
 Extension fields of degree 2 and 3 multiply in closed form
 (``QuadraticFieldGroup``, ``CubicFieldGroup``); degree 2 also takes
@@ -30,6 +31,8 @@ elements in that order, each built from its index when it is read.
 
 from __future__ import annotations
 
+import functools
+import gc
 import itertools
 import math
 import operator
@@ -301,6 +304,35 @@ def find_irreducible(p: int, degree: int) -> tuple[int, ...]:
             return candidate
 
 
+def _collector_paused(make):
+    """Run make, a function that builds rows or documents, with the
+    cyclic garbage collector paused.
+
+    Such a function makes tens of thousands of tuples and lists, and
+    each few hundred new containers start a pass of the collector over
+    the young ones, now and then over all of them. The rows hold
+    elements (ints and tuples of ints) and the documents hold those,
+    lists of them, and strs: nothing refers back to what holds it, so no
+    cycle is made and reference counting frees it all (a cycle made
+    anyway waits for a later pass). The collector's switch is
+    process-wide: if it is on, it is off for the call, every thread
+    included, and back on when the call returns or raises; if it is
+    already off, it stays off.
+    """
+
+    @functools.wraps(make)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return make(*args, **kwargs)
+        gc.disable()
+        try:
+            return make(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
+
+
 class _Memo(dict):
     """Key -> f(key), made on the first lookup and kept.
 
@@ -417,6 +449,12 @@ class Group(Sequence):
         reduced = map(operator.mod, coordinates, itertools.cycle(radices))
         return zip(*[reduced] * width)
 
+    def encode_rows(self, rows) -> list:
+        """The JSON list of each row of elements, the mirror of
+        ``decode_rows``: each element as ``encoder()`` writes it."""
+        enc = self.encoder()
+        return [list(map(enc, row)) for row in rows]
+
     def times(self, x: Element, ys: Sequence) -> list:
         """x * y for each y in ys; fields only."""
         return list(map(self.mul, itertools.repeat(x), ys))
@@ -501,6 +539,15 @@ class CyclicGroup(Group):
             raise MalformedInput("expected integer elements")
         decoded = map(self.order.__rmod__, elements(rows))
         return decoded if same is None else map(same, decoded)
+
+    def encode_rows(self, rows):
+        """As ``Group.encode_rows``. Exact ints are their own encoding, so
+        when one type pass finds nothing else, each row is copied into a
+        list at once; otherwise (a bool, say) every element takes the
+        element encoder, so ``True`` still writes 1."""
+        if set(map(type, itertools.chain.from_iterable(rows))) - {int}:
+            return super().encode_rows(rows)
+        return list(map(list, rows))
 
     def _at(self, n):
         return n

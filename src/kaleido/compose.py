@@ -348,7 +348,9 @@ class Catalog:
             raise MalformedInput("expected a family or kaleidoscope object")
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(order, name)
-        path.write_text(dumps(obj) + "\n")
+        with path.open("w") as out:
+            out.write(dumps(obj))
+            out.write("\n")
         return path
 
 

@@ -26,6 +26,7 @@ from typing import Iterable, Optional, Sequence
 from .algebra import (
     Group,
     _Memo,
+    _collector_paused,
     _is_json_int,
     descriptor_from_json,
     is_prime,
@@ -344,6 +345,7 @@ class Kaleidoscope:
         return self.schema.lines_at(plane)
 
 
+@_collector_paused
 def develop(kdf: KaleidoscopicDifferenceFamily) -> Kaleidoscope:
     """Translate every block by every group element.
 
@@ -670,12 +672,12 @@ def df_from_json(obj) -> DifferenceFamily:
     return DifferenceFamily(group, k, lam, blocks)
 
 
+@_collector_paused
 def kdf_to_json(kdf: KaleidoscopicDifferenceFamily) -> dict:
-    enc = kdf.group.encoder()
     return {
         "group": kdf.group.to_json(),
         "schema": schema_to_json(kdf.schema),
-        "blocks": [list(map(enc, row)) for row in kdf.blocks],
+        "blocks": kdf.group.encode_rows(kdf.blocks),
         "provenance": kdf.provenance,
     }
 
@@ -710,6 +712,7 @@ def kdf_from_json(obj) -> KaleidoscopicDifferenceFamily:
     return KaleidoscopicDifferenceFamily(group, schema, blocks, provenance)
 
 
+@_collector_paused
 def kaleidoscope_to_json(k: Kaleidoscope) -> dict:
     if isinstance(k.points, range):
         points, enc = k.n, int
@@ -868,50 +871,62 @@ def dumps(obj) -> str:
 
     The text is byte for byte ``json.dumps(obj, sort_keys=True,
     indent=1)``. With an indent, the standard library falls back to its
-    pure-Python encoder; this writer joins whole lists at once, takes
-    lists of ints in one pass, and writes a list object met again at the
-    same depth (a shared element encoding) from its first text. A matrix,
-    a list of n lists or tuples all of one length k > 0, is one ``%``
-    fill of a template of n rows of k slots: the slots take the items
-    themselves when all are ints, else the text of each distinct item,
-    written once. A value
-    of any other type than dict, list, tuple, str, int, float, bool and
-    None, or a key that is not a str, sends the whole object to
-    ``json.dumps``, which encodes it or raises as it always did.
+    pure-Python encoder; this writer appends the pieces of the whole text
+    to one list and joins them once, so no level copies the text of the
+    levels below it. It writes a list of ints in one pass, and a list
+    object met again at the same depth (a shared element encoding) from
+    its first text. A matrix, a list of n lists or tuples all of one
+    length k > 0, is one piece: one ``%`` fill of a template of n rows of
+    k slots. The slots take the items themselves when all are ints, else
+    the text of each distinct item, written once. A value of any other
+    type than dict, list, tuple, str, int, float, bool and None, or a key
+    that is not a str, sends the whole object to ``json.dumps``, which
+    encodes it or raises as it always did.
     """
+    out = []
     try:
-        return _write(obj, 0, defaultdict(dict))
+        _write(obj, 0, defaultdict(dict), out)
     except _Unsupported:
         return json.dumps(obj, sort_keys=True, indent=1)
+    return "".join(out)
 
 
-def _item_texts(items: tuple, depth: int, memo: defaultdict) -> tuple:
-    """The texts of items at depth, each distinct object written once."""
-    ids = list(map(id, items))
-    texts = dict(zip(ids, items))
-    known = memo[depth]
+def _item_texts(rows: list, depth: int, memo: defaultdict) -> tuple:
+    """The texts of the rows' items at depth, in row order, each distinct
+    object written once."""
+    items = chain.from_iterable
+    texts = dict(zip(map(id, items(rows)), items(rows)))
     for key, item in texts.items():
-        text = known.get(key)
-        texts[key] = _write(item, depth, memo) if text is None else text
-    return tuple(map(texts.__getitem__, ids))
+        pieces = []
+        _write(item, depth, memo, pieces)
+        texts[key] = "".join(pieces)
+    return tuple(map(texts.__getitem__, map(id, items(rows))))
 
 
-def _write(obj, depth: int, memo: defaultdict) -> str:
-    """The text of obj at nesting depth; memo maps depth -> id -> text."""
+def _write(obj, depth: int, memo: defaultdict, out: list) -> None:
+    """Append the text of obj at nesting depth to out; memo maps depth ->
+    id -> text of a list of ints."""
     kind = type(obj)
     if kind is str:
-        return _quote(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if kind is list or kind is tuple:
+        out.append(_quote(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif kind is list or kind is tuple:
         if not obj:
-            return "[]"
+            out.append("[]")
+            return
+        known = memo[depth]
+        text = known.get(id(obj))
+        if text is not None:
+            out.append(text)
+            return
         outer = "\n" + " " * depth
         inner = outer + " "
         kinds = set(map(type, obj))
-        ints = kinds == _INTS
-        if ints:
-            parts = map(int.__repr__, obj)
+        if kinds == _INTS:
+            text = "[" + inner + ("," + inner).join(map(int.__repr__, obj))
+            known[id(obj)] = text = text + outer + "]"
+            out.append(text)
         elif kinds <= _ROWS and len(obj[0]) and len(set(map(len, obj))) == 1:
             # A matrix: n rows of k items, written by one template fill.
             below = "\n" + " " * (depth + 1)
@@ -920,46 +935,48 @@ def _write(obj, depth: int, memo: defaultdict) -> str:
             template = (
                 "[" + inner + ("," + inner).join([row] * len(obj)) + outer + "]"
             )
-            flat = tuple(chain.from_iterable(obj))
+            # Only a matrix whose first item is an int can be all ints.
+            flat = ()
+            if type(obj[0][0]) is int:
+                flat = tuple(chain.from_iterable(obj))
             if set(map(type, flat)) != _INTS:
-                flat = _item_texts(flat, depth + 2, memo)
-            return template % flat
+                flat = _item_texts(obj, depth + 2, memo)
+            out.append(template % flat)
         else:
-            # Texts of lists already written one level down, else None.
-            parts = list(map(memo[depth + 1].get, map(id, obj)))
-            if None in parts:
-                parts = [
-                    _write(item, depth + 1, memo) if text is None else text
-                    for text, item in zip(parts, obj)
-                ]
-        text = "[" + inner + ("," + inner).join(parts) + outer + "]"
-        if ints:
-            memo[depth][id(obj)] = text
-        return text
-    if kind is dict:
+            sep = "[" + inner
+            for item in obj:
+                out.append(sep)
+                sep = "," + inner
+                _write(item, depth + 1, memo, out)
+            out.append(outer + "]")
+    elif kind is dict:
         if not obj:
-            return "{}"
+            out.append("{}")
+            return
         if set(map(type, obj)) != {str}:
             raise _Unsupported
         outer = "\n" + " " * depth
         inner = outer + " "
-        parts = [
-            _quote(name) + ": " + _write(value, depth + 1, memo)
-            for name, value in sorted(obj.items())
-        ]
-        return "{" + inner + ("," + inner).join(parts) + outer + "}"
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if kind is float:
+        sep = "{" + inner
+        for name, value in sorted(obj.items()):
+            out.append(sep + _quote(name) + ": ")
+            sep = "," + inner
+            _write(value, depth + 1, memo, out)
+        out.append(outer + "}")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif kind is float:
         if obj != obj:
-            return "NaN"
-        if obj == _INF:
-            return "Infinity"
-        if obj == -_INF:
-            return "-Infinity"
-        return float.__repr__(obj)
-    raise _Unsupported
+            out.append("NaN")
+        elif obj == _INF:
+            out.append("Infinity")
+        elif obj == -_INF:
+            out.append("-Infinity")
+        else:
+            out.append(float.__repr__(obj))
+    else:
+        raise _Unsupported

@@ -38,6 +38,7 @@ from .algebra import (
     Element,
     Group,
     PrimeField,
+    _collector_paused,
     _is_json_int,
     is_prime,
     make_group,
@@ -198,6 +199,7 @@ def verify_listed_block(
     return _failing_line(row, schema.lines, field, key) is None
 
 
+@_collector_paused
 def generate_kdf_from_initial_block(
     field: Group,
     points: Sequence,
