@@ -373,25 +373,23 @@ class Group(Sequence):
     def sub(self, a: Element, b: Element) -> Element:
         raise NotImplementedError
 
-    # Whole-column kernels. Each is defined by the per-element method it
-    # maps, which subclasses may replace by a faster equivalent. The
-    # translates need none: each class states its ``radices`` (most
-    # significant first) and an element's ``digits``, which add digitwise.
+    # Whole-column kernels. Each maps a per-element method over columns
+    # (test_kernels_match_their_definitions states which); every class
+    # gives its own ``differences``. The translates need none: each class
+    # states its ``radices`` (most significant first) and an element's
+    # ``digits``, which add digitwise.
 
     radices: tuple[int, ...]
 
     def digits(self, x: Element) -> tuple[int, ...]:
         raise NotImplementedError
 
-    def translates(self, x: Element) -> list:
-        """x + g for every element g, in canonical order."""
-        return self.translate_column(x, list(self))
-
     def translate_column(self, x: Element, elems: Sequence) -> list:
-        """``translates(x)`` as entries of elems, the group in canonical
-        order. Digits add with no carry, so with r the last radix, the
-        column is the blocks of r elements in the order x's outer digits
-        rotate them, each rotated left by x's last digit: two slices each.
+        """x + g for every g in elems, the group in canonical order, as
+        entries of elems. Digits add with no carry, so with r the last
+        radix, the column is the blocks of r elements in the order x's
+        outer digits rotate them, each rotated left by x's last digit: two
+        slices each.
         """
         *outer, r = self.radices
         *high, low = self.digits(x)
@@ -405,10 +403,6 @@ class Group(Sequence):
             column += elems[s + low : s + r]
             column += elems[s : s + low]
         return column
-
-    def differences(self, a: Sequence, b: Sequence) -> list:
-        """a[i] - b[i] for each position i."""
-        return list(map(self.sub, a, b))
 
     def unsigned_differences(self, a: Sequence, b: Sequence) -> list:
         """The canonically smaller of a[i] - b[i] and its negative,
@@ -847,14 +841,6 @@ class ProductGroup(Group):
         left = self.left.differences([x for x, _ in a], [y for y, _ in b])
         right = self.right.differences([x for _, x in a], [y for _, y in b])
         return list(zip(left, right))
-
-    def unsigned_differences(self, a, b):
-        la, lb = [x for x, _ in a], [x for x, _ in b]
-        ra, rb = [y for _, y in a], [y for _, y in b]
-        left, right = self.left.differences, self.right.differences
-        ab = zip(left(la, lb), right(ra, rb))
-        ba = zip(left(lb, la), right(rb, ra))
-        return list(map(min, ab, ba))
 
     def _at(self, n):
         a, b = divmod(n, self.right.order)

@@ -3,7 +3,9 @@
 Verification functions return report objects and never raise on content
 that is merely wrong. A family either covers each nonzero difference the
 stated number of times or the report says which element is off. Exceptions
-mark malformed input only.
+mark malformed input only, decoded or built by hand alike: a kaleidoscope
+line not of h points raises ``MalformedInput``, a point repeated in a row
+``DuplicateElements``. A kaleidoscope's verdict is its pair count alone.
 
 A colored family's blocks are point rows: the family's one layout
 ``kdf.schema`` cuts each row into its colored lines. A kaleidoscope's
@@ -16,7 +18,7 @@ the lines of either.
 from __future__ import annotations
 
 import json
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from itertools import chain, combinations, islice, permutations
 from json.encoder import encode_basestring_ascii as _quote
@@ -403,11 +405,15 @@ class KaleidoscopeReport:
 
 
 def verify_kaleidoscope(k: Kaleidoscope) -> KaleidoscopeReport:
-    """Count (pair, color) incidences and demand each equals one, and
-    demand that each line table be a plane (``_is_plane``).
+    """Judge k by the pair count alone (``_each_pair_once``): every
+    color covers every point pair once, and every line table is a plane.
+    A point row needs no plane check: the layout, which tiles its
+    position pairs, cuts the row's k distinct points into a plane.
 
-    A point row needs no such check: the layout, which tiles its position
-    pairs, cuts the row's k distinct points into a plane.
+    A failing k is recounted only to name its fault. Shape faults raise
+    the decoder's errors: ``MalformedInput`` for a plane of the wrong
+    length or a line not of h points, ``DuplicateElements`` for a point
+    repeated in a row.
     """
     b = k.schema.b
     n = k.n
@@ -419,7 +425,8 @@ def verify_kaleidoscope(k: Kaleidoscope) -> KaleidoscopeReport:
 def _rows_and_tables(k: Kaleidoscope) -> tuple[list, list]:
     """The planes that are point rows, and those that are line tables.
 
-    A row or a line table of the wrong length raises ``MalformedInput``.
+    A row or a line table of the wrong length, or a line not of h
+    points, raises ``MalformedInput``.
     """
     schema = k.schema
     rows, tables = [], []
@@ -432,6 +439,8 @@ def _rows_and_tables(k: Kaleidoscope) -> tuple[list, list]:
             if len(plane) != schema.k:
                 raise MalformedInput("plane has the wrong number of points")
             rows.append(plane)
+    if set(map(len, chain.from_iterable(tables))) - {schema.h}:
+        raise MalformedInput("line has the wrong size")
     return rows, tables
 
 
@@ -467,8 +476,8 @@ def _each_pair_once(k: Kaleidoscope, n: int) -> bool:
     Each point gets a code from ``_sidon_codes``, and a point pair is the
     sum of its two codes. A color passes when its lines make n(n-1)/2
     pair keys in all, no key twice and no key of a point paired with
-    itself. An unknown point, a line of another size, a point repeated
-    in a row or a repeated key reads False.
+    itself. An unknown point, a line table that is not a plane, a point
+    repeated in a row or a repeated key reads False.
     """
     rows, tables = _rows_and_tables(k)
     schema = k.schema
@@ -478,8 +487,6 @@ def _each_pair_once(k: Kaleidoscope, n: int) -> bool:
         return False
     code = dict(zip(k.points, _sidon_codes(n)))
     lines = list(chain.from_iterable(tables))
-    if set(map(len, lines)) - {h}:
-        return False
     try:
         row_codes = list(map(code.__getitem__, chain.from_iterable(rows)))
         line_codes = list(map(code.__getitem__, chain.from_iterable(lines)))
@@ -506,8 +513,13 @@ def _each_pair_once(k: Kaleidoscope, n: int) -> bool:
 
 
 def _kaleidoscope_violation(k: Kaleidoscope) -> KaleidoscopeReport:
-    """The report of a kaleidoscope that failed the pair count. Points
-    are tested and walked through ``k.points``, never copied."""
+    """Name the first fault of a kaleidoscope that failed the pair count;
+    never a valid report. A point repeated in a row raises
+    ``DuplicateElements`` first (``_check_rows``), so each line counted
+    has h distinct points. Points are tested and walked through
+    ``k.points``, never copied."""
+    rows, _ = _rows_and_tables(k)
+    _check_rows(k.schema, rows)
     points = k.points
     b = k.schema.b
     alien = []
@@ -524,30 +536,32 @@ def _kaleidoscope_violation(k: Kaleidoscope) -> KaleidoscopeReport:
     n = k.n
     expected = n * (n - 1) // 2 * b
     over = [key for key, c in counts.items() if c != 1]
-    if not over and len(counts) == expected:
-        width = k.schema.k
-        for index, plane in enumerate(k.planes):
-            if isinstance(plane, LineTable) and not _is_plane(plane, width):
-                spanned = len(frozenset().union(*plane))
-                bad = (index, spanned, width)
-                return KaleidoscopeReport(False, expected, b, None, [], bad)
-        return KaleidoscopeReport(True, expected, b, None, [])
     if over:
         x, y, color = min(over)
         return KaleidoscopeReport(
             False, expected, b, ((x, y), color, counts[(x, y, color)]), []
         )
-    # Some pair-color slot is missing; find the first one. Canonical
+    if len(counts) == expected:
+        # Every (pair, color) once, so the count failed on a line table
+        # that is not a plane.
+        width = k.schema.k
+        index, plane = next(
+            (index, plane)
+            for index, plane in enumerate(k.planes)
+            if isinstance(plane, LineTable) and not _is_plane(plane, width)
+        )
+        bad = (index, len(frozenset().union(*plane)), width)
+        return KaleidoscopeReport(False, expected, b, None, [], bad)
+    # Some pair-color slot is missing; name the first one. Canonical
     # order is sorted order, so i < j gives x < y as the counts key them.
-    for i in range(n):
-        for j in range(i + 1, n):
-            x, y = points[i], points[j]
-            for color in range(b):
-                if (x, y, color) not in counts:
-                    return KaleidoscopeReport(
-                        False, expected, b, ((x, y), color, 0), []
-                    )
-    return KaleidoscopeReport(False, expected, b, None, [])
+    x, y, color = next(
+        (points[i], points[j], color)
+        for i in range(n)
+        for j in range(i + 1, n)
+        for color in range(b)
+        if (points[i], points[j], color) not in counts
+    )
+    return KaleidoscopeReport(False, expected, b, ((x, y), color, 0), [])
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +733,7 @@ def kaleidoscope_to_json(k: Kaleidoscope) -> dict:
     else:
         points = k.points.to_json()
         # Each element is encoded once, and its JSON value is shared by
-        # every plane, so ``dumps`` writes a list-valued one once per depth.
+        # every plane, so ``dumps`` writes a list-valued one once per matrix.
         enc = _Memo(k.points.encoder()).__getitem__
     planes = []
     for plane in k.planes:
@@ -873,39 +887,37 @@ def dumps(obj) -> str:
     indent=1)``. With an indent, the standard library falls back to its
     pure-Python encoder; this writer appends the pieces of the whole text
     to one list and joins them once, so no level copies the text of the
-    levels below it. It writes a list of ints in one pass, and a list
-    object met again at the same depth (a shared element encoding) from
-    its first text. A matrix, a list of n lists or tuples all of one
-    length k > 0, is one piece: one ``%`` fill of a template of n rows of
-    k slots. The slots take the items themselves when all are ints, else
-    the text of each distinct item, written once. A value of any other
-    type than dict, list, tuple, str, int, float, bool and None, or a key
-    that is not a str, sends the whole object to ``json.dumps``, which
-    encodes it or raises as it always did.
+    levels below it. It writes a list of ints in one pass. A matrix, a
+    list of n lists or tuples all of one length k > 0, is one piece: one
+    ``%`` fill of a template of n rows of k slots. The slots take the
+    items themselves when all are ints, else the text of each distinct
+    item, written once. A value of any other type than dict, list, tuple,
+    str, int, float, bool and None, or a key that is not a str, sends the
+    whole object to ``json.dumps``, which encodes it or raises as it
+    always did.
     """
     out = []
     try:
-        _write(obj, 0, defaultdict(dict), out)
+        _write(obj, 0, out)
     except _Unsupported:
         return json.dumps(obj, sort_keys=True, indent=1)
     return "".join(out)
 
 
-def _item_texts(rows: list, depth: int, memo: defaultdict) -> tuple:
+def _item_texts(rows: list, depth: int) -> tuple:
     """The texts of the rows' items at depth, in row order, each distinct
     object written once."""
     items = chain.from_iterable
     texts = dict(zip(map(id, items(rows)), items(rows)))
     for key, item in texts.items():
         pieces = []
-        _write(item, depth, memo, pieces)
+        _write(item, depth, pieces)
         texts[key] = "".join(pieces)
     return tuple(map(texts.__getitem__, map(id, items(rows))))
 
 
-def _write(obj, depth: int, memo: defaultdict, out: list) -> None:
-    """Append the text of obj at nesting depth to out; memo maps depth ->
-    id -> text of a list of ints."""
+def _write(obj, depth: int, out: list) -> None:
+    """Append the text of obj at nesting depth to out."""
     kind = type(obj)
     if kind is str:
         out.append(_quote(obj))
@@ -915,18 +927,12 @@ def _write(obj, depth: int, memo: defaultdict, out: list) -> None:
         if not obj:
             out.append("[]")
             return
-        known = memo[depth]
-        text = known.get(id(obj))
-        if text is not None:
-            out.append(text)
-            return
         outer = "\n" + " " * depth
         inner = outer + " "
         kinds = set(map(type, obj))
         if kinds == _INTS:
             text = "[" + inner + ("," + inner).join(map(int.__repr__, obj))
-            known[id(obj)] = text = text + outer + "]"
-            out.append(text)
+            out.append(text + outer + "]")
         elif kinds <= _ROWS and len(obj[0]) and len(set(map(len, obj))) == 1:
             # A matrix: n rows of k items, written by one template fill.
             below = "\n" + " " * (depth + 1)
@@ -940,14 +946,14 @@ def _write(obj, depth: int, memo: defaultdict, out: list) -> None:
             if type(obj[0][0]) is int:
                 flat = tuple(chain.from_iterable(obj))
             if set(map(type, flat)) != _INTS:
-                flat = _item_texts(obj, depth + 2, memo)
+                flat = _item_texts(obj, depth + 2)
             out.append(template % flat)
         else:
             sep = "[" + inner
             for item in obj:
                 out.append(sep)
                 sep = "," + inner
-                _write(item, depth + 1, memo, out)
+                _write(item, depth + 1, out)
             out.append(outer + "]")
     elif kind is dict:
         if not obj:
@@ -961,7 +967,7 @@ def _write(obj, depth: int, memo: defaultdict, out: list) -> None:
         for name, value in sorted(obj.items()):
             out.append(sep + _quote(name) + ": ")
             sep = "," + inner
-            _write(value, depth + 1, memo, out)
+            _write(value, depth + 1, out)
         out.append(outer + "}")
     elif obj is None:
         out.append("null")

@@ -594,6 +594,26 @@ def test_element_json_round_trip():
     assert p.decoder()(p.encoder()(y)) == y
 
 
+@pytest.mark.parametrize(
+    "obj,message",
+    [
+        (
+            {"kind": "cyclic", "v": "7"},
+            "cyclic descriptor needs an integer 'v'",
+        ),
+        (
+            {"kind": "ext", "p": 3, "modulus": [1, 0.5, 1]},
+            "modulus coefficients must be integers",
+        ),
+    ],
+    ids=["string-v", "float-coefficient"],
+)
+def test_descriptor_refuses_non_integer_fields(obj, message):
+    with pytest.raises(MalformedInput) as err:
+        descriptor_from_json(obj)
+    assert str(err.value) == message
+
+
 def test_element_json_validates():
     f = make_group(PrimeField(7))
     with pytest.raises(MalformedInput):
@@ -926,6 +946,13 @@ def test_transversal_needs_1_mod_6():
         transversal(make_group(PrimeField(11)))
 
 
+def test_transversal_refuses_an_unknown_mode():
+    f = make_group(PrimeField(19))
+    with pytest.raises(MalformedInput) as err:
+        transversal(f, "bogus")
+    assert str(err.value) == "unknown transversal mode: 'bogus'"
+
+
 # --- property tests ---
 
 
@@ -1003,7 +1030,8 @@ def _kernel_case(draw):
 def test_kernels_match_their_definitions(case):
     desc, x, a, b = case
     g = make_group(desc)
-    assert g.translates(x) == [g.add(x, y) for y in g.elements()]
+    column = g.translate_column(x, list(g))
+    assert column == [g.add(x, y) for y in g.elements()]
     assert g.differences(a, b) == list(map(g.sub, a, b))
     assert g.unsigned_differences(a, b) == [
         min(d, g.neg(d)) for d in map(g.sub, a, b)
@@ -1014,8 +1042,8 @@ def test_kernels_match_their_definitions(case):
 
 def test_prime_translates_reduce_first():
     f = make_group(PrimeField(7))
-    assert f.translates(10) == [3, 4, 5, 6, 0, 1, 2]
-    assert f.translates(-2) == [5, 6, 0, 1, 2, 3, 4]
+    assert f.translate_column(10, list(f)) == [3, 4, 5, 6, 0, 1, 2]
+    assert f.translate_column(-2, list(f)) == [5, 6, 0, 1, 2, 3, 4]
     assert f.times(-2, [1, 10]) == [5, 1]
 
 

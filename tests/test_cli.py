@@ -1154,6 +1154,51 @@ def test_compose_pbd_missing_ingredient(tmp_path, monkeypatch):
     assert main(["compose", "pbd", "--file", str(path)]) == 2
 
 
+@pytest.fixture
+def refusal_files(tmp_path, kdf7_file, kdf19_file):
+    """Files named by the argument lists of the refusal cases."""
+    files = {"left": kdf7_file, "right": kdf19_file}
+    for name, group, k in (("dm5", F19, 5), ("dm7", F7, 7)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dm_to_json(field_dm(group, k))))
+        files[name] = str(path)
+    path = tmp_path / "empty.txt"
+    path.write_text("v=0\n")
+    files["pbd0"] = str(path)
+    return files
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            "compose kdf --left {left} --right {right} --dm {dm5}",
+            "matrix has 5 rows, the blocks have 7 entries",
+        ),
+        (
+            "compose kdf --left {left} --right {right} --dm {dm7}",
+            "matrix group differs from the second family",
+        ),
+        (
+            "catalog add --file {dm7}",
+            "expected a family or kaleidoscope object",
+        ),
+        ("verify schema --schema=", "pass --schema with a name or a file"),
+        ("compose pbd --file {pbd0}", "the covering design has no blocks"),
+    ],
+    ids=["dm-rows", "dm-group", "catalog-matrix", "empty-schema", "empty-pbd"],
+)
+def test_ingredient_refusals_are_one_error_line(
+    argv, message, refusal_files, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setenv("KALEIDO_CATALOG", str(tmp_path / "cat"))
+    assert main([arg.format(**refusal_files) for arg in argv.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "cat").exists()
+
+
 # -- console entry point ------------------------------------------------------
 
 

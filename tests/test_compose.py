@@ -19,6 +19,7 @@ from kaleido.designs import (
     develop,
     kaleidoscope_to_json,
     kdf_to_json,
+    replicate,
     verify_df,
     verify_kaleidoscope,
     verify_kdf,
@@ -155,6 +156,16 @@ def test_pbd_compose_missing_ingredient():
     with pytest.raises(MissingIngredient) as err:
         pbd_compose(pbd, {})
     assert err.value.size == 7
+
+
+def test_pbd_compose_refuses_an_entry_of_another_size():
+    """A valid kaleidoscope filed under a size it does not have."""
+    seven = PairwiseBalancedDesign(7, (frozenset(range(7)),))
+    scope7 = replicate(seven, FANO)
+    pbd = PairwiseBalancedDesign(9, (frozenset(range(9)),))
+    with pytest.raises(IngredientInvalid) as err:
+        pbd_compose(pbd, {9: scope7})
+    assert str(err.value) == "catalog entry for size 9 has 7 points"
 
 
 def test_pbd_compose_rejects_bad_pbd():

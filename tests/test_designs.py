@@ -144,7 +144,9 @@ def test_family_checks_each_row(row, error):
 
 def test_translate_and_scale():
     points = (0, 1, 2, 4, 5, 11, 8)
-    assert [Z19.translates(x)[1] for x in points] == [1, 2, 3, 5, 6, 12, 9]
+    assert [Z19.translate_column(x, list(Z19))[1] for x in points] == [
+        1, 2, 3, 5, 6, 12, 9
+    ]
     assert Z19.times(7, points) == [0, 7, 14, 9, 16, 1, 18]
 
 

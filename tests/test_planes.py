@@ -201,12 +201,15 @@ def test_row_with_a_repeated_point_fails_the_pair_count():
     Every color gets three distinct pair keys, as many as there are
     pairs, but some of them pair a point with itself, so pairs {0,1},
     {0,2} and {1,2} are each missed by some color. Only the check for
-    such keys tells.
+    such keys tells. The recount then names the fault as the decoder
+    does: a repeated point raises ``DuplicateElements``.
     """
     layout = KaleidoscopeSchema("pairs", 3, 2, ((0, 1), (0, 2), (1, 2)))
     rows = ((0, 0, 1), (1, 2, 2), (2, 0, 0))
     bad = Kaleidoscope(range(3), layout, rows)
-    assert not verify_kaleidoscope(bad).valid
+    assert not designs._each_pair_once(bad, 3)
+    with pytest.raises(DuplicateElements, match=r"block \(0, 0, 1\)"):
+        verify_kaleidoscope(bad)
     good = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     scope = Kaleidoscope(range(3), layout, good)
     assert verify_kaleidoscope(scope).valid

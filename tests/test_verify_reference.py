@@ -18,6 +18,8 @@ from collections import Counter
 from itertools import chain, combinations, permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kaleido.algebra import (
     Cyclic,
@@ -44,7 +46,7 @@ from kaleido.designs import (
     verify_kaleidoscope,
     verify_kdf,
 )
-from kaleido.errors import MalformedInput
+from kaleido.errors import DuplicateElements, MalformedInput
 from kaleido.schema import KaleidoscopeSchema, builtin_schema
 from kaleido.search import (
     FANO_POWERS,
@@ -512,9 +514,13 @@ def test_developed_planes_as_line_tables_match(name):
 
 
 def test_wrong_line_sizes_match():
+    """Both refuse lines of the wrong size: the verifier raises the
+    decoder's error, and the reference recount finds a pair off."""
     k = scope("19")
-    rep = check_scope(_with_planes(k, _moved_between_lines(k)))
-    assert not rep.valid
+    moved = _with_planes(k, _moved_between_lines(k))
+    with pytest.raises(MalformedInput, match="line has the wrong size"):
+        verify_kaleidoscope(moved)
+    assert not ref_verify_kaleidoscope(moved).valid
 
 
 def test_wrong_line_count_raises_in_both():
@@ -798,3 +804,175 @@ def test_failing_family_over_a_large_prime_names_a_prefix():
     counts = Counter(designs.delta(FANO19[1], f))
     want = [(el, counts[el]) for el in range(1, designs._OFF_LIMIT + 1)]
     assert rep.family_report.off_elements == want
+
+
+# ---------------------------------------------------------------------------
+# hand-edited kaleidoscopes against a brute-force oracle
+
+
+def _oracle(k):
+    """The definition, counted by brute force: every plane has b lines
+    of h distinct points, which lie on k points of the kaleidoscope with
+    each pair of them on one line, and every (pair, color) occurs once.
+    A row is cut into lists, so a repeated point stays visible."""
+    schema = k.schema
+    b, h, width = schema.b, schema.h, schema.k
+    points = set(k.points)
+    seen = Counter()
+    for plane in k.planes:
+        if isinstance(plane, LineTable):
+            lines = [list(line) for line in plane]
+        else:
+            lines = [[plane[i] for i in line] for line in schema.lines]
+        sizes = {len(ln) for ln in lines} | {len(set(ln)) for ln in lines}
+        if len(lines) != b or sizes != {h}:
+            return False
+        spanned = set(chain.from_iterable(lines))
+        if len(spanned) != width or not spanned <= points:
+            return False
+        pairs = Counter(
+            frozenset(pair) for ln in lines for pair in combinations(ln, 2)
+        )
+        if len(pairs) != width * (width - 1) // 2 or max(pairs.values()) > 1:
+            return False
+        for color, ln in enumerate(lines):
+            seen.update((frozenset(p), color) for p in combinations(ln, 2))
+    n = len(points)
+    return len(seen) == n * (n - 1) // 2 * b and set(seen.values()) <= {1}
+
+
+def _affine_plane_7():
+    """AG(2, 7): 56 lines of 7 points on 49."""
+    blocks = [
+        frozenset(x + 7 * ((m * x + c) % 7) for x in range(7))
+        for m in range(7)
+        for c in range(7)
+    ]
+    blocks += [frozenset(c + 7 * y for y in range(7)) for c in range(7)]
+    return PairwiseBalancedDesign(49, tuple(blocks))
+
+
+@functools.cache
+def _edit_base(name):
+    if name == "7-replicated":
+        return replicate(
+            PairwiseBalancedDesign(7, (frozenset(range(7)),)), FANO
+        )
+    if name == "9-hesse-replicated":
+        return replicate(
+            PairwiseBalancedDesign(9, (frozenset(range(9)),)), HESSE
+        )
+    if name == "49-replicated":
+        return replicate(_affine_plane_7(), FANO)
+    return scope(name)
+
+
+EDIT_BASES = [
+    "19", "25", "133", "19-hesse",
+    "7-replicated", "9-hesse-replicated", "49-replicated",
+]
+
+
+def _near_pencil(points, j):
+    """Line table j of the near-pencil on k = b sorted points: the line
+    of every point but point j in color j, and {point j, point c} in
+    every other color c. Lines of k - 1 and 2 points, each pair once."""
+    pts = sorted(points)
+    return LineTable(
+        frozenset(pts) - {pts[j]} if c == j else frozenset({pts[j], pts[c]})
+        for c in range(len(pts))
+    )
+
+
+def _edited(k, edits):
+    """k with each edit applied in turn. An edit is plain data: its kind
+    and ints taken modulo whatever they index, so examples stay short."""
+    schema = k.schema
+    b, width = schema.b, schema.k
+    planes = list(k.planes)
+    for kind, *args in edits:
+        if kind == "one-point-row":
+            x = k.points[args[0] % k.n]
+            planes.append((x,) * width)
+            continue
+        if not planes:
+            continue
+        p = args[0] % len(planes)
+        plane = planes[p]
+        if kind == "move":
+            # Move a point of one color's line into another's; with
+            # ``back``, a point of that line moves the other way.
+            lines = list(k.lines_of(plane))
+            c1 = args[1] % b
+            c2 = (c1 + 1 + args[2] % (b - 1)) % b
+            x = sorted(lines[c1])[args[3] % len(lines[c1])]
+            y = sorted(lines[c2])[args[4] % len(lines[c2])]
+            lines[c1], lines[c2] = lines[c1] - {x}, lines[c2] | {x}
+            if args[5]:
+                lines[c1], lines[c2] = lines[c1] | {y}, lines[c2] - {y}
+            planes[p] = LineTable(lines)
+        elif kind == "repeat":
+            rows = [
+                i for i, r in enumerate(planes) if not isinstance(r, LineTable)
+            ]
+            if rows:
+                p = rows[args[0] % len(rows)]
+                row = list(planes[p])
+                i = args[1] % width
+                row[(i + 1 + args[2] % (width - 1)) % width] = row[i]
+                planes[p] = tuple(row)
+        elif kind == "drop":
+            del planes[p]
+        elif kind == "duplicate":
+            planes.append(plane)
+        elif kind == "swap-colors":
+            q = args[1] % len(planes)
+            swapped = _swapped_between_planes(
+                _with_planes(k, planes), p, q, args[2] % b
+            )
+            planes = list(swapped.planes)
+        elif kind == "pencil" and b == width:
+            # Every plane on plane p's points gives way to a near-pencil
+            # table on them: for a replicated block, all b copies.
+            spanned = frozenset().union(*k.lines_of(plane))
+            same = [
+                i
+                for i, pl in enumerate(planes)
+                if frozenset().union(*k.lines_of(pl)) == spanned
+            ]
+            for j, i in enumerate(same):
+                planes[i] = _near_pencil(spanned, j % width)
+    return _with_planes(k, planes)
+
+
+_INDEX = st.integers(0, 10**6)
+_EDIT = st.one_of(
+    st.tuples(st.just("move"), *[_INDEX] * 5, st.booleans()),
+    st.tuples(st.just("repeat"), *[_INDEX] * 3),
+    st.tuples(st.just("one-point-row"), _INDEX),
+    st.tuples(st.sampled_from(["drop", "duplicate", "pencil"]), _INDEX),
+    st.tuples(st.just("swap-colors"), *[_INDEX] * 3),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(EDIT_BASES),
+    st.lists(_EDIT, min_size=0, max_size=3),
+)
+@example("7-replicated", [("pencil", 0)])
+@example("49-replicated", [("pencil", 5)])
+@example("19", [("one-point-row", 0)])
+@example("19", [("repeat", 3, 0, 0)])
+@example("19", [("swap-colors", 0, 1, 3)])
+def test_edited_kaleidoscopes_match_the_oracle(name, edits):
+    """The verifier either raises a shape fault, on an object the
+    oracle refuses, or its verdict is the oracle's."""
+    k = _edited(_edit_base(name), edits)
+    want = _oracle(k)
+    try:
+        got = verify_kaleidoscope(k).valid
+    except (MalformedInput, DuplicateElements):
+        assert not want
+    else:
+        assert got == want
