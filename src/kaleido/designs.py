@@ -412,8 +412,8 @@ def verify_kaleidoscope(k: Kaleidoscope) -> KaleidoscopeReport:
 
     A failing k is recounted only to name its fault. Shape faults raise
     the decoder's errors: ``MalformedInput`` for a plane of the wrong
-    length or a line not of h points, ``DuplicateElements`` for a point
-    repeated in a row.
+    length, a line not of h points or an unhashable point in a row,
+    ``DuplicateElements`` for a point repeated in a row.
     """
     b = k.schema.b
     n = k.n
@@ -476,8 +476,8 @@ def _each_pair_once(k: Kaleidoscope, n: int) -> bool:
     Each point gets a code from ``_sidon_codes``, and a point pair is the
     sum of its two codes. A color passes when its lines make n(n-1)/2
     pair keys in all, no key twice and no key of a point paired with
-    itself. An unknown point, a line table that is not a plane, a point
-    repeated in a row or a repeated key reads False.
+    itself. An unknown or unhashable point, a line table that is not a
+    plane, a point repeated in a row or a repeated key reads False.
     """
     rows, tables = _rows_and_tables(k)
     schema = k.schema
@@ -490,7 +490,8 @@ def _each_pair_once(k: Kaleidoscope, n: int) -> bool:
     try:
         row_codes = list(map(code.__getitem__, chain.from_iterable(rows)))
         line_codes = list(map(code.__getitem__, chain.from_iterable(lines)))
-    except KeyError:
+    except (KeyError, TypeError):
+        # an unknown or an unhashable point
         return False
     if not all(_is_plane(table, width) for table in tables):
         return False

@@ -147,17 +147,34 @@ def _check_row(schema: KaleidoscopeSchema, points: tuple) -> None:
         raise MalformedInput(
             f"block has {len(points)} points, layout wants {schema.k}"
         )
-    if len(set(points)) != len(points):
+    try:
+        distinct = len(set(points))
+    except TypeError:
+        for x in points:
+            try:
+                hash(x)
+            except TypeError:
+                raise MalformedInput(
+                    f"unhashable point {x!r} in block {points}"
+                ) from None
+        raise
+    if distinct != len(points):
         raise DuplicateElements(f"repeated point in block {points}")
 
 
 def _check_rows(schema: KaleidoscopeSchema, rows: Sequence) -> None:
     """``_check_row`` on every row, in two whole-column passes: the
     rows' lengths, and the sizes of their point sets, must all be k.
-    Only when they are not are the rows checked one by one, so the first
-    faulty row is the one named."""
+    Only when they are not, or a point cannot be hashed, are the rows
+    checked one by one, so the first faulty row is the one named."""
     k = {schema.k}
-    if set(map(len, rows)) - k or set(map(len, map(set, rows))) - k:
+    try:
+        whole = not (
+            set(map(len, rows)) - k or set(map(len, map(set, rows))) - k
+        )
+    except TypeError:
+        whole = False
+    if not whole:
         for row in rows:
             _check_row(schema, row)
 

@@ -21,13 +21,18 @@ The asymptotic constraint chains are data (``_CHAINS``), their classes
 labels of ``search constrained``. Chain and prefix searches run one
 descent, ``_first_block``, whose levels yield candidates given the
 earlier picks and keep no other state.
+
+The exhaustive sweep cuts its tree into subtrees at a fixed depth. On
+more than one job it forks its own workers (``_forked_map``), which take
+one subtree at a time, so importing this module loads no process pool.
 """
 
 from __future__ import annotations
 
 import functools
+import marshal
+import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import islice
 from operator import itemgetter
@@ -933,6 +938,8 @@ def serial_sweep_reason(mode: str, max_nodes: Optional[int]) -> Optional[str]:
         return "exists mode stops at the first family in sweep order"
     if max_nodes is not None:
         return "a node budget is spent in sweep order"
+    if not hasattr(os, "fork"):
+        return "this platform cannot fork worker processes"
     return None
 
 
@@ -942,6 +949,100 @@ def _sweep_subtree(payload):
     sweep = _Sweep(v, builtin_schema(schema_name), mode, max_nodes)
     sweep.run(prefix=prefix)
     return sweep.nodes, sweep.solutions, sweep.first, sweep.budget_hit
+
+
+# Writes of at most PIPE_BUF bytes to a pipe are atomic; POSIX makes
+# PIPE_BUF at least 512.
+_ATOMIC_WRITE = 512
+
+
+def _forked_map(fn, items: list, workers: int) -> list:
+    """``[fn(x) for x in items]``, computed in ``workers`` forked children.
+
+    The children inherit ``items``, so only indices are sent: each child
+    reads them 4 bytes at a time from one shared pipe, into which the
+    parent writes every index in atomic writes of whole indices, so each
+    item goes to exactly one child, one at a time. At EOF a child writes
+    its ``(index, result)`` pairs, marshalled, to its own pipe and leaves
+    by ``os._exit``. The parent reads each child's pipe to EOF and reaps
+    it, and raises ``ChildProcessError`` if one exited non-zero. If the
+    parent fails or is interrupted, every child left is killed and
+    reaped. Results must be marshallable.
+    """
+    results = [None] * len(items)
+    readers = {}  # pid -> read end of that child's result pipe
+    reaped = set()
+    tasks_r, tasks_w = os.pipe()
+    try:
+        try:
+            for _ in range(workers):
+                out_r, out_w = os.pipe()
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _map_worker(fn, items, tasks_r, tasks_w, out_w)
+                except BaseException:
+                    os.close(out_r)
+                    raise
+                finally:
+                    # Only the parent gets here, right after the fork, so
+                    # no later child holds this child's result pipe open.
+                    os.close(out_w)
+                readers[pid] = out_r
+        finally:
+            os.close(tasks_r)
+        try:
+            indices = b"".join(
+                i.to_bytes(4, "little") for i in range(len(items))
+            )
+            for at in range(0, len(indices), _ATOMIC_WRITE):
+                os.write(tasks_w, indices[at:at + _ATOMIC_WRITE])
+        finally:
+            os.close(tasks_w)
+        for pid, fd in readers.items():
+            with open(fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped.add(pid)
+            if code:
+                raise ChildProcessError(
+                    f"worker process {pid} exited with status {code}"
+                )
+            for i, result in marshal.loads(data):
+                results[i] = result
+    finally:
+        for pid, fd in readers.items():
+            os.close(fd)
+            if pid not in reaped:
+                # only a failed or interrupted map gets here, so start-up
+                # does not import signal
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return results
+
+
+def _map_worker(fn, items, tasks_r, tasks_w, out_w):
+    """A ``_forked_map`` child's whole life; it never returns."""
+    code = 1
+    try:
+        os.close(tasks_w)
+        done = []
+        while index := os.read(tasks_r, 4):
+            if len(index) != 4:
+                raise OSError(f"read {len(index)} bytes of an index")
+            i = int.from_bytes(index, "little")
+            done.append((i, fn(items[i])))
+        with open(out_w, "wb", closefd=False) as out:
+            out.write(marshal.dumps(done))
+        code = 0
+    except Exception:
+        import traceback
+
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(code)
 
 
 def exhaustive_nonexistence(
@@ -961,8 +1062,13 @@ def exhaustive_nonexistence(
     combinations, the nine-point layout at v >= 13 and anything at
     v = 19, must be opted into or given a node budget: nine points at
     v = 13 visit 96,605,589 nodes (about 10 s on two cores), and seven
-    points at v = 19 an estimated 6.6e9. Exists mode and a node budget
-    run in one process (see ``serial_sweep_reason``).
+    points at v = 19 an estimated 6.6e9.
+
+    With jobs > 1 the subtrees are swept by min(jobs, subtrees) forked
+    child processes, each taking one subtree at a time; the results are
+    merged in subtree order, so every count and the first solution are
+    those of one job. Exists mode, a node budget and a platform without
+    ``os.fork`` run in one process (see ``serial_sweep_reason``).
     """
     if mode not in ("count", "exists"):
         raise MalformedInput(f"unknown mode {mode!r}")
@@ -1004,15 +1110,11 @@ def exhaustive_nonexistence(
             yield v, schema_name, mode, prefix, remaining
 
     if jobs > 1 and len(prefixes) > 1:
-        # No more processes than subtrees, each with about four batches:
-        # few round trips, yet a process that drew small subtrees still
-        # takes another batch.
-        workers = min(jobs, len(prefixes))
-        chunksize = -(-len(prefixes) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(_sweep_subtree, payloads(), chunksize=chunksize)
-            )
+        # No more processes than subtrees; each takes one subtree at a
+        # time, so one that drew small subtrees takes more of them.
+        results = _forked_map(
+            _sweep_subtree, list(payloads()), min(jobs, len(prefixes))
+        )
     else:
         results = map(_sweep_subtree, payloads())
     finished = 0

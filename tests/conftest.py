@@ -1,6 +1,8 @@
 """Helpers shared by the test modules."""
 
-import multiprocessing
+import glob
+import os
+import signal
 import subprocess
 import sys
 
@@ -74,18 +76,49 @@ def run_with_peak():
     return _run_with_peak
 
 
+def _end_children():
+    """End and reap this process's child processes; name the ones found.
+
+    On Linux the children are listed in /proc/self/task/*/children, and
+    each is killed and reaped. Elsewhere ``os.waitpid(-1, os.WNOHANG)``
+    reaps the ones that have exited and tells whether any still run,
+    though not which.
+    """
+    lists = glob.glob("/proc/self/task/*/children")
+    if lists:
+        pids = set()
+        for name in lists:
+            with open(name) as fh:
+                pids.update(int(pid) for pid in fh.read().split())
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        return sorted(pids)
+    found = []
+    while True:
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return found
+        found.append(pid if pid else "running, pid unknown")
+        if not pid:
+            return found
+
+
 @pytest.fixture(autouse=True)
 def no_worker_left():
-    """Fail a test that leaves a pool process running once it is done.
+    """Fail a test that leaves a child process behind once it is done.
 
     The leftovers are ended first, so that the next test starts clean.
     """
     yield
-    alive = multiprocessing.active_children()
-    for proc in alive:
-        proc.terminate()
-        proc.join()
-    assert not alive, f"worker processes left running: {alive}"
+    left = _end_children()
+    assert not left, f"child processes left behind: {left}"
+
+
+@pytest.fixture
+def end_children():
+    return _end_children
 
 
 def pytest_addoption(parser):

@@ -1086,6 +1086,17 @@ def test_nonexistence_says_when_jobs_are_reduced(extra, rc, reason, capsys):
     assert reason in note
 
 
+def test_nonexistence_says_when_the_platform_cannot_fork(monkeypatch, capsys):
+    monkeypatch.delattr(os, "fork")
+    assert main(["nonexistence", "--v", "7", "--jobs", "4"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["jobs"] == 1
+    assert captured.err.splitlines()[0] == (
+        "note: ran on 1 job instead of 4:"
+        " this platform cannot fork worker processes"
+    )
+
+
 def test_nonexistence_no_note_when_jobs_kept(capsys):
     assert main(["nonexistence", "--v", "7", "--jobs", "2"]) == 0
     captured = capsys.readouterr()

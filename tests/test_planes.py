@@ -239,6 +239,31 @@ def test_wrong_row_length_raises():
         verify_kaleidoscope(broken)
 
 
+def _f25_rows_with_a_list_point():
+    """100 rows over F_25, as many as its 300 pairs need, the last point
+    of each the list [2, 1]: the pair count reaches the point lookup."""
+    f25 = make_group(ExtensionField(5, (2, 0, 1)))
+    row = tuple(list(f25)[:6]) + ([2, 1],)
+    return Kaleidoscope(f25, FANO, (row,) * 100)
+
+
+@pytest.mark.parametrize(
+    "make, point",
+    [
+        (lambda: Kaleidoscope(range(7), FANO, ((0, 1, 2, 3, 4, 5, [6]),)),
+         "[6]"),
+        (_f25_rows_with_a_list_point, "[2, 1]"),
+    ],
+    ids=["range7", "f25"],
+)
+def test_unhashable_point_raises_malformed_input(make, point):
+    """A hand-built row holding a list is refused by name, not with the
+    bare TypeError of hashing it."""
+    with pytest.raises(MalformedInput) as err:
+        verify_kaleidoscope(make())
+    assert str(err.value).startswith(f"unhashable point {point} in block")
+
+
 def test_an_edited_plane_is_written_as_the_lines_it_is_judged_by():
     """Two colors swapped in one developed plane: the text written is
     the line table, so the decoded copy fails the same way."""

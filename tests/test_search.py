@@ -2,7 +2,12 @@
 
 import hashlib
 import json
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
 from itertools import permutations
 
 import pytest
@@ -629,31 +634,104 @@ def test_sweep_v7_batched_matches_serial():
     assert batched.first_solution == serial.first_solution
 
 
-def test_sweep_pool_is_no_larger_than_its_subtrees(monkeypatch):
-    """A pool forks all its workers at the first submit, so the sweep asks
-    for no more than it has subtrees. The fake pool records the size and
-    maps serially; it starts no process."""
-    sizes = []
+def test_sweep_forks_no_more_workers_than_subtrees(monkeypatch):
+    """Each worker is forked up front, so the sweep asks for no more than
+    it has subtrees. The fake map records the count and maps serially; it
+    starts no process."""
+    asked = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def serial_map(fn, items, workers):
+        asked.append(workers)
+        return list(map(fn, items))
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(search_module, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(search_module, "_forked_map", serial_map)
     serial = exhaustive_nonexistence(7, "fano", jobs=1)
     cert = exhaustive_nonexistence(7, "fano", jobs=10**6)
-    assert sizes == [cert.subtree_count] == [12]
+    assert asked == [cert.subtree_count] == [12]
     assert cert.jobs == 10**6
     assert cert.to_json() == dict(serial.to_json(), jobs=10**6)
+
+
+@pytest.mark.parametrize("jobs", [2, 3, 4])
+def test_sweep_v7_forked_certificate_matches_serial(jobs):
+    serial = exhaustive_nonexistence(7, "fano", jobs=1)
+    forked = exhaustive_nonexistence(7, "fano", jobs=jobs)
+    assert forked.to_json() == dict(serial.to_json(), jobs=jobs)
+
+
+def test_sweep_worker_failure_raises_and_leaves_no_process(
+    monkeypatch, capfd, end_children
+):
+    real = search_module._sweep_subtree
+    prefixes = []
+
+    def recording(payload):
+        prefixes.append(payload[3])
+        return real(payload)
+
+    monkeypatch.setattr(search_module, "_sweep_subtree", recording)
+    exhaustive_nonexistence(7, "fano")
+    doomed = prefixes[5]
+
+    def failing(payload):
+        if payload[3] == doomed:
+            raise RuntimeError("this subtree fails")
+        return real(payload)
+
+    monkeypatch.setattr(search_module, "_sweep_subtree", failing)
+    with pytest.raises(ChildProcessError, match="exited with status 1"):
+        exhaustive_nonexistence(7, "fano", jobs=2)
+    assert end_children() == []
+    assert "RuntimeError: this subtree fails" in capfd.readouterr().err
+
+
+def test_sweep_interrupted_parent_ends_its_workers(monkeypatch, end_children):
+    """A KeyboardInterrupt while the parent waits for results kills and
+    reaps the workers, which would otherwise sleep for a minute."""
+    monkeypatch.setattr(
+        search_module, "_sweep_subtree", lambda payload: time.sleep(60)
+    )
+
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(KeyboardInterrupt):
+            exhaustive_nonexistence(7, "fano", jobs=2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 30
+    assert end_children() == []
+
+
+def test_sweep_runs_serially_where_the_platform_cannot_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    reason = search_module.serial_sweep_reason("count", None)
+    assert reason == "this platform cannot fork worker processes"
+    cert = exhaustive_nonexistence(7, "fano", jobs=4)
+    assert cert.jobs == 1
+    assert cert.to_json() == exhaustive_nonexistence(7, "fano").to_json()
+
+
+@pytest.mark.parametrize("module", ["kaleido", "kaleido.cli"])
+def test_import_loads_no_process_pool(module):
+    """Only a sweep on more than one job starts processes, and it forks
+    them itself, so importing the package loads no pool machinery."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, {module}\n"
+         "print(sorted({'concurrent.futures', 'multiprocessing'}"
+         " & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_sweep_v13_batched_certificate_matches_serial():
