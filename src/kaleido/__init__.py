@@ -61,7 +61,6 @@ from .schema import (
     builtin_schema,
     schema_from_json,
     schema_to_json,
-    validate_schema,
 )
 from .search import (
     CyclotomicConstraint,

@@ -55,14 +55,9 @@ from .errors import (
     MalformedInput,
     MissingIngredient,
     NotAUnitalDesign,
+    UntiledLayout,
 )
-from .schema import (
-    KaleidoscopeSchema,
-    builtin_schema,
-    layout_from_json,
-    schema_from_json,
-    validate_schema,
-)
+from .schema import _BUILTINS, KaleidoscopeSchema, schema_from_json
 from . import search, tables
 from .search import (
     CyclotomicConstraint,
@@ -151,9 +146,8 @@ def _parse_block(field: Group, text: str) -> tuple:
 
 
 def _schema_from_arg(name: str) -> KaleidoscopeSchema:
-    if name in ("fano", "hesse"):
-        return builtin_schema(name)
-    return schema_from_json(_load_json(name))
+    """A builtin layout by its name, or the layout in the file so named."""
+    return schema_from_json(name if name in _BUILTINS else _load_json(name))
 
 
 def _catalog_from_args(args) -> Catalog:
@@ -198,24 +192,20 @@ def _cmd_verify_block(args) -> Outcome:
 
 
 def _cmd_verify_schema(args) -> Outcome:
-    if args.schema in ("fano", "hesse"):
-        schema = builtin_schema(args.schema)
-    elif args.schema:
-        obj = _load_json(args.schema)
-        if isinstance(obj, dict):
-            obj = {"name": "custom", **obj}
-        schema = layout_from_json(obj)
-    else:
+    if not args.schema:
         raise MalformedInput("pass --schema with a name or a file")
-    rep = validate_schema(schema)
+    try:
+        name, first = _schema_from_arg(args.schema).name, None
+    except UntiledLayout as err:
+        name, first = err.name, err.first_violation
     out = {
         "kind": "schema",
-        "name": schema.name,
-        "valid": rep.valid,
-        "first_violation": rep.first_violation,
+        "name": name,
+        "valid": first is None,
+        "first_violation": first,
     }
-    note = "valid layout" if rep.valid else f"violation: {rep.first_violation}"
-    return out, note, rep.valid
+    note = "valid layout" if first is None else f"violation: {first}"
+    return out, note, first is None
 
 
 def _cmd_verify_pbd(args) -> Outcome:
@@ -501,7 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--schema")
     sp.set_defaults(func=_cmd_verify_block)
     sp = vsub.add_parser("schema")
-    sp.add_argument("--schema", required=True, help="fano, hesse or a file")
+    sp.add_argument(
+        "--schema", required=True, help=f"{', '.join(_BUILTINS)} or a file"
+    )
     sp.set_defaults(func=_cmd_verify_schema)
 
     sea = top.add_parser("search", help="look for initial blocks")
@@ -518,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_search_parametric)
     sp = ssub.add_parser("asymptotic")
     _add_field_flags(sp)
-    sp.add_argument("--schema", default="fano", choices=("fano", "hesse"))
+    sp.add_argument("--schema", default="fano", choices=tuple(_BUILTINS))
     sp.add_argument("--backtrack", action="store_true")
     sp.add_argument("--emit-kdf", action="store_true")
     sp.set_defaults(func=_cmd_search_asymptotic)
@@ -533,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="block prefix to extend, e.g. 0,1,2,3; empty for the default",
     )
-    sp.add_argument("--schema", choices=("fano", "hesse"))
+    sp.add_argument("--schema", choices=tuple(_BUILTINS))
     sp.add_argument("--budget", type=int)
     sp.add_argument("--emit-kdf", action="store_true")
     sp.set_defaults(func=_cmd_search_constrained)
@@ -570,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
         "nonexistence", help="sweep all normalized families over one order"
     )
     sp.add_argument("--v", type=int, required=True)
-    sp.add_argument("--schema", default="fano", choices=("fano", "hesse"))
+    sp.add_argument("--schema", default="fano", choices=tuple(_BUILTINS))
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--mode", default="count", choices=("count", "exists"))
     sp.add_argument("--max-nodes", type=int)

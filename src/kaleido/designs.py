@@ -48,7 +48,6 @@ from .schema import (
     _first_pair_violation,
     schema_from_json,
     schema_to_json,
-    validate_schema,
 )
 
 __all__ = [
@@ -261,12 +260,10 @@ class KDFReport:
     def summary(self) -> str:
         if self.valid:
             return "valid"
-        if self.failing_colors:
-            return f"colors {self.failing_colors} fail: " + "; ".join(
-                f"color {c}: {self.color_reports[c].summary()}"
-                for c in self.failing_colors[:3]
-            )
-        return "block family fails: " + self.family_report.summary()
+        return f"colors {self.failing_colors} fail: " + "; ".join(
+            f"color {c}: {self.color_reports[c].summary()}"
+            for c in self.failing_colors[:3]
+        )
 
 
 def verify_kdf(kdf: KaleidoscopicDifferenceFamily) -> KDFReport:
@@ -276,10 +273,11 @@ def verify_kdf(kdf: KaleidoscopicDifferenceFamily) -> KDFReport:
     a (v, h, 1) difference family; each is ``_judged`` as one, on its
     own columns, and a valid color passes ``_covers_once`` by one set
     of folded differences, uncounted. The blocks, as point sets, must
-    form a (v, k, b) difference family. When no color fails and the
-    layout tiles its position pairs, every nonzero element is covered
-    once per color, b times in all, so the family is valid uncounted;
-    otherwise it is ``_judged`` at lam = b, counted to name what is off.
+    form a (v, k, b) difference family. When no color fails, every
+    nonzero element is covered once per color, b times in all, since
+    the layout tiles its position pairs by construction: the family is
+    valid uncounted, and the colors' verdict is the family's. Otherwise
+    the family is ``_judged`` at lam = b, counted to name what is off.
     """
     group = kdf.group
     schema = kdf.schema
@@ -289,12 +287,11 @@ def verify_kdf(kdf: KaleidoscopicDifferenceFamily) -> KDFReport:
         _judged(group, [cols[i] for i in line], 1, []) for line in schema.lines
     ]
     failing = [c for c, rep in enumerate(color_reports) if not rep.valid]
-    if not failing and validate_schema(schema).valid:
+    if not failing:
         family_report = DFReport(True, lam, [], [])
     else:
         family_report = _judged(group, cols, lam, [])
-    valid = family_report.valid and not failing
-    return KDFReport(valid, family_report, color_reports, failing)
+    return KDFReport(not failing, family_report, color_reports, failing)
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +404,9 @@ class KaleidoscopeReport:
 def verify_kaleidoscope(k: Kaleidoscope) -> KaleidoscopeReport:
     """Judge k by the pair count alone (``_each_pair_once``): every
     color covers every point pair once, and every line table is a plane.
-    A point row needs no plane check: the layout, which tiles its
-    position pairs, cuts the row's k distinct points into a plane.
+    A point row needs no plane check: a layout tiles its position pairs
+    by construction, so it cuts the row's k distinct points into a
+    plane.
 
     A failing k is recounted only to name its fault. Shape faults raise
     the decoder's errors: ``MalformedInput`` for a plane of the wrong
@@ -469,7 +467,8 @@ def _is_plane(lines, k: int) -> bool:
 
 def _each_pair_once(k: Kaleidoscope, n: int) -> bool:
     """True when every color's lines cover every point pair exactly once
-    and every line table is a plane.
+    and every line table is a plane. A row of k distinct points is a
+    plane already: its layout tiles the position pairs by construction.
 
     Rows are read position by position and line tables slot by slot
     (see ``_rows_and_tables``, whose ``MalformedInput`` passes through).

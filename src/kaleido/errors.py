@@ -16,6 +16,22 @@ class MalformedInput(KaleidoError):
     """Input does not have the required shape or type."""
 
 
+class UntiledLayout(MalformedInput):
+    """A layout's lines miss or repeat a position pair.
+
+    ``name`` is the layout's name and ``first_violation`` its first such
+    pair, in lexicographic order, as ``((i, j), count)``.
+    """
+
+    def __init__(self, name: str, first_violation: tuple):
+        self.name = name
+        self.first_violation = first_violation
+        pair, count = first_violation
+        super().__init__(
+            f"layout covers position pair {pair} {count} times, wanted 1"
+        )
+
+
 class NonPrimeModulus(KaleidoError):
     """A prime was required and the given modulus is composite."""
 

@@ -2,7 +2,9 @@
 
 A layout ("schema") on k positions is a list of b lines, each an h-subset
 of {0, .., k-1}, such that every pair of positions lies on exactly one
-line. The line index doubles as the color index everywhere in the package.
+line: a 2-(k, h, 1) design. ``KaleidoscopeSchema`` refuses lines that
+miss or repeat a position pair, so every layout that exists tiles them.
+The line index doubles as the color index everywhere in the package.
 
 Two layouts are built in. The seven-point one has lines
 {i, i+1, i+3} mod 7. The nine-point one stores its fixed point at position
@@ -19,22 +21,27 @@ from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .algebra import _is_json_int
-from .errors import DuplicateElements, MalformedInput
+from .errors import DuplicateElements, MalformedInput, UntiledLayout
 
 __all__ = [
     "KaleidoscopeSchema",
     "OrderedBlock",
     "builtin_schema",
-    "validate_schema",
-    "SchemaReport",
     "schema_to_json",
     "schema_from_json",
-    "layout_from_json",
 ]
 
 
 @dataclass(frozen=True)
 class KaleidoscopeSchema:
+    """b lines of h positions out of k that cover every position pair
+    exactly once.
+
+    Lines that are not h distinct positions in range raise
+    ``MalformedInput``; lines that miss or repeat a position pair then
+    raise ``UntiledLayout``, which names the first such pair.
+    """
+
     name: str
     k: int
     h: int
@@ -50,9 +57,12 @@ class KaleidoscopeSchema:
                 raise MalformedInput(f"line {line} is not an {self.h}-subset")
             if any(not isinstance(i, int) or not 0 <= i < self.k for i in line):
                 raise MalformedInput(f"line {line} has an index out of range")
+        first = _first_pair_violation(self.lines, self.k)
+        if first is not None:
+            raise UntiledLayout(self.name, first)
         # One getter picks the points of every line, in color order.
         flat = [i for line in self.lines for i in line]
-        object.__setattr__(self, "_pick", itemgetter(*flat) if flat else None)
+        object.__setattr__(self, "_pick", itemgetter(*flat))
 
     @property
     def b(self) -> int:
@@ -71,8 +81,6 @@ class KaleidoscopeSchema:
 
     def lines_at(self, points: tuple) -> tuple[frozenset, ...]:
         """The b colored lines of a block, as point sets, color order."""
-        if self._pick is None:
-            return ()
         picked = iter(self._pick(points))
         # zip over h copies of one iterator cuts the picks into lines.
         return tuple(map(frozenset, zip(*[picked] * self.h)))
@@ -83,12 +91,6 @@ class KaleidoscopeSchema:
             and self.h == other.h
             and self.lines == other.lines
         )
-
-
-@dataclass
-class SchemaReport:
-    valid: bool
-    first_violation: Optional[tuple[tuple[int, int], int]]
 
 
 def _first_pair_violation(blocks: Iterable, n: int) -> Optional[tuple]:
@@ -133,12 +135,6 @@ def builtin_schema(name: str) -> KaleidoscopeSchema:
         return _BUILTINS[name]
     except KeyError:
         raise MalformedInput(f"no builtin layout named {name!r}") from None
-
-
-def validate_schema(schema: KaleidoscopeSchema) -> SchemaReport:
-    """Check that the lines cover every position pair exactly once."""
-    first = _first_pair_violation(schema.lines, schema.k)
-    return SchemaReport(first is None, first)
 
 
 def _check_row(schema: KaleidoscopeSchema, points: tuple) -> None:
@@ -206,14 +202,19 @@ def schema_to_json(schema: KaleidoscopeSchema):
     }
 
 
-def layout_from_json(obj) -> KaleidoscopeSchema:
-    """Load a layout without checking that it tiles the position pairs."""
+def schema_from_json(obj) -> KaleidoscopeSchema:
+    """A builtin layout by its name, or a layout object in full.
+
+    An object without a ``name`` is named ``custom``. Lines that do not
+    tile the position pairs raise ``UntiledLayout``, as the constructor
+    does.
+    """
     if isinstance(obj, str):
         return builtin_schema(obj)
     if not isinstance(obj, dict):
         raise MalformedInput("layout must be a name or a JSON object")
+    name = obj.get("name", "custom")
     try:
-        name = obj["name"]
         k = obj["k"]
         h = obj["h"]
         raw_lines = obj["lines"]
@@ -231,15 +232,3 @@ def layout_from_json(obj) -> KaleidoscopeSchema:
     if not all(type(i) is int for line in lines for i in line):
         raise not_ints
     return KaleidoscopeSchema(str(name), k, h, lines)
-
-
-def schema_from_json(obj) -> KaleidoscopeSchema:
-    """Load a layout and insist it tiles the position pairs."""
-    schema = layout_from_json(obj)
-    report = validate_schema(schema)
-    if not report.valid:
-        pair, count = report.first_violation
-        raise MalformedInput(
-            f"layout covers position pair {pair} {count} times, wanted 1"
-        )
-    return schema

@@ -875,6 +875,30 @@ def test_verify_schema_file_without_k(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_nameless_layout_file_is_named_custom(tmp_path, capsys):
+    """One loader reads a layout file for every command, and names a
+    layout without a name ``custom``."""
+    fano = builtin_schema("fano")
+    layout = tmp_path / "nameless.json"
+    layout.write_text(
+        json.dumps({"k": 7, "h": 3, "lines": [list(l) for l in fano.lines]})
+    )
+    assert main(["verify", "schema", "--schema", str(layout)]) == 0
+    assert _out(capsys)["name"] == "custom"
+    rc = main(["verify", "block", "--q", "19", "--block", "0,1,2,4,5,11,8",
+               "--schema", str(layout)])
+    assert rc == 0
+    assert _out(capsys)["valid"] is True
+    pbd = tmp_path / "plane.txt"
+    plane = PairwiseBalancedDesign(7, (frozenset(range(7)),))
+    pbd.write_text(pbd_to_text(plane))
+    assert main(["replicate", "--file", str(pbd), "--schema", str(layout)]) == 0
+    # the layout equals the builtin, so the document names it as such
+    out = _out(capsys)
+    assert out["schema"] == "fano"
+    assert len(out["planes"]) == 7
+
+
 # -- compose, develop, replicate ----------------------------------------------
 
 

@@ -37,7 +37,7 @@ from kaleido.designs import (
     replicate,
     verify_kaleidoscope,
 )
-from kaleido.errors import DuplicateElements, MalformedInput
+from kaleido.errors import DuplicateElements, MalformedInput, UntiledLayout
 from kaleido.schema import KaleidoscopeSchema, builtin_schema
 from kaleido.search import generate_kdf_from_initial_block
 from test_verify_reference import ref_verify_kaleidoscope
@@ -217,11 +217,25 @@ def test_row_with_a_repeated_point_fails_the_pair_count():
 
 def test_rows_are_cut_by_the_layout_of_their_kaleidoscope():
     """Rows of a valid family put under another layout are judged by the
-    lines that layout cuts, so under an untiled one they fail."""
+    lines that layout cuts. Lines that do not tile the position pairs
+    make no layout at all; under the Fano lines with positions 0 and 1
+    swapped, a plane but not the family's, the rows fail."""
     scope = develop(_fano19())
     lines = list(FANO.lines)
     lines[lines.index((0, 1, 3))] = (0, 1, 5)  # no longer tiles the pairs
-    other = KaleidoscopeSchema("untiled", 7, 3, tuple(lines))
+    with pytest.raises(
+        UntiledLayout,
+        match=r"^layout covers position pair \(0, 3\) 0 times, wanted 1$",
+    ):
+        KaleidoscopeSchema("untiled", 7, 3, tuple(lines))
+    swap = {0: 1, 1: 0}
+    other = KaleidoscopeSchema(
+        "swapped",
+        7,
+        3,
+        tuple(tuple(sorted(swap.get(i, i) for i in ln)) for ln in FANO.lines),
+    )
+    assert not other.same_layout(FANO)
     moved = Kaleidoscope(scope.points, other, scope.planes)
     assert all(moved.lines_of(p) == other.lines_at(p) for p in moved.planes)
     assert not verify_kaleidoscope(moved).valid

@@ -16,6 +16,7 @@ import random
 import tracemalloc
 from collections import Counter
 from itertools import chain, combinations, permutations
+from operator import itemgetter
 
 import pytest
 from hypothesis import example, given, settings
@@ -46,8 +47,8 @@ from kaleido.designs import (
     verify_kaleidoscope,
     verify_kdf,
 )
-from kaleido.errors import DuplicateElements, MalformedInput
-from kaleido.schema import KaleidoscopeSchema, builtin_schema
+from kaleido.errors import DuplicateElements, MalformedInput, UntiledLayout
+from kaleido.schema import KaleidoscopeSchema, builtin_schema, schema_from_json
 from kaleido.search import (
     FANO_POWERS,
     HESSE_POWERS,
@@ -135,14 +136,15 @@ def ref_verify_kaleidoscope(k):
     expected = n * (n - 1) // 2 * b
     over = [key for key, c in counts.items() if c != 1]
     if not over and len(counts) == expected:
-        # Each line table must be a plane: k points, each pair on one line.
+        # Each plane must be a plane: k points, each pair on one line. A
+        # row is checked through the lines its layout cuts, as a line
+        # table is, so no verdict rests on the layout tiling.
         width = k.schema.k
         for index, plane in enumerate(k.planes):
-            if not isinstance(plane, LineTable):
-                continue
-            spanned = set(chain.from_iterable(plane))
+            lines = k.lines_of(plane)
+            spanned = set(chain.from_iterable(lines))
             pairs = Counter(
-                pair for line in plane for pair in combinations(sorted(line), 2)
+                pair for line in lines for pair in combinations(sorted(line), 2)
             )
             wanted = set(combinations(sorted(spanned), 2))
             if len(spanned) != width or pairs != Counter(wanted):
@@ -523,6 +525,26 @@ def test_wrong_line_sizes_match():
     assert not ref_verify_kaleidoscope(moved).valid
 
 
+def test_reference_checks_that_rows_are_planes():
+    """The reference does not take a layout's tiling on trust. Seven
+    coinciding lines {0, 1, 2} cannot be built into a layout, so one is
+    forced past the constructor here: under it, rows whose first three
+    points are the Fano lines pass every pair count, yet cut planes that
+    lie on three points."""
+    forced = object.__new__(KaleidoscopeSchema)
+    lines = ((0, 1, 2),) * 7
+    for key, value in [("name", "bad"), ("k", 7), ("h", 3), ("lines", lines),
+                       ("_pick", itemgetter(*chain.from_iterable(lines)))]:
+        object.__setattr__(forced, key, value)
+    rows = []
+    for i in range(7):
+        line = (i, (i + 1) % 7, (i + 3) % 7)
+        rows.append(line + tuple(x for x in range(7) if x not in line))
+    rep = ref_verify_kaleidoscope(Kaleidoscope(range(7), forced, tuple(rows)))
+    assert not rep.valid
+    assert rep.bad_plane == (0, 3, 7)
+
+
 def test_wrong_line_count_raises_in_both():
     k = scope("19")
     planes = list(k.planes)
@@ -542,42 +564,42 @@ def test_sidon_codes_give_distinct_pair_sums(n):
     assert len(set(sums)) == len(sums)
 
 
-def _untiled_layout():
-    # position pairs (0, 5) and (1, 5) lie on two lines, (0, 3) and
-    # (1, 3) on none
-    lines = list(FANO.lines)
-    lines[lines.index((0, 1, 3))] = (0, 1, 5)
-    return KaleidoscopeSchema("untiled", 7, 3, tuple(lines))
+# position pairs (0, 5) and (1, 5) lie on two lines, (0, 3) and (1, 3)
+# on none
+_UNTILED = tuple((0, 1, 5) if ln == (0, 1, 3) else ln for ln in FANO.lines)
+_UNTILED_MESSAGE = "layout covers position pair (0, 3) 0 times, wanted 1"
+
+
+def _refuses_untiled_lines():
+    """Building a layout from ``_UNTILED`` raises, by the constructor and
+    by the loader alike, so neither verifier is ever shown one."""
+    with pytest.raises(UntiledLayout) as built:
+        KaleidoscopeSchema("untiled", 7, 3, _UNTILED)
+    lines = [list(ln) for ln in _UNTILED]
+    with pytest.raises(UntiledLayout) as loaded:
+        schema_from_json({"name": "untiled", "k": 7, "h": 3, "lines": lines})
+    for err in (built.value, loaded.value):
+        assert str(err) == _UNTILED_MESSAGE
+        assert (err.name, err.first_violation) == ("untiled", ((0, 3), 0))
 
 
 def test_untiled_layout_family_matches():
-    layout = _untiled_layout()
-    kdf = family("19")
-    rep = check_kdf(
-        KaleidoscopicDifferenceFamily(kdf.group, layout, kdf.blocks)
-    )
-    assert not rep.valid
-    assert rep.family_report.valid
+    """No family's rows can be put under the untiled lines: they make no
+    layout to judge the rows by."""
+    _refuses_untiled_lines()
 
 
 def test_untiled_layout_kaleidoscope_matches():
-    layout = _untiled_layout()
-    k = scope("19")
-    planes = [LineTable(layout.lines_at(p)) for p in k.planes]
-    rep = check_scope(Kaleidoscope(k.points, layout, tuple(planes)))
-    assert not rep.valid
+    """No kaleidoscope's planes can be cut by the untiled lines: they
+    make no layout to judge the planes under."""
+    _refuses_untiled_lines()
 
 
 def _identity_case(case):
     kind, name = case.split(":")
     if kind == "valid":
         return family(name)
-    if kind == "spoiled":
-        return _spoiled_family(name)
-    kdf = family(name)
-    return KaleidoscopicDifferenceFamily(
-        kdf.group, _untiled_layout(), kdf.blocks
-    )
+    return _spoiled_family(name)
 
 
 @pytest.mark.parametrize(
@@ -588,7 +610,11 @@ def _identity_case(case):
 )
 def test_kdf_is_judged_as_plain_difference_families(case):
     """Each color is judged as the (v, h, 1) family of its lines, and the
-    family as the (v, k, b) family of its blocks."""
+    family as the (v, k, b) family of its blocks. Untiled lines make no
+    layout, so they have no family to judge."""
+    if case == "untiled:19":
+        _refuses_untiled_lines()
+        return
     kdf = _identity_case(case)
     schema = kdf.schema
     rep = verify_kdf(kdf)
