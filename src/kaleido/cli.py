@@ -13,7 +13,6 @@ Only ``main`` turns that triple into output and an exit code, and a
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -43,6 +42,7 @@ from .designs import (
     kaleidoscope_to_json,
     kdf_from_json,
     kdf_to_json,
+    loads,
     pbd_from_text,
     replicate,
     verify_kaleidoscope,
@@ -85,10 +85,7 @@ def _emit(obj: dict, note: str) -> None:
 
 
 def _load_json(path: str) -> dict:
-    try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as err:
-        raise MalformedInput(f"{path}: {err}") from None
+    return loads(_read_text(path), path)
 
 
 def _read_text(path: str) -> str:
@@ -306,7 +303,7 @@ def _cmd_search_constrained(args) -> Outcome:
     if args.schema is not None:
         raise MalformedInput("--schema applies only to --prefix")
     if args.constraints:
-        raw = json.loads(args.constraints)
+        raw = loads(args.constraints)
     elif args.file:
         raw = _load_json(args.file)
     else:

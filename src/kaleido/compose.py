@@ -10,7 +10,6 @@ layout's j-th line, and those selected rows still cover every difference.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -32,6 +31,7 @@ from .designs import (
     dumps,
     kaleidoscope_from_json,
     kdf_from_json,
+    loads,
     verify_kaleidoscope,
     verify_kdf,
     verify_pbd,
@@ -303,14 +303,11 @@ class Catalog:
         path = self.path_for(order, schema_name)
         if not path.is_file():
             raise MissingIngredient(order)
-        try:
-            return json.loads(path.read_text())
-        except json.JSONDecodeError as err:
-            raise MalformedInput(f"{path}: {err}") from None
+        return loads(path.read_text(), str(path))
 
     def load_kaleidoscope(self, order: int, schema_name: str) -> Kaleidoscope:
         obj = self.get_raw(order, schema_name)
-        if "blocks" in obj:
+        if _is_family(obj):
             kdf = kdf_from_json(obj)
             scope = develop(kdf)  # develop verifies the family
         else:
@@ -328,30 +325,39 @@ class Catalog:
             )
         return scope
 
-    def add(self, obj: dict) -> Path:
+    def add(self, obj) -> Path:
         """Verify a family or kaleidoscope object and store it."""
-        if "blocks" in obj:
+        if _is_family(obj):
             kdf = kdf_from_json(obj)
             rep = verify_kdf(kdf)
             if not rep.valid:
                 raise IngredientInvalid(rep.summary())
             order = kdf.group.order
             name = _schema_filename(schema_to_json(kdf.schema))
-        elif "planes" in obj:
+        else:
             scope = kaleidoscope_from_json(obj)
             rep = verify_kaleidoscope(scope)
             if not rep.valid:
                 raise IngredientInvalid(rep.summary())
             order = scope.n
             name = _schema_filename(schema_to_json(scope.schema))
-        else:
-            raise MalformedInput("expected a family or kaleidoscope object")
-        self.root.mkdir(parents=True, exist_ok=True)
         path = self.path_for(order, name)
-        with path.open("w") as out:
-            out.write(dumps(obj))
-            out.write("\n")
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            with path.open("w") as out:
+                out.write(dumps(obj))
+                out.write("\n")
+        except OSError as err:
+            raise MalformedInput(f"{path}: {err}") from None
         return path
+
+
+def _is_family(obj) -> bool:
+    """Whether a catalog document is a colored family (it has blocks)
+    rather than a kaleidoscope (it has planes); any other is refused."""
+    if not isinstance(obj, dict) or not {"blocks", "planes"} & obj.keys():
+        raise MalformedInput("expected a family or kaleidoscope object")
+    return "blocks" in obj
 
 
 def _schema_filename(encoded) -> str:

@@ -1,11 +1,11 @@
 """Difference families, their colored refinements, and developed designs.
 
 Verification functions return report objects and never raise on content
-that is merely wrong. A family either covers each nonzero difference the
-stated number of times or the report says which element is off. Exceptions
-mark malformed input only, decoded or built by hand alike: a kaleidoscope
-line not of h points raises ``MalformedInput``, a point repeated in a row
-``DuplicateElements``. A kaleidoscope's verdict is its pair count alone.
+that is merely wrong; a report holds the verdict and the first faults it
+names. A colored family's verdict is its colors', a kaleidoscope's its
+pair count alone. Exceptions mark malformed input only, decoded or built
+by hand alike: a kaleidoscope line not of h points raises
+``MalformedInput``, a point repeated in a row ``DuplicateElements``.
 
 A colored family's blocks are point rows: the family's one layout
 ``kdf.schema`` cuts each row into its colored lines. A kaleidoscope's
@@ -252,8 +252,10 @@ class KaleidoscopicDifferenceFamily:
 
 @dataclass
 class KDFReport:
+    """A colored family's verdict: a ``DFReport`` per color, and those
+    whose lines are not a (v, h, 1) family."""
+
     valid: bool
-    family_report: DFReport
     color_reports: list[DFReport]
     failing_colors: list[int]
 
@@ -267,31 +269,24 @@ class KDFReport:
 
 
 def verify_kdf(kdf: KaleidoscopicDifferenceFamily) -> KDFReport:
-    """Check each color class and the block family.
+    """Judge each color class, and the family by its colors alone.
 
     For every color, the lines of that color across all blocks must form
     a (v, h, 1) difference family; each is ``_judged`` as one, on its
     own columns, and a valid color passes ``_covers_once`` by one set
-    of folded differences, uncounted. The blocks, as point sets, must
-    form a (v, k, b) difference family. When no color fails, every
-    nonzero element is covered once per color, b times in all, since
-    the layout tiles its position pairs by construction: the family is
-    valid uncounted, and the colors' verdict is the family's. Otherwise
-    the family is ``_judged`` at lam = b, counted to name what is off.
+    of folded differences, uncounted. A failing color is counted, and
+    its report names its first ``_OFF_LIMIT`` off elements. When every
+    color passes, the blocks form a (v, k, b) difference family as a
+    consequence: the layout tiles its position pairs by construction,
+    so each nonzero element is covered once per color, b times in all.
     """
-    group = kdf.group
-    schema = kdf.schema
-    lam = schema.lambda_underlying
-    cols = _columns(kdf.blocks, schema.k)
+    cols = _columns(kdf.blocks, kdf.schema.k)
     color_reports = [
-        _judged(group, [cols[i] for i in line], 1, []) for line in schema.lines
+        _judged(kdf.group, [cols[i] for i in line], 1, [])
+        for line in kdf.schema.lines
     ]
     failing = [c for c, rep in enumerate(color_reports) if not rep.valid]
-    if not failing:
-        family_report = DFReport(True, lam, [], [])
-    else:
-        family_report = _judged(group, cols, lam, [])
-    return KDFReport(not failing, family_report, color_reports, failing)
+    return KDFReport(not failing, color_reports, failing)
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +364,9 @@ def develop(kdf: KaleidoscopicDifferenceFamily) -> Kaleidoscope:
 
 @dataclass
 class KaleidoscopeReport:
+    """A kaleidoscope's verdict and, when it fails, its first fault."""
+
     valid: bool
-    pairs: int
-    colors: int
     first_violation: Optional[tuple]  # ((x, y), color, count)
     alien_points: list
     # (plane index, points its lines lie on, k): a line table whose lines
@@ -413,10 +408,8 @@ def verify_kaleidoscope(k: Kaleidoscope) -> KaleidoscopeReport:
     length, a line not of h points or an unhashable point in a row,
     ``DuplicateElements`` for a point repeated in a row.
     """
-    b = k.schema.b
-    n = k.n
-    if _each_pair_once(k, n):
-        return KaleidoscopeReport(True, n * (n - 1) // 2 * b, b, None, [])
+    if _each_pair_once(k, k.n):
+        return KaleidoscopeReport(True, None, [])
     return _kaleidoscope_violation(k)
 
 
@@ -532,16 +525,15 @@ def _kaleidoscope_violation(k: Kaleidoscope) -> KaleidoscopeReport:
             for x, y in combinations(sorted(line), 2):
                 counts[(x, y, color)] = counts.get((x, y, color), 0) + 1
     if alien:
-        return KaleidoscopeReport(False, len(counts), b, None, alien)
+        return KaleidoscopeReport(False, None, alien)
     n = k.n
-    expected = n * (n - 1) // 2 * b
     over = [key for key, c in counts.items() if c != 1]
     if over:
         x, y, color = min(over)
         return KaleidoscopeReport(
-            False, expected, b, ((x, y), color, counts[(x, y, color)]), []
+            False, ((x, y), color, counts[(x, y, color)]), []
         )
-    if len(counts) == expected:
+    if len(counts) == n * (n - 1) // 2 * b:
         # Every (pair, color) once, so the count failed on a line table
         # that is not a plane.
         width = k.schema.k
@@ -551,7 +543,7 @@ def _kaleidoscope_violation(k: Kaleidoscope) -> KaleidoscopeReport:
             if isinstance(plane, LineTable) and not _is_plane(plane, width)
         )
         bad = (index, len(frozenset().union(*plane)), width)
-        return KaleidoscopeReport(False, expected, b, None, [], bad)
+        return KaleidoscopeReport(False, None, [], bad)
     # Some pair-color slot is missing; name the first one. Canonical
     # order is sorted order, so i < j gives x < y as the counts key them.
     x, y, color = next(
@@ -561,7 +553,7 @@ def _kaleidoscope_violation(k: Kaleidoscope) -> KaleidoscopeReport:
         for color in range(b)
         if (points[i], points[j], color) not in counts
     )
-    return KaleidoscopeReport(False, expected, b, ((x, y), color, 0), [])
+    return KaleidoscopeReport(False, ((x, y), color, 0), [])
 
 
 # ---------------------------------------------------------------------------
@@ -902,6 +894,17 @@ def dumps(obj) -> str:
     except _Unsupported:
         return json.dumps(obj, sort_keys=True, indent=1)
     return "".join(out)
+
+
+def loads(text: str, source: str = ""):
+    """Decode JSON text. A syntax error, or nesting deeper than the
+    decoder can recurse into, raises ``MalformedInput`` with the
+    decoder's message, after ``source: `` when a source is named."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as err:
+        message = f"{source}: {err}" if source else str(err)
+        raise MalformedInput(message) from None
 
 
 def _item_texts(rows: list, depth: int) -> tuple:

@@ -69,16 +69,6 @@ class KaleidoscopeSchema:
         """Number of lines, which is also the number of colors."""
         return len(self.lines)
 
-    @property
-    def lambda_underlying(self) -> int:
-        """Pair multiplicity of the uncolored design a family develops into.
-
-        Each block covers a point pair once per line through the matching
-        position pair, and the lines tile the position pairs, so this is
-        the line count b.
-        """
-        return len(self.lines)
-
     def lines_at(self, points: tuple) -> tuple[frozenset, ...]:
         """The b colored lines of a block, as point sets, color order."""
         picked = iter(self._pick(points))

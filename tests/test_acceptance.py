@@ -323,7 +323,7 @@ def test_criterion_12_small_field_property_suites(capsys):
                 counts[frozenset(pair)] += 1
         n = len(scope.points)
         assert len(counts) == n * (n - 1) // 2
-        assert set(counts.values()) == {schema.lambda_underlying}
+        assert set(counts.values()) == {schema.b}
     _finish(
         capsys, 12, 60.0, t0,
         "filters, difference invariance, pair counts all agree",

@@ -1234,6 +1234,120 @@ def test_ingredient_refusals_are_one_error_line(
     assert not (tmp_path / "cat").exists()
 
 
+def _one_error_line(rc, capsys):
+    """The error line of a run that must exit 2 with nothing on stdout."""
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
+def _seven_point_pbd(tmp_path):
+    path = tmp_path / "pbd.txt"
+    path.write_text(
+        pbd_to_text(PairwiseBalancedDesign(7, (frozenset(range(7)),)))
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "text", ["5", "null", "true", "1.5", '["blocks"]', '{"points": 7}']
+)
+def test_catalog_refuses_a_document_that_is_no_entry(text, tmp_path, capsys):
+    """``catalog add``, and ``compose pbd`` through a catalog entry, read
+    a document that is no JSON object, or an object with neither blocks
+    nor planes, as neither a family nor a kaleidoscope."""
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    cat = tmp_path / "cat"
+    rc = main(["catalog", "add", "--file", str(doc), "--catalog", str(cat)])
+    err = _one_error_line(rc, capsys)
+    assert err == "error: expected a family or kaleidoscope object\n"
+    assert not cat.exists()
+
+    cat.mkdir()
+    (cat / "k7_fano.json").write_text(text)
+    pbd = _seven_point_pbd(tmp_path)
+    rc = main(["compose", "pbd", "--file", pbd, "--catalog", str(cat)])
+    err = _one_error_line(rc, capsys)
+    assert err == "error: expected a family or kaleidoscope object\n"
+
+
+def test_catalog_add_refuses_an_unusable_catalog_path(
+    tmp_path, capsys, kdf19_file
+):
+    """A catalog under a regular file cannot be made: one error line
+    naming the file that would have been stored."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    cat = blocker / "sub"
+    rc = main(["catalog", "add", "--file", kdf19_file, "--catalog", str(cat)])
+    err = _one_error_line(rc, capsys)
+    assert err.startswith(f"error: {cat / 'k19_fano.json'}: ")
+    assert "Not a directory" in err
+
+
+# A document nested deeper than the JSON decoder can recurse into.
+DEEP = "[" * 2000 + "]" * 2000
+
+
+@pytest.fixture
+def deep_files(tmp_path, kdf7_file):
+    """Files named by the argument lists of the deep-document cases: a
+    deep document, a catalog whose one entry is deep, and a PBD that
+    asks that catalog for its entry."""
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP)
+    cat = tmp_path / "deepcat"
+    cat.mkdir()
+    (cat / "k7_fano.json").write_text(DEEP)
+    return {
+        "deep": str(deep),
+        "cat": str(cat),
+        "entry": str(cat / "k7_fano.json"),
+        "kdf": kdf7_file,
+        "pbd": _seven_point_pbd(tmp_path),
+        "empty": str(tmp_path / "emptycat"),
+    }
+
+
+@pytest.mark.parametrize(
+    "argv,source",
+    [
+        ("verify kdf --file {deep}", "{deep}"),
+        ("verify kaleidoscope --file {deep}", "{deep}"),
+        ("verify df --file {deep}", "{deep}"),
+        ("verify dm --file {deep}", "{deep}"),
+        ("verify schema --schema {deep}", "{deep}"),
+        ("develop --file {deep}", "{deep}"),
+        ("compose kdf --left {kdf} --right {deep}", "{deep}"),
+        ("compose kdf --left {kdf} --right {kdf} --dm {deep}", "{deep}"),
+        ("catalog add --file {deep} --catalog {empty}", "{deep}"),
+        ("catalog get --order 7 --catalog {cat}", "{entry}"),
+        ("compose pbd --file {pbd} --catalog {cat}", "{entry}"),
+        ("search constrained --q 7 --file {deep}", "{deep}"),
+        ("search constrained --q 7 --constraints " + DEEP, ""),
+    ],
+    ids=[
+        "verify-kdf", "verify-kaleidoscope", "verify-df", "verify-dm",
+        "verify-schema", "develop", "compose-kdf", "compose-kdf-dm",
+        "catalog-add", "catalog-get", "compose-pbd", "constraints-file",
+        "constraints-inline",
+    ],
+)
+def test_deep_json_is_one_error_line(argv, source, deep_files, capsys):
+    """Every JSON reader refuses a document too deep to decode, naming
+    its file as for a syntax error; inline constraints have no file."""
+    rc = main([arg.format(**deep_files) for arg in argv.split()])
+    err = _one_error_line(rc, capsys)
+    prefix = f"{source.format(**deep_files)}: " if source else ""
+    assert err.startswith(f"error: {prefix}maximum recursion depth exceeded")
+    assert not os.path.exists(deep_files["empty"])
+
+
 # -- console entry point ------------------------------------------------------
 
 

@@ -1,9 +1,10 @@
 """Malformed input at the CLI boundary: an exit code, never a traceback.
 
 Each document example takes the valid documents a command reads (``verify
-df``, ``verify kdf``, ``verify kaleidoscope``, ``verify dm``, ``develop``
-or ``compose kdf``), replaces or deletes one value anywhere in one of
-them, and runs the command in process. Each argument example runs
+df``, ``verify kdf``, ``verify kaleidoscope``, ``verify dm``, ``develop``,
+``compose kdf`` or ``catalog add``), replaces or deletes one value anywhere
+in one of them, and runs the command in process; ``catalog add`` stores
+into a catalog of its own per example. Each argument example runs
 ``compose dm``, a ``search`` or ``verify block`` on random values of its
 flags, integer flags included. Any exception escaping ``main`` fails the
 test, as would a traceback on stderr.
@@ -52,6 +53,8 @@ COMMANDS = [
         ["compose", "kdf"],
         [("--left", "kdf"), ("--right", "kdf"), ("--dm", "dm")],
     ),
+    (["catalog", "add"], [("--file", "kdf")]),
+    (["catalog", "add"], [("--file", "kaleidoscope")]),
 ]
 # Keys the documents use, so that random objects sometimes look right.
 KEYS = [
@@ -135,6 +138,8 @@ def test_malformed_documents_never_raise(case):
             path = Path(tmp) / f"{flag.strip('-')}.json"
             path.write_text(json.dumps(doc))
             argv = argv + [flag, str(path)]
+        if argv[0] == "catalog":
+            argv = argv + ["--catalog", str(Path(tmp) / "catalog")]
         _run(argv)
 
 

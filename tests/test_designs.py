@@ -1,6 +1,7 @@
 """Difference families, development, verification, replication."""
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,11 @@ from kaleido.errors import (
     NotAUnitalDesign,
 )
 from kaleido.schema import builtin_schema
+from test_verify_reference import (
+    ref_verify_df,
+    ref_verify_kaleidoscope,
+    ref_verify_kdf,
+)
 
 Z19 = make_group(PrimeField(19))
 FANO = builtin_schema("fano")
@@ -94,10 +100,15 @@ def test_difference_family_report():
 
 
 def test_verify_kdf_example():
-    rep = verify_kdf(_fkdf19())
+    kdf = _fkdf19()
+    rep = verify_kdf(kdf)
     assert rep.valid
-    assert rep.family_report.valid
     assert all(r.valid for r in rep.color_reports)
+    # The oracle counts every difference, and the blocks, colors
+    # forgotten, cover each nonzero one b = 7 times.
+    assert ref_verify_kdf(kdf) == rep
+    blocks = [frozenset(block) for block in kdf.blocks]
+    assert ref_verify_df(blocks, Z19, 7, FANO.b).valid
 
 
 def test_verify_kdf_hesse_example():
@@ -174,9 +185,16 @@ def test_verify_kaleidoscope_counts_pairs():
     scope = develop(_fkdf19())
     rep = verify_kaleidoscope(scope)
     assert rep.valid
-    # one slot per (point pair, color)
-    assert rep.pairs == (19 * 18 // 2) * 7
-    assert rep.colors == 7
+    assert ref_verify_kaleidoscope(scope) == rep
+    # one slot per (point pair, color), each covered once
+    slots = Counter(
+        (pair, color)
+        for plane in scope.planes
+        for color, line in enumerate(scope.lines_of(plane))
+        for pair in itertools.combinations(sorted(line), 2)
+    )
+    assert len(slots) == (19 * 18 // 2) * 7
+    assert set(slots.values()) == {1}
 
 
 @pytest.mark.parametrize(

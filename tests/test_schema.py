@@ -34,7 +34,6 @@ def test_fano_layout():
     assert s.k == 7
     assert s.b == 7
     assert set(s.lines) == FANO_LINES
-    assert s.lambda_underlying == 7
 
 
 def test_hesse_layout():
@@ -42,7 +41,6 @@ def test_hesse_layout():
     assert s.k == 9
     assert s.b == 12
     assert set(s.lines) == HESSE_LINES
-    assert s.lambda_underlying == 12
 
 
 def test_hesse_line_zero_positions():
@@ -103,11 +101,11 @@ def test_line_checks_come_before_the_tiling_check():
         assert not isinstance(err.value, UntiledLayout)
 
 
-def test_lambda_underlying_counts_lines():
+def test_triangle_layout_needs_all_three_lines():
     tiny = KaleidoscopeSchema(
         name="triangle", k=3, h=2, lines=((0, 1), (0, 2), (1, 2))
     )
-    assert tiny.lambda_underlying == 3
+    assert tiny.b == 3
     # two of the three lines tile nothing: the layout is never built
     with pytest.raises(UntiledLayout, match=r"pair \(1, 2\) 0 times"):
         KaleidoscopeSchema(name="triangle", k=3, h=2, lines=((0, 1), (0, 2)))

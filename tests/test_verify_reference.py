@@ -15,7 +15,7 @@ import functools
 import random
 import tracemalloc
 from collections import Counter
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, islice, permutations
 from operator import itemgetter
 
 import pytest
@@ -90,13 +90,14 @@ def ref_verify_df(blocks, group, k, lam):
 
 
 def ref_verify_kdf(kdf):
+    """Each color counted as a (v, h, 1) family of its lines. The blocks
+    are counted as a (v, k, b) family too, and whenever every color
+    passes, that family must be valid: the theorem ``verify_kdf`` rests
+    on, since the layout tiles its position pairs."""
     group = kdf.group
     schema = kdf.schema
     family_report = ref_verify_df(
-        [frozenset(b) for b in kdf.blocks],
-        group,
-        schema.k,
-        schema.lambda_underlying,
+        [frozenset(b) for b in kdf.blocks], group, schema.k, schema.b
     )
     color_reports = []
     failing = []
@@ -111,8 +112,9 @@ def ref_verify_kdf(kdf):
         color_reports.append(rep)
         if not rep.valid:
             failing.append(color)
-    valid = family_report.valid and not failing
-    return KDFReport(valid, family_report, color_reports, failing)
+    if not failing:
+        assert family_report.valid
+    return KDFReport(not failing, color_reports, failing)
 
 
 def ref_verify_kaleidoscope(k):
@@ -131,7 +133,7 @@ def ref_verify_kaleidoscope(k):
             for x, y in combinations(sorted(line), 2):
                 counts[(x, y, color)] = counts.get((x, y, color), 0) + 1
     if alien:
-        return KaleidoscopeReport(False, len(counts), b, None, alien)
+        return KaleidoscopeReport(False, None, alien)
     n = len(k.points)
     expected = n * (n - 1) // 2 * b
     over = [key for key, c in counts.items() if c != 1]
@@ -149,21 +151,19 @@ def ref_verify_kaleidoscope(k):
             wanted = set(combinations(sorted(spanned), 2))
             if len(spanned) != width or pairs != Counter(wanted):
                 bad = (index, len(spanned), width)
-                return KaleidoscopeReport(False, expected, b, None, [], bad)
-        return KaleidoscopeReport(True, expected, b, None, [])
+                return KaleidoscopeReport(False, None, [], bad)
+        return KaleidoscopeReport(True, None, [])
     if over:
         x, y, color = min(over)
         return KaleidoscopeReport(
-            False, expected, b, ((x, y), color, counts[(x, y, color)]), []
+            False, ((x, y), color, counts[(x, y, color)]), []
         )
     pts = sorted(point_set)
     for x, y in combinations(pts, 2):
         for color in range(b):
             if (x, y, color) not in counts:
-                return KaleidoscopeReport(
-                    False, expected, b, ((x, y), color, 0), []
-                )
-    return KaleidoscopeReport(False, expected, b, None, [])
+                return KaleidoscopeReport(False, ((x, y), color, 0), [])
+    return KaleidoscopeReport(False, None, [])
 
 
 def assert_same_report(new, ref):
@@ -186,7 +186,7 @@ def check_kdf(kdf):
     rep = verify_kdf(kdf)
     assert_same_report(rep, ref_verify_kdf(kdf))
     blocks = list(kdf.blocks)
-    lam = kdf.schema.lambda_underlying
+    lam = kdf.schema.b
     assert_same_report(
         verify_df(blocks, kdf.group, kdf.schema.k, lam),
         ref_verify_df(blocks, kdf.group, kdf.schema.k, lam),
@@ -341,7 +341,26 @@ def test_moved_block_point_matches(name, position):
     rep = check_kdf(_spoiled_family(name, position))
     assert not rep.valid
     assert rep.failing_colors
-    assert rep.family_report.off_elements
+    for c in rep.failing_colors:
+        assert rep.color_reports[c].off_elements
+
+
+@pytest.mark.parametrize("name", ["19", "19-hesse", "25", "133"])
+def test_failing_family_is_counted_once_per_failing_color(name, monkeypatch):
+    """A failing family is judged by its colors alone: each failing color
+    is counted, and the blocks are never recounted as a whole family."""
+    calls = []
+    count = designs._counted_differences
+
+    def counted(group, cols):
+        calls.append(len(cols))
+        return count(group, cols)
+
+    monkeypatch.setattr(designs, "_counted_differences", counted)
+    kdf = _spoiled_family(name)
+    rep = verify_kdf(kdf)
+    assert rep.failing_colors
+    assert calls == [kdf.schema.h] * len(rep.failing_colors)
 
 
 def test_repeated_point_in_df_block_matches():
@@ -609,9 +628,9 @@ def _identity_case(case):
     + ["untiled:19"],
 )
 def test_kdf_is_judged_as_plain_difference_families(case):
-    """Each color is judged as the (v, h, 1) family of its lines, and the
-    family as the (v, k, b) family of its blocks. Untiled lines make no
-    layout, so they have no family to judge."""
+    """Each color is judged as the (v, h, 1) family of its lines, and a
+    family whose colors all pass is a (v, k, b) family of its blocks.
+    Untiled lines make no layout, so they have no family to judge."""
     if case == "untiled:19":
         _refuses_untiled_lines()
         return
@@ -621,9 +640,8 @@ def test_kdf_is_judged_as_plain_difference_families(case):
     for c, color_report in enumerate(rep.color_reports):
         lines = [schema.lines_at(row)[c] for row in kdf.blocks]
         assert color_report == verify_df(lines, kdf.group, schema.h, 1)
-    assert rep.family_report == verify_df(
-        kdf.blocks, kdf.group, schema.k, schema.lambda_underlying
-    )
+    if rep.valid:
+        assert verify_df(kdf.blocks, kdf.group, schema.k, schema.b).valid
 
 
 # ---------------------------------------------------------------------------
@@ -825,11 +843,14 @@ def test_failing_family_over_a_large_prime_names_a_prefix():
     rep = verify_kdf(kdf)
     assert not rep.valid
     assert rep.failing_colors == list(range(FANO.b))
-    # The block's 42 differences cover no element b = 7 times, so the
-    # report names the first elements in order with their counts.
-    counts = Counter(designs.delta(FANO19[1], f))
-    want = [(el, counts[el]) for el in range(1, designs._OFF_LIMIT + 1)]
-    assert rep.family_report.off_elements == want
+    # Color 0's one line covers six of the 10^9 + 6 nonzero elements, so
+    # its report names the first elements in order not covered once,
+    # found by a walk that stops after _OFF_LIMIT of them.
+    counts = Counter(designs.delta(FANO.lines_at(FANO19[1])[0], f))
+    walk = ((el, counts[el]) for el in range(1, f.order) if counts[el] != 1)
+    want = list(islice(walk, designs._OFF_LIMIT))
+    assert len(want) == designs._OFF_LIMIT
+    assert rep.color_reports[0].off_elements == want
 
 
 # ---------------------------------------------------------------------------
