@@ -305,8 +305,8 @@ def find_irreducible(p: int, degree: int) -> tuple[int, ...]:
 
 
 def _collector_paused(make):
-    """Run make, a function that builds rows or documents, with the
-    cyclic garbage collector paused.
+    """Run make, a function that builds rows or documents or writes a
+    document's text, with the cyclic garbage collector paused.
 
     Such a function makes tens of thousands of tuples and lists, and
     each few hundred new containers start a pass of the collector over
@@ -314,10 +314,11 @@ def _collector_paused(make):
     elements (ints and tuples of ints) and the documents hold those,
     lists of them, and strs: nothing refers back to what holds it, so no
     cycle is made and reference counting frees it all (a cycle made
-    anyway waits for a later pass). The collector's switch is
-    process-wide: if it is on, it is off for the call, every thread
-    included, and back on when the call returns or raises; if it is
-    already off, it stays off.
+    anyway waits for a later pass). The pass a builder leaves due runs
+    at the first container made after it returns; the writer, paused
+    too, does not run it. The collector's switch is process-wide: if it
+    is on, it is off for the call, every thread included, and back on
+    when the call returns or raises; if it is already off, it stays off.
     """
 
     @functools.wraps(make)

@@ -89,9 +89,11 @@ def _load_json(path: str) -> dict:
 
 
 def _read_text(path: str) -> str:
+    """The file's text, as UTF-8. A file that cannot be read or is not
+    UTF-8 raises ``MalformedInput`` naming the file."""
     try:
-        return Path(path).read_text()
-    except OSError as err:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         raise MalformedInput(f"{path}: {err}") from None
 
 

@@ -300,10 +300,19 @@ class Catalog:
         return out
 
     def get_raw(self, order: int, schema_name: str) -> dict:
+        """The entry's document, a family or a kaleidoscope object. A file
+        that cannot be read, is not UTF-8 or holds any other document
+        raises ``MalformedInput``."""
         path = self.path_for(order, schema_name)
         if not path.is_file():
             raise MissingIngredient(order)
-        return loads(path.read_text(), str(path))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as err:
+            raise MalformedInput(f"{path}: {err}") from None
+        obj = loads(text, str(path))
+        _is_family(obj)
+        return obj
 
     def load_kaleidoscope(self, order: int, schema_name: str) -> Kaleidoscope:
         obj = self.get_raw(order, schema_name)

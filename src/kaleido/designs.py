@@ -866,12 +866,14 @@ def pbd_from_text(text: str) -> PairwiseBalancedDesign:
 _INF = float("inf")
 _INTS = {int}
 _ROWS = {list, tuple}
+_CHUNK_ITEMS = 8192  # items whose ids _item_texts holds at once
 
 
 class _Unsupported(Exception):
     """A value ``_write`` leaves to the standard library's encoder."""
 
 
+@_collector_paused
 def dumps(obj) -> str:
     """Stable JSON text: sorted keys, one space of indent per level.
 
@@ -883,10 +885,16 @@ def dumps(obj) -> str:
     list of n lists or tuples all of one length k > 0, is one piece: one
     ``%`` fill of a template of n rows of k slots. The slots take the
     items themselves when all are ints, else the text of each distinct
-    item, written once. A value of any other type than dict, list, tuple,
-    str, int, float, bool and None, or a key that is not a str, sends the
-    whole object to ``json.dumps``, which encodes it or raises as it
-    always did.
+    item, written once: one pass takes the items' ids, and only the
+    first appearance of each is written (``_item_texts``). A value of any
+    other type than dict, list, tuple, str, int, float, bool and None, or
+    a key that is not a str, sends the whole object to ``json.dumps``,
+    which encodes it or raises as it always did.
+
+    It runs with the cyclic garbage collector paused, as the builders of
+    the documents it writes do: the pieces and texts it makes hold no
+    reference cycle, and the young collections those builders leave due
+    would otherwise run here and free nothing.
     """
     out = []
     try:
@@ -909,14 +917,37 @@ def loads(text: str, source: str = ""):
 
 def _item_texts(rows: list, depth: int) -> tuple:
     """The texts of the rows' items at depth, in row order, each distinct
-    object written once."""
-    items = chain.from_iterable
-    texts = dict(zip(map(id, items(rows)), items(rows)))
-    for key, item in texts.items():
-        pieces = []
-        _write(item, depth, pieces)
-        texts[key] = "".join(pieces)
-    return tuple(map(texts.__getitem__, map(id, items(rows))))
+    object written once.
+
+    The rows go in chunks of about ``_CHUNK_ITEMS`` items, so the ids of
+    one chunk at a time are held. One pass takes the ids of a chunk's
+    items, and one ``itemgetter`` call looks up their texts. When that
+    finds an object not seen in an earlier chunk, ``dict.fromkeys`` over
+    the ids picks out the new ones; a walk over the chunk writes each
+    where it first appears and stops once all are written."""
+    texts = {}
+    fill = []
+    step = max(1, _CHUNK_ITEMS // len(rows[0]))
+    for start in range(0, len(rows), step):
+        chunk = rows[start : start + step]
+        ids = list(map(id, chain.from_iterable(chunk)))
+        get = itemgetter(*ids)
+        try:
+            got = get(texts)
+        except KeyError:
+            fresh = dict.fromkeys(ids).keys() - texts.keys()
+            for key, item in zip(ids, chain.from_iterable(chunk)):
+                if key in fresh:
+                    fresh.remove(key)
+                    pieces = []
+                    _write(item, depth, pieces)
+                    texts[key] = "".join(pieces)
+                    if not fresh:
+                        break
+            got = get(texts)
+        # itemgetter of one id gives the bare text, not a 1-tuple.
+        fill.extend(got if len(ids) > 1 else (got,))
+    return tuple(fill)
 
 
 def _write(obj, depth: int, out: list) -> None:
@@ -938,18 +969,18 @@ def _write(obj, depth: int, out: list) -> None:
             out.append(text + outer + "]")
         elif kinds <= _ROWS and len(obj[0]) and len(set(map(len, obj))) == 1:
             # A matrix: n rows of k items, written by one template fill.
-            below = "\n" + " " * (depth + 1)
-            slot = below + " %s"
-            row = "[" + ",".join([slot] * len(obj[0])) + below + "]"
-            template = (
-                "[" + inner + ("," + inner).join([row] * len(obj)) + outer + "]"
-            )
             # Only a matrix whose first item is an int can be all ints.
             flat = ()
             if type(obj[0][0]) is int:
                 flat = tuple(chain.from_iterable(obj))
             if set(map(type, flat)) != _INTS:
                 flat = _item_texts(obj, depth + 2)
+            below = "\n" + " " * (depth + 1)
+            slot = below + " %s"
+            row = "[" + ",".join([slot] * len(obj[0])) + below + "]"
+            template = (
+                "[" + inner + ("," + inner).join([row] * len(obj)) + outer + "]"
+            )
             out.append(template % flat)
         else:
             sep = "[" + inner

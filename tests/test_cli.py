@@ -1275,6 +1275,10 @@ def test_catalog_refuses_a_document_that_is_no_entry(text, tmp_path, capsys):
     err = _one_error_line(rc, capsys)
     assert err == "error: expected a family or kaleidoscope object\n"
 
+    rc = main(["catalog", "get", "--order", "7", "--catalog", str(cat)])
+    err = _one_error_line(rc, capsys)
+    assert err == "error: expected a family or kaleidoscope object\n"
+
 
 def test_catalog_add_refuses_an_unusable_catalog_path(
     tmp_path, capsys, kdf19_file
@@ -1288,6 +1292,36 @@ def test_catalog_add_refuses_an_unusable_catalog_path(
     err = _one_error_line(rc, capsys)
     assert err.startswith(f"error: {cat / 'k19_fano.json'}: ")
     assert "Not a directory" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "verify kdf --file {bad}",
+        "verify kaleidoscope --file {bad}",
+        "develop --file {bad}",
+        "catalog add --file {bad} --catalog {empty}",
+        "catalog get --order 7 --catalog {cat}",
+    ],
+    ids=["verify-kdf", "verify-kaleidoscope", "develop", "catalog-add",
+         "catalog-get"],
+)
+def test_a_file_that_is_not_utf8_is_named(argv, tmp_path, capsys):
+    """A document or catalog entry whose bytes are not UTF-8 is one error
+    line that names the file, as an unreadable file is."""
+    bad = tmp_path / "bad.json"
+    cat = tmp_path / "cat"
+    cat.mkdir()
+    entry = cat / "k7_fano.json"
+    for path in (bad, entry):
+        path.write_bytes(b'\xff\xfe{"blocks": []}')
+    empty = tmp_path / "emptycat"
+    files = {"bad": bad, "cat": cat, "empty": empty}
+    rc = main([arg.format(**files) for arg in argv.split()])
+    err = _one_error_line(rc, capsys)
+    source = bad if "{bad}" in argv else entry
+    assert err.startswith(f"error: {source}: 'utf-8' codec can't decode")
+    assert not empty.exists()
 
 
 # A document nested deeper than the JSON decoder can recurse into.

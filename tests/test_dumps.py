@@ -17,7 +17,13 @@ from hypothesis import strategies as st
 
 from kaleido.algebra import PrimeField, make_group
 from kaleido.compose import compose_kdf, field_dm
-from kaleido.designs import develop, dumps, kaleidoscope_to_json, kdf_to_json
+from kaleido.designs import (
+    _CHUNK_ITEMS,
+    develop,
+    dumps,
+    kaleidoscope_to_json,
+    kdf_to_json,
+)
 from kaleido.search import (
     asymptotic_initial_block,
     generate_kdf_from_initial_block,
@@ -130,6 +136,51 @@ def test_rectangular_documents_match_json_dumps(doc):
     _same_as_reference(doc)
     # The same objects again at three depths, and as the rows of a matrix.
     _same_as_reference({"a": doc, "b": [doc, [doc]], "c": [doc, doc]})
+
+
+def test_one_item_matrices_of_a_shared_list():
+    pair = [3, 4]
+    for doc in ([[pair]], ([pair],), {"a": [[pair]], "b": pair}):
+        assert dumps(doc) == reference(doc)
+
+
+def test_equal_items_that_are_distinct_objects():
+    doc = [[[0, 1], [0, 1]], [[0, 1], [2, 3]]]
+    assert dumps(doc) == reference(doc)
+    shared = [0, 1]
+    doc = [[shared, [0, 1]], [[0, 1], shared]]
+    assert dumps(doc) == reference(doc)
+
+
+def test_true_and_1_as_items_of_one_matrix():
+    # Equal and of equal hash, yet written as "true" and "1".
+    for doc in (
+        [[[True], [1]], [[1], [True]]],
+        [[True, 1], [1, True]],
+        [(True,), (1,)],
+    ):
+        assert dumps(doc) == reference(doc)
+
+
+def test_a_matrix_of_distinct_items_writes_every_one():
+    doc = [[[i, j] for j in range(3)] for i in range(5)]
+    assert dumps(doc) == reference(doc)
+    doc = [[[i] for i in range(_CHUNK_ITEMS * 2 + 1)]]
+    assert dumps(doc) == reference(doc)
+
+
+def test_matrices_of_more_than_one_chunk():
+    # Items first seen in a later chunk, items of earlier chunks seen
+    # again, and a last chunk of one item.
+    pool = [[i, -i] for i in range(40)]
+    rows = [
+        [pool[(3 * r + c) % (1 + r // 1000)] for c in range(3)]
+        for r in range(_CHUNK_ITEMS)
+    ]
+    assert dumps(rows) == reference(rows)
+    column = [[pool[r % 7]] for r in range(_CHUNK_ITEMS + 1)]
+    column[-1] = [pool[39]]
+    assert dumps(column) == reference(column)
 
 
 def test_other_keys_and_types_go_to_json_dumps():

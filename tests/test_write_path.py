@@ -247,3 +247,67 @@ def test_the_write_path_runs_no_collection(collector_on):
         generate_kdf_from_initial_block, field, block
     ) == []
     assert gc.isenabled()
+
+
+def _collections_in_dumps(doc, build, *args):
+    """The collections that ``dumps(doc)`` runs when it is called right
+    after ``build(*args)``, a paused builder.
+
+    The collector runs once before the builder, never between it and
+    ``dumps``: the builder's containers leave a young collection due,
+    and the first container made with the collector on runs it. The
+    callback and its list exist beforehand, the builder's result stays
+    alive, and appending the callback makes no container."""
+    seen = []
+
+    def record(phase, info):
+        if phase == "start":
+            seen.append(info["generation"])
+
+    gc.collect()
+    built = build(*args)
+    gc.callbacks.append(record)
+    try:
+        dumps(doc)
+    finally:
+        gc.callbacks.remove(record)
+    del built
+    return seen
+
+
+def test_dumps_after_each_write_builder_runs_no_collection(collector_on):
+    """Each builder below makes more containers than a young collection
+    waits for, so ``dumps`` ran one at its first container before it
+    paused the collector too."""
+    kdf = _f361()
+    scope = develop(kdf)
+    doc = kaleidoscope_to_json(scope)
+    field = make_group(PrimeField(100003))
+    block = asymptotic_initial_block(field, "fano").points
+    large = generate_kdf_from_initial_block(field, block)
+    family = kdf_to_json(large)
+    assert _collections_in_dumps(family, develop, kdf) == []
+    assert _collections_in_dumps(doc, kaleidoscope_to_json, scope) == []
+    assert _collections_in_dumps(family, kdf_to_json, large) == []
+    assert _collections_in_dumps(
+        family, generate_kdf_from_initial_block, field, block
+    ) == []
+    assert gc.isenabled()
+
+
+def test_dumps_restores_a_running_collector(collector_on):
+    assert dumps({"a": [[1, 2], [3, 4]]}) == json.dumps(
+        {"a": [[1, 2], [3, 4]]}, sort_keys=True, indent=1
+    )
+    assert gc.isenabled()
+    with pytest.raises(TypeError):
+        dumps({"set": {1, 2}})
+    assert gc.isenabled()
+
+
+def test_dumps_leaves_a_stopped_collector_stopped(collector_off):
+    dumps({"a": [[1, 2], [3, 4]]})
+    assert not gc.isenabled()
+    with pytest.raises(TypeError):
+        dumps({"set": {1, 2}})
+    assert not gc.isenabled()
