@@ -37,7 +37,6 @@ import itertools
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import Union
 
 from .errors import (
@@ -72,25 +71,162 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
+# records
+
+
+class _Fresh:
+    """A record field's default made anew for each record: a field
+    declared ``provenance: dict = _Fresh(dict)`` gets its own ``{}``."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+
+def _record_init(names: tuple, bind, put, post):
+    """A record class's ``__init__``: the fields ``names`` from a call's
+    values, by position or else through ``bind``, each set by
+    ``put(record, name, value)``, then ``post(record)`` unless post is
+    None. Up to three fields are set without a loop, which would cost
+    more than the sets."""
+    n = len(names)
+    a, b, c = (names + (None, None))[:3]
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != n:
+            args = bind(args, kwargs)
+        if n == 1:
+            put(self, a, args[0])
+        elif n == 2:
+            put(self, a, args[0])
+            put(self, b, args[1])
+        elif n == 3:
+            put(self, a, args[0])
+            put(self, b, args[1])
+            put(self, c, args[2])
+        else:
+            for name, value in zip(names, args):
+                put(self, name, value)
+        if post is not None:
+            post(self)
+
+    return __init__
+
+
+class _Record:
+    """A record: its fields are the annotated names in its class body,
+    in order, and they are its constructor's arguments, its repr and
+    what it is compared by.
+
+    ``class C(_Record)`` reads C's own field annotations once, when C is
+    made, and gives C an ``__init__``, ``__eq__`` and ``__hash__`` that
+    close over them; no code is generated. A field given a value in the
+    class body defaults to it (``_Fresh`` makes one per record).
+    ``C(...)`` takes the fields by position or keyword, with
+    ``TypeError`` on a missing or extra one, sets them and then runs
+    ``C.__post_init__`` if C defines one. Records are equal when they
+    are of one class and their fields are equal. ``frozen=True`` in the
+    class statement makes C's records read-only (assignment raises
+    ``AttributeError``) and hashable by their fields; other records can
+    be assigned to and are unhashable. ``C._fields`` names the fields,
+    as a named tuple's do.
+    """
+
+    def __init_subclass__(cls, frozen=False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+        for name, value in defaults.items():
+            if isinstance(value, _Fresh):
+                delattr(cls, name)
+        cls._fields, cls._defaults = names, defaults
+        # Frozen records refuse setattr, so theirs go past it.
+        put = object.__setattr__ if frozen else setattr
+        cls.__init__ = _record_init(
+            names, cls._bind, put, cls.__dict__.get("__post_init__")
+        )
+        # The field values: a tuple of them, or the one field's value.
+        get = operator.attrgetter(*names)
+
+        def __eq__(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return get(self) == get(other)
+
+        cls.__eq__ = __eq__
+        if frozen:
+            # A record hashes as its fields' tuple, a 1-tuple included.
+            cls.__hash__ = (
+                (lambda self: hash(get(self))) if len(names) > 1
+                else lambda self: hash((get(self),))
+            )
+            cls.__setattr__ = _Record._refuse_assignment
+            cls.__delattr__ = _Record._refuse_deletion
+        else:
+            cls.__hash__ = None
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values a call names by position, keyword or
+        default, in field order."""
+        names = cls._fields
+        if len(args) > len(names):
+            raise TypeError(
+                f"{cls.__name__}() has {len(names)} fields but was given"
+                f" {len(args)} positional arguments"
+            )
+        values = list(args)
+        for name in names[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in cls._defaults:
+                value = cls._defaults[name]
+                values.append(
+                    value.make() if isinstance(value, _Fresh) else value
+                )
+            else:
+                raise TypeError(
+                    f"{cls.__name__}() missing required argument {name!r}"
+                )
+        if kwargs:
+            name = next(iter(kwargs))
+            clash = "multiple values for" if name in names else (
+                "an unexpected keyword"
+            )
+            raise TypeError(f"{cls.__name__}() got {clash} argument {name!r}")
+        return values
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+    def _refuse_assignment(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _refuse_deletion(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # descriptors
 
 
-@dataclass(frozen=True)
-class Cyclic:
+class Cyclic(_Record, frozen=True):
     """Integers mod v under addition."""
 
     v: int
 
 
-@dataclass(frozen=True)
-class PrimeField:
+class PrimeField(_Record, frozen=True):
     """Integers mod a prime p."""
 
     p: int
 
 
-@dataclass(frozen=True)
-class ExtensionField:
+class ExtensionField(_Record, frozen=True):
     """Z_p[t] modulo a monic irreducible polynomial.
 
     ``modulus`` lists coefficients from the constant term up and includes
@@ -101,8 +237,7 @@ class ExtensionField:
     modulus: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(_Record, frozen=True):
     left: "GroupDescriptor"
     right: "GroupDescriptor"
 
@@ -305,8 +440,9 @@ def find_irreducible(p: int, degree: int) -> tuple[int, ...]:
 
 
 def _collector_paused(make):
-    """Run make, a function that builds rows or documents or writes a
-    document's text, with the cyclic garbage collector paused.
+    """Run make, a function that builds rows, documents or a family's
+    difference columns, or writes a document's text, with the cyclic
+    garbage collector paused.
 
     Such a function makes tens of thousands of tuples and lists, and
     each few hundred new containers start a pass of the collector over

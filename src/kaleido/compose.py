@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
 
 from .algebra import (
     Group,
     ProductGroup,
+    _Record,
     descriptor_from_json,
     make_group,
 )
@@ -59,8 +59,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class DifferenceMatrix:
+class DifferenceMatrix(_Record):
     """k rows of |H| entries; row differences sweep H exactly once each."""
 
     group: Group
@@ -92,8 +91,7 @@ def field_dm(field: Group, k: int) -> DifferenceMatrix:
     return DifferenceMatrix(field, rows)
 
 
-@dataclass
-class DMReport:
+class DMReport(_Record):
     valid: bool
     failing_pair: Optional[tuple]  # (row, row, element, count)
 

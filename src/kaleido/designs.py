@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
 from itertools import chain, combinations, islice, permutations
 from json.encoder import encode_basestring_ascii as _quote
 from operator import add, itemgetter
@@ -27,7 +26,9 @@ from typing import Iterable, Optional, Sequence
 
 from .algebra import (
     Group,
+    _Fresh,
     _Memo,
+    _Record,
     _collector_paused,
     _is_json_int,
     descriptor_from_json,
@@ -100,8 +101,7 @@ def delta(points: Iterable, group: Group) -> tuple:
 _OFF_LIMIT = 100
 
 
-@dataclass
-class DFReport:
+class DFReport(_Record):
     """A difference family's verdict.
 
     ``off_elements`` lists the first ``_OFF_LIMIT`` nonzero elements, in
@@ -216,8 +216,7 @@ def verify_df(blocks: Sequence, group: Group, k: int, lam: int) -> DFReport:
     return _judged(group, _columns(good, k), lam, bad_blocks)
 
 
-@dataclass
-class DifferenceFamily:
+class DifferenceFamily(_Record):
     """A plain, uncolored difference family."""
 
     group: Group
@@ -233,8 +232,7 @@ class DifferenceFamily:
 # colored families
 
 
-@dataclass
-class KaleidoscopicDifferenceFamily:
+class KaleidoscopicDifferenceFamily(_Record):
     """Point rows whose same-colored lines each form a (v, h, 1) family.
 
     Each block is a row of k distinct points, cut into its colored lines
@@ -244,14 +242,13 @@ class KaleidoscopicDifferenceFamily:
     group: Group
     schema: KaleidoscopeSchema
     blocks: tuple[tuple, ...]
-    provenance: dict = dc_field(default_factory=dict)
+    provenance: dict = _Fresh(dict)
 
     def __post_init__(self):
         _check_rows(self.schema, self.blocks)
 
 
-@dataclass
-class KDFReport:
+class KDFReport(_Record):
     """A colored family's verdict: a ``DFReport`` per color, and those
     whose lines are not a (v, h, 1) family."""
 
@@ -268,6 +265,7 @@ class KDFReport:
         )
 
 
+@_collector_paused
 def verify_kdf(kdf: KaleidoscopicDifferenceFamily) -> KDFReport:
     """Judge each color class, and the family by its colors alone.
 
@@ -279,6 +277,8 @@ def verify_kdf(kdf: KaleidoscopicDifferenceFamily) -> KDFReport:
     color passes, the blocks form a (v, k, b) difference family as a
     consequence: the layout tiles its position pairs by construction,
     so each nonzero element is covered once per color, b times in all.
+    The collector is paused: the difference columns of a large family
+    are tens of thousands of tuples, and no cycle among them.
     """
     cols = _columns(kdf.blocks, kdf.schema.k)
     color_reports = [
@@ -303,8 +303,7 @@ class LineTable(tuple):
     __slots__ = ()
 
 
-@dataclass
-class Kaleidoscope:
+class Kaleidoscope(_Record):
     """Colored planes on ``points``, a group or ``range(n)``, all under
     the one layout ``schema``.
 
@@ -362,8 +361,7 @@ def develop(kdf: KaleidoscopicDifferenceFamily) -> Kaleidoscope:
     return Kaleidoscope(group, kdf.schema, tuple(planes))
 
 
-@dataclass
-class KaleidoscopeReport:
+class KaleidoscopeReport(_Record):
     """A kaleidoscope's verdict and, when it fails, its first fault."""
 
     valid: bool
@@ -560,8 +558,7 @@ def _kaleidoscope_violation(k: Kaleidoscope) -> KaleidoscopeReport:
 # pairwise balanced designs and replication
 
 
-@dataclass
-class PairwiseBalancedDesign:
+class PairwiseBalancedDesign(_Record):
     """Blocks over points 0..v-1, meant to cover each pair exactly once."""
 
     v: int
@@ -578,8 +575,7 @@ class PairwiseBalancedDesign:
                     )
 
 
-@dataclass
-class PBDReport:
+class PBDReport(_Record):
     valid: bool
     first_violation: Optional[tuple]  # ((x, y), count)
 

@@ -15,12 +15,11 @@ the cycle, plus four lines {fixed, j, j+4} through position 0.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .algebra import _is_json_int
+from .algebra import _is_json_int, _Record
 from .errors import DuplicateElements, MalformedInput, UntiledLayout
 
 __all__ = [
@@ -32,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KaleidoscopeSchema:
+class KaleidoscopeSchema(_Record, frozen=True):
     """b lines of h positions out of k that cover every position pair
     exactly once.
 
@@ -165,8 +163,7 @@ def _check_rows(schema: KaleidoscopeSchema, rows: Sequence) -> None:
             _check_row(schema, row)
 
 
-@dataclass(frozen=True)
-class OrderedBlock:
+class OrderedBlock(_Record, frozen=True):
     """A point row with its layout, as a block search returns it."""
 
     schema: KaleidoscopeSchema

@@ -33,7 +33,6 @@ import functools
 import marshal
 import os
 import re
-from dataclasses import asdict, dataclass
 from itertools import islice
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
@@ -43,6 +42,7 @@ from .algebra import (
     Element,
     Group,
     PrimeField,
+    _Record,
     _collector_paused,
     _is_json_int,
     is_prime,
@@ -244,8 +244,7 @@ def generate_kdf_from_initial_block(
 # constrained element search
 
 
-@dataclass(frozen=True)
-class CyclotomicConstraint:
+class CyclotomicConstraint(_Record, frozen=True):
     """Requires x - shift to lie in a given cube class.
 
     The class may be an int or a symbolic string such as "i", "2i", "i+1"
@@ -291,8 +290,7 @@ def _resolve_class(klass, table: CyclotomicTable) -> int:
     return (coef * base + const) % 3
 
 
-@dataclass
-class ConstrainedSearchResult:
+class ConstrainedSearchResult(_Record):
     element: Optional[Element]
     checked: int
     exhausted: bool
@@ -558,8 +556,7 @@ def form_block(field: Group, form: str, x: Element) -> tuple:
     return _FORMS[form][0](field, x)
 
 
-@dataclass
-class ParametricResult:
+class ParametricResult(_Record):
     x: Element
     block: tuple
     checked: int
@@ -632,8 +629,7 @@ def consecutive_block_primes(limit: int) -> list[int]:
 # exhaustive sweep over one small cyclic order
 
 
-@dataclass
-class NonexistenceCertificate:
+class NonexistenceCertificate(_Record):
     v: int
     schema: str
     blocks: int
@@ -647,7 +643,7 @@ class NonexistenceCertificate:
     jobs: int
 
     def to_json(self) -> dict:
-        obj = asdict(self)
+        obj = {name: getattr(self, name) for name in self._fields}
         obj["normalizations"] = list(self.normalizations)
         if self.first_solution is not None:
             obj["first_solution"] = [list(b) for b in self.first_solution]

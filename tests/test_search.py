@@ -720,12 +720,14 @@ def test_sweep_runs_serially_where_the_platform_cannot_fork(monkeypatch):
 @pytest.mark.parametrize("module", ["kaleido", "kaleido.cli"])
 def test_import_loads_no_process_pool(module):
     """Only a sweep on more than one job starts processes, and it forks
-    them itself, so importing the package loads no pool machinery."""
+    them itself, so importing the package loads no pool machinery. Its
+    records are plain classes, so it loads no ``dataclasses`` either, nor
+    the ``inspect`` that module imports."""
     proc = subprocess.run(
         [sys.executable, "-c",
          f"import sys, {module}\n"
-         "print(sorted({'concurrent.futures', 'multiprocessing'}"
-         " & set(sys.modules)))"],
+         "print(sorted({'concurrent.futures', 'multiprocessing',"
+         " 'dataclasses', 'inspect'} & set(sys.modules)))"],
         capture_output=True,
         text=True,
         timeout=60,

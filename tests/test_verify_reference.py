@@ -10,7 +10,6 @@ names only the first ``designs._OFF_LIMIT`` off elements of the
 reference's full list.
 """
 
-import dataclasses
 import functools
 import random
 import tracemalloc
@@ -168,18 +167,21 @@ def ref_verify_kaleidoscope(k):
 
 def assert_same_report(new, ref):
     assert type(new) is type(ref)
-    for f in dataclasses.fields(ref):
-        got, want = getattr(new, f.name), getattr(ref, f.name)
+    names = type(ref)._fields
+    # The field names are every attribute either report holds.
+    assert list(vars(ref)) == list(vars(new)) == list(names)
+    for name in names:
+        got, want = getattr(new, name), getattr(ref, name)
         if isinstance(want, DFReport):
             assert_same_report(got, want)
-        elif f.name == "color_reports":
+        elif name == "color_reports":
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert_same_report(g, w)
-        elif f.name == "off_elements":
+        elif name == "off_elements":
             assert got == want[: designs._OFF_LIMIT]
         else:
-            assert got == want, f.name
+            assert got == want, name
 
 
 def check_kdf(kdf):

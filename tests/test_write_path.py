@@ -1,6 +1,6 @@
 """The write path: a text written in one pass, whole rows encoded at
-once, and the functions that build documents with the cyclic garbage
-collector paused.
+once, and the functions that build documents, or check a family's
+difference columns, with the cyclic garbage collector paused.
 
 ``Group.encode_rows`` must give what the element encoder gives, element
 by element, and a colored family's text must keep its bytes: each
@@ -21,6 +21,7 @@ from kaleido.algebra import (
     ExtensionField,
     PrimeField,
     Product,
+    find_irreducible,
     make_group,
 )
 from kaleido.compose import compose_kdf, field_dm
@@ -30,6 +31,7 @@ from kaleido.designs import (
     dumps,
     kaleidoscope_to_json,
     kdf_to_json,
+    verify_kdf,
 )
 from kaleido.errors import InvalidKDF
 from kaleido.schema import builtin_schema
@@ -233,6 +235,30 @@ def _collections_during(call, *args):
     finally:
         gc.callbacks.remove(record)
     return seen
+
+
+def test_verify_kdf_runs_no_collection(collector_on):
+    """The 1,568 blocks of the family over F_97^2 are tuples of
+    coefficient tuples, and the difference columns of tuples built from
+    them started 214 collections inside one call before ``verify_kdf``
+    paused the collector."""
+    field = make_group(ExtensionField(97, find_irreducible(97, 2)))
+    kdf = generate_kdf_from_initial_block(
+        field, asymptotic_initial_block(field, "fano").points
+    )
+    assert len(kdf.blocks) == 1568
+    assert _collections_during(verify_kdf, kdf) == []
+    assert gc.isenabled()
+    assert verify_kdf(kdf).valid
+
+
+def test_verify_kdf_leaves_a_stopped_collector_stopped(collector_off):
+    kdf = generate_kdf_from_initial_block(F19, (0, 1, 2, 4, 5, 11, 8))
+    assert verify_kdf(kdf).valid
+    assert not verify_kdf(
+        KaleidoscopicDifferenceFamily(kdf.group, kdf.schema, kdf.blocks[1:])
+    ).valid
+    assert not gc.isenabled()
 
 
 def test_the_write_path_runs_no_collection(collector_on):
