@@ -86,28 +86,16 @@ class _Fresh:
 
 def _record_init(names: tuple, bind, put, post):
     """A record class's ``__init__``: the fields ``names`` from a call's
-    values, by position or else through ``bind``, each set by
+    values, by position or else through ``bind``, each set in one loop by
     ``put(record, name, value)``, then ``post(record)`` unless post is
-    None. Up to three fields are set without a loop, which would cost
-    more than the sets."""
+    None."""
     n = len(names)
-    a, b, c = (names + (None, None))[:3]
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != n:
             args = bind(args, kwargs)
-        if n == 1:
-            put(self, a, args[0])
-        elif n == 2:
-            put(self, a, args[0])
-            put(self, b, args[1])
-        elif n == 3:
-            put(self, a, args[0])
-            put(self, b, args[1])
-            put(self, c, args[2])
-        else:
-            for name, value in zip(names, args):
-                put(self, name, value)
+        for name, value in zip(names, args):
+            put(self, name, value)
         if post is not None:
             post(self)
 
@@ -631,10 +619,11 @@ class Group(Sequence):
 
 
 class CyclicGroup(Group):
-    def __init__(self, v: int):
+    def __init__(self, desc: Cyclic):
+        v = desc.v
         if not isinstance(v, int) or v < 1:
             raise MalformedInput(f"cyclic order must be a positive int, got {v!r}")
-        self.descriptor = Cyclic(v)
+        self.descriptor = desc
         self.order = v
         self.radices = (v,)
         self.zero = 0
@@ -713,10 +702,11 @@ class PrimeFieldGroup(CyclicGroup):
     is_field = True
     degree = 1
 
-    def __init__(self, p: int):
+    def __init__(self, desc: PrimeField):
+        p = desc.p
         if not isinstance(p, int) or not is_prime(p):
             raise NonPrimeModulus(f"{p!r} is not prime")
-        self.descriptor = PrimeField(p)
+        self.descriptor = desc
         self.p = self.order = p
         self.radices = (p,)
         self.zero = 0
@@ -760,7 +750,8 @@ class PrimeFieldGroup(CyclicGroup):
 class ExtensionFieldGroup(Group):
     is_field = True
 
-    def __init__(self, p: int, modulus):
+    def __init__(self, desc: ExtensionField):
+        p, modulus = desc.p, desc.modulus
         if not isinstance(p, int) or not is_prime(p):
             raise NonPrimeModulus(f"{p!r} is not prime")
         mod = tuple(c % p for c in modulus)
@@ -768,7 +759,9 @@ class ExtensionFieldGroup(Group):
             raise MalformedInput("extension modulus must have degree at least 2")
         if mod[-1] != 1:
             raise MalformedInput("extension modulus must be monic")
-        self.descriptor = ExtensionField(p, mod)
+        # A modulus already a tuple of residues keeps its descriptor.
+        same = mod == modulus and {*map(type, modulus)} == {int}
+        self.descriptor = desc if same else ExtensionField(p, mod)
         self.p = p
         self.degree = len(mod) - 1
         self.order = p ** self.degree
@@ -1011,18 +1004,22 @@ class ProductGroup(Group):
         return dec
 
 
+# The extension fields that multiply in closed form, by degree.
+_CLOSED_FORM = {2: QuadraticFieldGroup, 3: CubicFieldGroup}
+
+
 def make_group(desc: GroupDescriptor) -> Group:
-    """Build the group handle a descriptor names."""
+    """Build the group handle a descriptor names. The group keeps desc as
+    its ``descriptor``; only an extension field whose modulus is not yet
+    a tuple of residues mod p keeps the reduced one instead. A product's
+    descriptor is built from its factors'."""
     if isinstance(desc, Cyclic):
-        return CyclicGroup(desc.v)
+        return CyclicGroup(desc)
     if isinstance(desc, PrimeField):
-        return PrimeFieldGroup(desc.p)
+        return PrimeFieldGroup(desc)
     if isinstance(desc, ExtensionField):
-        if len(desc.modulus) == 3:
-            return QuadraticFieldGroup(desc.p, desc.modulus)
-        if len(desc.modulus) == 4:
-            return CubicFieldGroup(desc.p, desc.modulus)
-        return ExtensionFieldGroup(desc.p, desc.modulus)
+        degree = len(desc.modulus) - 1
+        return _CLOSED_FORM.get(degree, ExtensionFieldGroup)(desc)
     if isinstance(desc, Product):
         return ProductGroup(make_group(desc.left), make_group(desc.right))
     raise MalformedInput(f"not a group descriptor: {desc!r}")
@@ -1050,9 +1047,6 @@ def primitive_element(field: Group) -> Element:
     if cached is not None:
         return cached
     q = field.order
-    if q == 2:
-        field._primitive = field.one
-        return field.one
     factors = prime_factors(q - 1)
     cofactors = [(q - 1) // r for r in factors]
     p, d = field.p, field.degree

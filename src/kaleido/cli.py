@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from .algebra import (
     ExtensionField,
@@ -42,8 +41,10 @@ from .designs import (
     kaleidoscope_to_json,
     kdf_from_json,
     kdf_to_json,
+    load,
     loads,
     pbd_from_text,
+    read_text,
     replicate,
     verify_kaleidoscope,
     verify_kdf,
@@ -82,19 +83,6 @@ def _emit(obj: dict, note: str) -> None:
     print(dumps(obj))
     if note:
         print(note, file=sys.stderr)
-
-
-def _load_json(path: str) -> dict:
-    return loads(_read_text(path), path)
-
-
-def _read_text(path: str) -> str:
-    """The file's text, as UTF-8. A file that cannot be read or is not
-    UTF-8 raises ``MalformedInput`` naming the file."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as err:
-        raise MalformedInput(f"{path}: {err}") from None
 
 
 def _prime_power(q: int) -> tuple[int, int]:
@@ -146,7 +134,7 @@ def _parse_block(field: Group, text: str) -> tuple:
 
 def _schema_from_arg(name: str) -> KaleidoscopeSchema:
     """A builtin layout by its name, or the layout in the file so named."""
-    return schema_from_json(name if name in _BUILTINS else _load_json(name))
+    return schema_from_json(name if name in _BUILTINS else load(name))
 
 
 def _catalog_from_args(args) -> Catalog:
@@ -169,7 +157,7 @@ _REPORTS = {
 
 
 def _cmd_verify_report(args) -> Outcome:
-    rep = _REPORTS[args.target](_load_json(args.file))
+    rep = _REPORTS[args.target](load(args.file))
     out = {"kind": args.target, "valid": rep.valid, "summary": rep.summary()}
     if args.target == "kdf":
         out["failing_colors"] = list(rep.failing_colors)
@@ -208,7 +196,7 @@ def _cmd_verify_schema(args) -> Outcome:
 
 
 def _cmd_verify_pbd(args) -> Outcome:
-    pbd = pbd_from_text(_read_text(args.file))
+    pbd = pbd_from_text(read_text(args.file))
     rep = verify_pbd(pbd)
     out = {
         "kind": "pbd",
@@ -307,7 +295,7 @@ def _cmd_search_constrained(args) -> Outcome:
     if args.constraints:
         raw = loads(args.constraints)
     elif args.file:
-        raw = _load_json(args.file)
+        raw = load(args.file)
     else:
         raise MalformedInput("pass --constraints, --file or --prefix")
     res = find_constrained_element(
@@ -344,16 +332,16 @@ def _cmd_compose_dm(args) -> Outcome:
 
 
 def _cmd_compose_kdf(args) -> Outcome:
-    left = kdf_from_json(_load_json(args.left))
-    right = kdf_from_json(_load_json(args.right))
-    m = dm_from_json(_load_json(args.dm)) if args.dm else None
+    left = kdf_from_json(load(args.left))
+    right = kdf_from_json(load(args.right))
+    m = dm_from_json(load(args.dm)) if args.dm else None
     out = compose_kdf(left, right, m)
     note = f"composed family over order {out.group.order}"
     return kdf_to_json(out), note, True
 
 
 def _cmd_compose_pbd(args) -> Outcome:
-    pbd = pbd_from_text(_read_text(args.file))
+    pbd = pbd_from_text(read_text(args.file))
     catalog = _catalog_from_args(args)
     sizes = sorted({len(block) for block in pbd.blocks})
     ingredients = {
@@ -369,7 +357,7 @@ def _refusal(err: Exception) -> Outcome:
 
 
 def _cmd_develop(args) -> Outcome:
-    kdf = kdf_from_json(_load_json(args.file))
+    kdf = kdf_from_json(load(args.file))
     try:
         scope = develop(kdf)
     except InvalidKDF as err:
@@ -379,7 +367,7 @@ def _cmd_develop(args) -> Outcome:
 
 
 def _cmd_replicate(args) -> Outcome:
-    pbd = pbd_from_text(_read_text(args.file))
+    pbd = pbd_from_text(read_text(args.file))
     schema = _schema_from_arg(args.schema)
     try:
         scope = replicate(pbd, schema)
@@ -429,7 +417,7 @@ def _cmd_reproduce(args) -> Outcome:
 
 
 def _cmd_catalog_add(args) -> Outcome:
-    path = _catalog_from_args(args).add(_load_json(args.file))
+    path = _catalog_from_args(args).add(load(args.file))
     return {"stored": str(path)}, f"stored {path}", True
 
 

@@ -31,7 +31,7 @@ from .designs import (
     dumps,
     kaleidoscope_from_json,
     kdf_from_json,
-    loads,
+    load,
     verify_kaleidoscope,
     verify_kdf,
     verify_pbd,
@@ -241,11 +241,7 @@ def pbd_compose(
 
 
 def dm_to_json(m: DifferenceMatrix) -> dict:
-    enc = m.group.encoder()
-    return {
-        "group": m.group.to_json(),
-        "rows": [list(map(enc, row)) for row in m.rows],
-    }
+    return {"group": m.group.to_json(), "rows": m.group.encode_rows(m.rows)}
 
 
 def dm_from_json(obj) -> DifferenceMatrix:
@@ -304,11 +300,7 @@ class Catalog:
         path = self.path_for(order, schema_name)
         if not path.is_file():
             raise MissingIngredient(order)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as err:
-            raise MalformedInput(f"{path}: {err}") from None
-        obj = loads(text, str(path))
+        obj = load(path)
         _is_family(obj)
         return obj
 

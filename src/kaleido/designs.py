@@ -22,6 +22,7 @@ from collections import Counter
 from itertools import chain, combinations, islice, permutations
 from json.encoder import encode_basestring_ascii as _quote
 from operator import add, itemgetter
+from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .algebra import (
@@ -900,10 +901,31 @@ def dumps(obj) -> str:
     return "".join(out)
 
 
+def read_text(path) -> str:
+    """The file's text, as UTF-8. A file that cannot be read or is not
+    UTF-8 raises ``MalformedInput`` naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise MalformedInput(f"{path}: {err}") from None
+
+
+def load(path):
+    """The JSON document in a file: ``read_text``, then ``loads`` with the
+    file as its source. The command line's ``--file`` documents and the
+    catalog's entries are all read by it."""
+    return loads(read_text(path), path)
+
+
+@_collector_paused
 def loads(text: str, source: str = ""):
     """Decode JSON text. A syntax error, or nesting deeper than the
     decoder can recurse into, raises ``MalformedInput`` with the
-    decoder's message, after ``source: `` when a source is named."""
+    decoder's message, after ``source: `` when a source is named.
+
+    It runs with the cyclic garbage collector paused: a decoded document
+    is lists, dicts, strs and numbers, holds no reference cycle, and
+    would otherwise start a collection every few hundred containers."""
     try:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as err:

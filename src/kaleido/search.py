@@ -941,8 +941,8 @@ def serial_sweep_reason(mode: str, max_nodes: Optional[int]) -> Optional[str]:
 
 def _sweep_subtree(payload):
     """Sweep one subtree: (nodes, solutions, first, budget_hit)."""
-    v, schema_name, mode, prefix, max_nodes = payload
-    sweep = _Sweep(v, builtin_schema(schema_name), mode, max_nodes)
+    v, schema, mode, prefix, max_nodes = payload
+    sweep = _Sweep(v, schema, mode, max_nodes)
     sweep.run(prefix=prefix)
     return sweep.nodes, sweep.solutions, sweep.first, sweep.budget_hit
 
@@ -1103,7 +1103,7 @@ def exhaustive_nonexistence(
             remaining = None if max_nodes is None else max_nodes - total_nodes
             if remaining is not None and remaining <= 0:
                 return
-            yield v, schema_name, mode, prefix, remaining
+            yield v, schema, mode, prefix, remaining
 
     if jobs > 1 and len(prefixes) > 1:
         # No more processes than subtrees; each takes one subtree at a

@@ -333,7 +333,7 @@ def test_quadratic_field_agrees_with_the_generic_class(p):
     of the generic convolution loop."""
     modulus = find_irreducible(p, 2)
     fast = make_group(ExtensionField(p, modulus))
-    slow = ExtensionFieldGroup(p, modulus)
+    slow = ExtensionFieldGroup(ExtensionField(p, modulus))
     assert type(slow) is not type(fast)
     q = p * p
     assert q % 6 == 1
@@ -433,7 +433,7 @@ def test_cubic_field_agrees_with_the_generic_class(p):
     convolution loop."""
     for modulus in _cubic_moduli(p):
         fast = make_group(ExtensionField(p, modulus))
-        slow = ExtensionFieldGroup(p, modulus)
+        slow = ExtensionFieldGroup(ExtensionField(p, modulus))
         assert type(slow) is not type(fast)
         q = p**3
         assert q % 6 == 1
@@ -563,6 +563,50 @@ def test_product_group():
     assert g.add(a, b) == (1, 3)
     assert g.neg((3, 10)) == (4, 9)
     assert len(g.elements()) == 133
+
+
+CANONICAL_DESCRIPTORS = [
+    Cyclic(21),
+    PrimeField(7),
+    ExtensionField(5, (2, 0, 1)),
+    ExtensionField(7, (4, 0, 0, 1)),
+    ExtensionField(3, find_irreducible(3, 4)),
+]
+
+
+@pytest.mark.parametrize(
+    "desc",
+    CANONICAL_DESCRIPTORS,
+    ids=["cyclic", "prime", "degree-2", "degree-3", "degree-4"],
+)
+def test_a_group_keeps_the_descriptor_it_was_made_from(desc):
+    assert make_group(desc).descriptor is desc
+
+
+def test_a_product_builds_its_descriptor_from_its_factors():
+    left, right = PrimeField(7), ExtensionField(5, (2, 0, 1))
+    g = make_group(Product(left, right))
+    assert g.descriptor == Product(left, right)
+    assert g.left.descriptor is left and g.right.descriptor is right
+
+
+@pytest.mark.parametrize(
+    "modulus",
+    [(-3, 0, 1), [2, 0, 1], (2, 5, 6)],
+    ids=["negative", "list", "past-p"],
+)
+def test_an_extension_field_keeps_its_modulus_reduced(modulus):
+    desc = make_group(ExtensionField(5, modulus)).descriptor
+    assert desc.modulus == (2, 0, 1)
+    assert type(desc.modulus) is tuple
+
+
+def test_a_true_coefficient_is_written_as_1():
+    """(True, 0, 1) equals (1, 0, 1) item by item, yet it is not a tuple
+    of residues: the group keeps a descriptor that writes 1."""
+    g = make_group(ExtensionField(3, (True, 0, 1)))
+    assert list(map(type, g.descriptor.modulus)) == [int, int, int]
+    assert json.dumps(g.to_json()["modulus"]) == "[1, 0, 1]"
 
 
 def test_extension_elements_canonical_order():
@@ -714,6 +758,12 @@ def test_primitive_elements():
     assert primitive_element(make_group(PrimeField(19))) == 2
     assert primitive_element(make_group(PrimeField(7))) == 3
     assert primitive_element(make_group(PrimeField(13))) == 2
+
+
+def test_the_primitive_element_of_f2_is_1():
+    """q - 1 = 1 has no prime factor, so the walk's first element, 1,
+    passes every test."""
+    assert primitive_element(make_group(PrimeField(2))) == 1
 
 
 def _plain_primitive_walk(field):

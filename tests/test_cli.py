@@ -1294,6 +1294,72 @@ def test_catalog_add_refuses_an_unusable_catalog_path(
     assert "Not a directory" in err
 
 
+def _scope7_obj():
+    kdf = generate_kdf_from_initial_block(F7, (0, 1, 2, 3, 4, 5, 6))
+    return json.loads(json.dumps(kaleidoscope_to_json(develop(kdf))))
+
+
+def test_catalog_entries_that_fail_are_refused(tmp_path, capsys):
+    """A seven-point kaleidoscope whose plane 0 swaps its first two
+    points, as a ``compose pbd`` ingredient and through ``catalog add``;
+    then the order-19 kaleidoscope filed as the seven-point entry."""
+    bad = _scope7_obj()
+    assert bad["planes"][0] == [0, 1, 2, 3, 4, 5, 6]
+    bad["planes"][0] = [1, 0, 2, 3, 4, 5, 6]
+    cat = tmp_path / "cat"
+    cat.mkdir()
+    entry = cat / "k7_fano.json"
+    entry.write_text(json.dumps(bad))
+    pbd = _seven_point_pbd(tmp_path)
+    fault = "pair (0, 2) carries color 1 2 times, wanted 1"
+    rc = main(["compose", "pbd", "--file", pbd, "--catalog", str(cat)])
+    assert _one_error_line(rc, capsys) == (
+        f"error: catalog entry k7_fano: {fault}\n"
+    )
+
+    other = tmp_path / "other"
+    argv = ["catalog", "add", "--file", str(entry), "--catalog", str(other)]
+    assert _one_error_line(main(argv), capsys) == f"error: {fault}\n"
+    assert not other.exists()
+
+    entry.write_text(json.dumps(_scope19_obj()))
+    rc = main(["compose", "pbd", "--file", pbd, "--catalog", str(cat)])
+    assert _one_error_line(rc, capsys) == (
+        "error: catalog entry k7_fano has 19 points\n"
+    )
+
+
+def test_catalog_add_files_a_custom_layout_by_its_cleaned_name(
+    tmp_path, capsys, kdf7_file
+):
+    """The F_7 family over the Fano layout's mirror image x -> -x, named
+    ``my-fano!``: a valid family under a layout of its own."""
+    obj = json.loads(open(kdf7_file).read())
+    mirror = [
+        sorted(-x % 7 for x in line) for line in builtin_schema("fano").lines
+    ]
+    obj["schema"] = {"name": "my-fano!", "k": 7, "h": 3, "lines": mirror}
+    doc = tmp_path / "custom.json"
+    doc.write_text(json.dumps(obj))
+    cat = tmp_path / "cat"
+    rc = main(["catalog", "add", "--file", str(doc), "--catalog", str(cat)])
+    assert rc == 0
+    assert _out(capsys) == {"stored": str(cat / "k7_myfano.json")}
+    assert main(["catalog", "list", "--catalog", str(cat)]) == 0
+    assert _out(capsys)["entries"] == [
+        {"order": 7, "schema": "myfano", "file": "k7_myfano.json"}
+    ]
+
+
+def test_catalog_list_of_a_missing_directory_is_empty(tmp_path, capsys):
+    cat = tmp_path / "nowhere"
+    assert main(["catalog", "list", "--catalog", str(cat)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"root": str(cat), "entries": []}
+    assert captured.err == ""
+    assert not cat.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

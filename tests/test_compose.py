@@ -15,6 +15,7 @@ from kaleido.compose import (
 )
 from kaleido.designs import (
     DifferenceFamily,
+    Kaleidoscope,
     PairwiseBalancedDesign,
     develop,
     kaleidoscope_to_json,
@@ -166,6 +167,36 @@ def test_pbd_compose_refuses_an_entry_of_another_size():
     with pytest.raises(IngredientInvalid) as err:
         pbd_compose(pbd, {9: scope7})
     assert str(err.value) == "catalog entry for size 9 has 7 points"
+
+
+def _swapped_scope7():
+    """The F_7 kaleidoscope with the first two points of plane 0 swapped."""
+    scope = develop(_fkdf7())
+    planes = list(scope.planes)
+    assert planes[0] == (0, 1, 2, 3, 4, 5, 6)
+    planes[0] = (1, 0, 2, 3, 4, 5, 6)
+    return Kaleidoscope(scope.points, scope.schema, tuple(planes))
+
+
+def test_pbd_compose_refuses_entries_of_two_layouts():
+    """Eight points: one 7-block and the seven pairs through point 7,
+    whose entry is a (planeless) kaleidoscope under the Hesse layout."""
+    pairs = tuple(frozenset({i, 7}) for i in range(7))
+    pbd = PairwiseBalancedDesign(8, (frozenset(range(7)),) + pairs)
+    hesse = Kaleidoscope(range(2), builtin_schema("hesse"), ())
+    with pytest.raises(SchemaMismatch) as err:
+        pbd_compose(pbd, {7: develop(_fkdf7()), 2: hesse})
+    assert str(err.value) == "catalog entry for size 2 uses a different layout"
+
+
+def test_pbd_compose_refuses_an_invalid_entry():
+    pbd = PairwiseBalancedDesign(7, (frozenset(range(7)),))
+    with pytest.raises(IngredientInvalid) as err:
+        pbd_compose(pbd, {7: _swapped_scope7()})
+    assert str(err.value) == (
+        "catalog entry for size 7: pair (0, 2) carries color 1 2 times,"
+        " wanted 1"
+    )
 
 
 def test_pbd_compose_rejects_bad_pbd():

@@ -230,6 +230,18 @@ def test_verify_kaleidoscope_detects_tamper():
     assert rep.first_violation is not None
 
 
+def test_kaleidoscope_summary_names_alien_points():
+    seven = replicate(PairwiseBalancedDesign(7, (frozenset(range(7)),)), FANO)
+    planes = list(seven.planes)
+    lines = list(seven.lines_of(planes[0]))
+    lines[0] = frozenset({0, 1, 7})
+    planes[0] = LineTable(lines)
+    bad = Kaleidoscope(seven.points, seven.schema, tuple(planes))
+    rep = verify_kaleidoscope(bad)
+    assert rep.alien_points == [7]
+    assert rep.summary() == "planes use unknown points [7]"
+
+
 def test_underlying_design_of_development():
     """Dropping colors leaves a 2-(19,7,7) design, counted directly."""
     scope = develop(_fkdf19())

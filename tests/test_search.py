@@ -253,6 +253,36 @@ def test_asymptotic_valid_or_none(p):
             assert verify_listed_block(f, blk.points)
 
 
+def test_no_ct_meets_fano_level_0_at_p_7_mod_12():
+    """Over F_p[t]/(t^2 + 1) with p = 7 (mod 12), Frobenius maps c t to
+    -c t, so x - 1 = -sigma(x + 1) for x = c t, and level 0 of either
+    Fano chain (the one the field's class of 2 selects) takes no c t, the
+    elements of canonical index 1 .. p - 1."""
+    primes = [p for p in range(7, 1000, 12) if is_prime(p)]
+    assert len(primes) == 44
+    for p in primes:
+        modulus = find_irreducible(p, 2)
+        assert modulus == (1, 0, 1), p
+        field = make_group(ExtensionField(p, modulus))
+        table = CyclotomicTable(field, 3)
+        small = search_module._small_ints(field, 3)
+        two_a_cube = table.index(small[2]) == 0
+        _, chain = search_module._CHAINS[
+            "fano, 2 a cube" if two_a_cube else "fano"
+        ]
+        level_0 = [
+            (
+                small[s] if s >= 0 else field.neg(small[-s]),
+                search_module._resolve_class(c, table),
+            )
+            for s, c in chain["x"]
+        ]
+        for c in range(1, p):
+            x = field[c]
+            assert x == (0, c)
+            assert not search_module._meets(field, table, level_0, x), (p, c)
+
+
 _LARGE_FIELD_CHAINS = """
 import json
 from kaleido.algebra import PrimeField, make_group

@@ -14,7 +14,14 @@ from pathlib import Path
 import pytest
 
 from kaleido import tables
-from kaleido.algebra import PrimeField, is_prime, make_group
+from kaleido.algebra import (
+    ExtensionField,
+    ExtensionFieldGroup,
+    PrimeField,
+    PrimeFieldGroup,
+    is_prime,
+    make_group,
+)
 from kaleido.cli import main
 from kaleido.search import FANO_AFFINE, HESSE_POWERS, parametric_search
 
@@ -68,6 +75,30 @@ def test_reproduce_every_table(table_id, size, capsys):
         assert ("recomputed" in entry) == (
             record["kind"] in ("parametric", "consecutive")
         )
+
+
+def test_recheck_builds_one_descriptor_per_field(monkeypatch):
+    """A field keeps the descriptor it is made from: rechecking the nine
+    tables builds as many field descriptors as fields."""
+    made = Counter()
+
+    def count(cls, what):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            made[what] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    count(PrimeField, "descriptors")
+    count(ExtensionField, "descriptors")
+    count(PrimeFieldGroup, "fields")
+    count(ExtensionFieldGroup, "fields")
+    for table_id in tables.WITNESSES:
+        assert tables.recheck(table_id)["all_valid"]
+    assert made["fields"] > 200
+    assert made["descriptors"] == made["fields"]
 
 
 def _first(table_id: str, kind: str) -> dict:

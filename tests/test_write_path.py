@@ -1,6 +1,7 @@
 """The write path: a text written in one pass, whole rows encoded at
-once, and the functions that build documents, or check a family's
-difference columns, with the cyclic garbage collector paused.
+once, and the functions that build documents, check a family's
+difference columns or decode a text, with the cyclic garbage collector
+paused.
 
 ``Group.encode_rows`` must give what the element encoder gives, element
 by element, and a colored family's text must keep its bytes: each
@@ -31,9 +32,10 @@ from kaleido.designs import (
     dumps,
     kaleidoscope_to_json,
     kdf_to_json,
+    loads,
     verify_kdf,
 )
-from kaleido.errors import InvalidKDF
+from kaleido.errors import InvalidKDF, MalformedInput
 from kaleido.schema import builtin_schema
 from kaleido.search import (
     asymptotic_initial_block,
@@ -258,6 +260,39 @@ def test_verify_kdf_leaves_a_stopped_collector_stopped(collector_off):
     assert not verify_kdf(
         KaleidoscopicDifferenceFamily(kdf.group, kdf.schema, kdf.blocks[1:])
     ).valid
+    assert not gc.isenabled()
+
+
+def _k361_text():
+    """The text of ``search asymptotic --q 361 --backtrack --emit-kdf``
+    then ``develop``, without the final newline."""
+    field = make_group(ExtensionField(19, find_irreducible(19, 2)))
+    block = asymptotic_initial_block(field, "fano", backtrack=True).points
+    scope = develop(generate_kdf_from_initial_block(field, block))
+    return dumps(kaleidoscope_to_json(scope))
+
+
+def test_loads_runs_no_collection(collector_on):
+    """The order-361 kaleidoscope text decodes to 21,660 planes of lists;
+    one ``loads`` of it started 247 collections before it paused the
+    collector."""
+    text = _k361_text()
+    assert len(text) == 3_955_918
+    assert _collections_during(loads, text) == []
+    assert gc.isenabled()
+    assert len(loads(text)["planes"]) == 21660
+
+
+def test_loads_restores_the_collector_when_it_raises(collector_on):
+    with pytest.raises(MalformedInput, match="^doc.json: Expecting value"):
+        loads("[1, ", "doc.json")
+    assert gc.isenabled()
+
+
+def test_loads_leaves_a_stopped_collector_stopped(collector_off):
+    assert loads("[[1, 2], [3]]") == [[1, 2], [3]]
+    with pytest.raises(MalformedInput):
+        loads("[" * 100_000)
     assert not gc.isenabled()
 
 
